@@ -16,7 +16,7 @@
 //! [`DoneSummary`] to [`Session::run`] on the same spec, which `--once`
 //! smoke mode (and the e2e suite) asserts.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -59,8 +59,16 @@ Line-delimited protocol (UTF-8, one request per line):
                          of per-slot detail per cached original
   SHUTDOWN               acknowledge with `OK bye` and stop the server
 
+A request line longer than 64 KiB draws `ERR request line too long` and
+the connection is closed; the server keeps serving other clients.
+
 Jobs served over the wire are bit-identical to `Session::run` on the same
 spec — same seed, same RNG stream, same winner.";
+
+/// Longest request line the server reads, newline excluded. A longer line
+/// draws `ERR request line too long` and the connection is dropped, so a
+/// client cannot make a worker buffer an unbounded line.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Fallback smoke-mode job: mask-and-score (no evolution), small enough
 /// to finish in well under a second, big enough that preparation cost is
@@ -175,17 +183,28 @@ fn serve_on(
 /// Serve one connection until the client hangs up. Returns `true` when
 /// the client requested a server shutdown.
 fn handle_connection(stream: TcpStream, session: &SharedSession) -> bool {
+    // every event is one small flushed write: without NODELAY, Nagle holds
+    // each one back until the client's delayed ACK of the previous one
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return false;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_request_line(&mut reader, &mut buf) {
+            Ok(RequestLine::Line(line)) => line,
+            Ok(RequestLine::TooLong) => {
+                let _ = send(&mut writer, &Response::Err("request line too long".into()));
+                break; // the rest of the line is unread: drop the connection
+            }
+            Ok(RequestLine::End) | Err(_) => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let outcome = match Request::parse(&line) {
+        let outcome = match Request::parse(line) {
             Ok(Request::Job(spec)) => stream_job(&spec, session, &mut writer),
             Ok(Request::Stats) => send(&mut writer, &Response::Stats(session.stats())),
             Ok(Request::Shutdown) => {
@@ -199,6 +218,44 @@ fn handle_connection(stream: TcpStream, session: &SharedSession) -> bool {
         }
     }
     false
+}
+
+/// One read from a connection by [`read_request_line`].
+enum RequestLine<'a> {
+    /// A request line, line ending stripped as [`BufRead::lines`] does.
+    Line(&'a str),
+    /// A line over [`MAX_REQUEST_LINE`]; at most one byte more than the
+    /// cap was read.
+    TooLong,
+    /// The client closed its side.
+    End,
+}
+
+/// Read one `\n`-terminated request line of at most [`MAX_REQUEST_LINE`]
+/// bytes into `buf`. A line that is not UTF-8 is an error.
+fn read_request_line<'a, R: BufRead>(
+    reader: &mut R,
+    buf: &'a mut Vec<u8>,
+) -> std::io::Result<RequestLine<'a>> {
+    buf.clear();
+    if reader
+        .take(MAX_REQUEST_LINE as u64 + 1)
+        .read_until(b'\n', buf)?
+        == 0
+    {
+        return Ok(RequestLine::End);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_LINE {
+        return Ok(RequestLine::TooLong);
+    }
+    std::str::from_utf8(buf)
+        .map(RequestLine::Line)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Run one job, streaming each [`cdp::pipeline::JobEvent`] as an `EVENT`
@@ -244,6 +301,7 @@ fn send<W: Write>(out: &mut W, response: &Response) -> std::io::Result<()> {
 /// Connection failures, or a response line the protocol cannot parse.
 pub fn request(addr: SocketAddr, request: &Request) -> Result<Vec<Response>> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     writeln!(writer, "{}", request.to_line())?;
     writer.flush()?;

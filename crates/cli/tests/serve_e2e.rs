@@ -28,8 +28,13 @@ struct ServerProcess {
 
 impl ServerProcess {
     fn spawn() -> ServerProcess {
+        ServerProcess::spawn_with_workers(2)
+    }
+
+    fn spawn_with_workers(workers: usize) -> ServerProcess {
+        let workers = workers.to_string();
         let mut child = Command::new(env!("CARGO_BIN_EXE_cdp"))
-            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", &workers])
             .stdout(Stdio::piped())
             .spawn()
             .expect("cdp binary spawns");
@@ -185,6 +190,34 @@ fn wire_errors_are_one_line_and_do_not_kill_the_server() {
         matches!(replies.last(), Some(Response::Done(_))),
         "the server survives bad lines: {replies:?}"
     );
+
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_request_line_is_refused_and_the_worker_survives() {
+    use std::io::Write;
+    // one worker: the next job can only be served if the worker that met
+    // the oversized line lived on
+    let server = ServerProcess::spawn_with_workers(1);
+    {
+        let mut stream = std::net::TcpStream::connect(server.addr).unwrap();
+        // 1 MiB with no newline; the server stops reading after 64 KiB, so
+        // the write may fail once it drops the connection
+        let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+        let mut reply = String::new();
+        if BufReader::new(stream).read_line(&mut reply).unwrap_or(0) > 0 {
+            assert_eq!(
+                Response::parse(&reply).unwrap(),
+                Response::Err("request line too long".into())
+            );
+        }
+    }
+
+    let spec = JobSpec::parse("dataset=german records=60 iters=2 seed=4").unwrap();
+    let replies = request(server.addr, &Request::Job(spec.clone())).unwrap();
+    let reference = DoneSummary::from_report(&Session::new().run(&spec.to_job().unwrap()).unwrap());
+    assert_eq!(done_of(&replies), &reference, "served after the bad client");
 
     server.shutdown();
 }

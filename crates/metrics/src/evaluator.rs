@@ -4,7 +4,7 @@
 //!
 //! The paper reports that fitness evaluation consumes 99.98% of a
 //! generation's wall time and names faster IL/DR computation as future
-//! work. Four levers are implemented here:
+//! work. Five levers are implemented here:
 //!
 //! 1. **Original-side caching** — ranks, marginals, contingency tables and
 //!    chance-agreement probabilities of the original file are computed once
@@ -40,6 +40,15 @@
 //!    and the full path stay on the same sufficient statistics. Credits
 //!    are `assert_eq!`-identical to [`LinkageMode::Pairs`] — see
 //!    [`crate::linkage`] for the exactness argument.
+//! 5. **Per-original link table** — a masked pattern's DBRL link depends
+//!    only on the pattern and the original, so [`PreparedOriginal`] holds
+//!    one write-once slot per point of the masked pattern space (up to
+//!    [`crate::LINK_TABLE_MAX_SLOTS`]). Blocked DBRL scans a pattern the
+//!    first time any assessment meets it and reads the slot ever after —
+//!    across the initial population, every patch, and (through the shared
+//!    `Arc`) every clone of the evaluator, so every job on a cached
+//!    original. A slot holds the scan's own output, so results do not move
+//!    by a bit.
 //!
 //! [`Evaluator::reassess_mutation`] remains as the single-cell
 //! convenience wrapper over the patch engine.
@@ -989,6 +998,52 @@ mod tests {
         let old_values: Vec<Code> = (0..6).map(|p| s.get_flat(p)).collect();
         let same = ev.reassess(&state, &s, &Patch::flat_range(0, 5, old_values));
         assert_eq!(state.assessment, same.assessment);
+    }
+
+    #[test]
+    fn shared_evaluator_assesses_concurrently_like_a_fresh_sequential_one() {
+        // one evaluator shares a single link table across threads; racing
+        // first fills must not change any result
+        let (ev, s) = setup(150);
+        let masks: Vec<SubTable> = (0..4u64)
+            .map(|seed| {
+                let mut rng = StdRng::seed_from_u64(30 + seed);
+                let mut m = s.clone();
+                for k in 0..m.n_attrs() {
+                    let c = ev.prepared().cats(k) as u16;
+                    for r in 0..m.n_rows() {
+                        if rng.gen_bool(0.3 + 0.1 * seed as f64) {
+                            m.set(r, k, rng.gen_range(0..c));
+                        }
+                    }
+                }
+                m
+            })
+            .collect();
+        // the barrier releases every thread into its cold table at once
+        let start = std::sync::Barrier::new(masks.len());
+        let shared: Vec<Assessment> = std::thread::scope(|scope| {
+            let (ev, start) = (&ev, &start);
+            let handles: Vec<_> = masks
+                .iter()
+                .map(|m| {
+                    scope.spawn(move || {
+                        start.wait();
+                        ev.evaluate(m)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let fresh = Evaluator::new(&s, MetricConfig::default()).unwrap();
+        for (i, m) in masks.iter().enumerate() {
+            assert_eq!(shared[i], fresh.evaluate(m), "mask {i}");
+        }
+        // every thread's fills landed in the one table the original holds
+        assert_eq!(
+            ev.prepared().link_table_fill(),
+            fresh.prepared().link_table_fill()
+        );
     }
 
     #[test]

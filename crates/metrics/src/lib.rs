@@ -74,5 +74,5 @@ pub use objective::{
     objective_by_key, Objective, ObjectiveContext, ObjectiveSet, ObjectiveVector, MAX_OBJECTIVES,
 };
 pub use patch::{Patch, PatchCell};
-pub use prepared::{MaskedStats, MovedCategory, PreparedOriginal};
+pub use prepared::{MaskedStats, MovedCategory, PreparedOriginal, LINK_TABLE_MAX_SLOTS};
 pub use score::ScoreAggregator;

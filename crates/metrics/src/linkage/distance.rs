@@ -16,6 +16,16 @@
 //! `O(n·a + p_m·p_o·a)` against the scan's `O(n²·a)`, with `p ≤ Π_k c_k`
 //! bounded by the category-combination count regardless of row count.
 //!
+//! **Link table.** A pattern's link `(best distance, tie mass)` depends
+//! only on the pattern and the original, so [`PreparedOriginal`] keeps one
+//! write-once slot per point of the masked pattern space (up to
+//! [`crate::LINK_TABLE_MAX_SLOTS`]), shared by every clone of the
+//! preparation. Each pattern is scanned the first time any assessment
+//! meets it; afterwards it is a slot read. The cost of an assessment
+//! becomes `O(n·a)` plus `first-seen patterns × p_o·a`, and the scan work
+//! of a whole evolution is bounded by the pattern space, not by the
+//! number of assessments. Wider spaces keep the per-call scan.
+//!
 //! **Exactness contract.** Blocked credits are `assert_eq!`-identical to
 //! the all-pairs scan (property-tested in `tests/properties.rs`). The
 //! argument: per-attribute distances are multiples of `1/(c−1)` (or 0/1),
@@ -24,7 +34,9 @@
 //! tie set is scan-order-independent, and grouping duplicates changes
 //! nothing. Both paths fold per-attribute distances in the same attribute
 //! order, so even the floating-point representative of each sum is the
-//! same bit pattern.
+//! same bit pattern. A link-table slot holds the blocked scan's own output
+//! for its pattern, so serving it changes no bit either; a racing first
+//! fill can only store that same value.
 //!
 //! **Pruning.** The blocked scan abandons an original pattern as soon as a
 //! lower bound on its final distance exceeds `best + DIST_EPS`. The bound
@@ -86,10 +98,20 @@ pub(crate) fn pattern_to_row_distance(prep: &PreparedOriginal, q: &[Code], j: us
 }
 
 /// `(best distance, tie mass)` of masked pattern `q` against the distinct
-/// original patterns, ties weighted by pattern multiplicity. Patterns are
+/// original patterns, ties weighted by pattern multiplicity: served from
+/// the preparation's link table, which [`pattern_link_scan`] fills on a
+/// pattern's first use (or scanned per call above the table's cap).
+pub(crate) fn pattern_link(prep: &PreparedOriginal, q: &[Code]) -> (f64, u64) {
+    match prep.link_slot(q) {
+        Some(slot) => *slot.get_or_init(|| pattern_link_scan(prep, q)),
+        None => pattern_link_scan(prep, q),
+    }
+}
+
+/// The uncached link scan behind [`pattern_link`]. Original patterns are
 /// visited in first-occurrence order and pruned with the fold-continuation
 /// lower bound described in the module docs.
-pub(crate) fn pattern_link(prep: &PreparedOriginal, q: &[Code]) -> (f64, u64) {
+fn pattern_link_scan(prep: &PreparedOriginal, q: &[Code]) -> (f64, u64) {
     let a = q.len();
     let mut best = f64::INFINITY;
     let mut ties = 0u64;
@@ -445,6 +467,49 @@ mod tests {
             for k in [1, 3, 10, 100] {
                 assert_eq!(dbrl_topk_blocked(&p, &m, &index, k), dbrl_topk(&p, &m, k));
             }
+        }
+    }
+
+    #[test]
+    fn link_table_serves_the_scan_exactly_over_the_whole_pattern_space() {
+        // fast-path parity: every point of the product space, patterns
+        // absent from the original included, first fill (cold) and slot
+        // read (warm) alike
+        for kind in [DatasetKind::Adult, DatasetKind::German] {
+            let s = kind
+                .generate(&GeneratorConfig::seeded(7).with_records(300))
+                .protected_subtable();
+            let p = PreparedOriginal::new(&s);
+            let cats: Vec<usize> = (0..p.n_attrs()).map(|k| p.cats(k)).collect();
+            let space: usize = cats.iter().product();
+            assert!(
+                p.pattern_index().n_patterns() < space,
+                "{kind:?}: absent codes"
+            );
+            assert_eq!(p.link_table_fill(), (space, 0), "{kind:?} starts empty");
+            let patterns: Vec<Vec<Code>> = (0..space)
+                .map(|mut code| {
+                    cats.iter()
+                        .map(|&c| {
+                            let x = (code % c) as Code;
+                            code /= c;
+                            x
+                        })
+                        .collect()
+                })
+                .collect();
+            for pass in ["cold", "warm"] {
+                for q in &patterns {
+                    assert_eq!(
+                        pattern_link(&p, q),
+                        pattern_link_scan(&p, q),
+                        "{kind:?} {pass} {q:?}"
+                    );
+                }
+                assert_eq!(p.link_table_fill(), (space, space), "{kind:?} {pass}");
+            }
+            // clones share the table: a fresh clone sees every fill
+            assert_eq!(p.clone().link_table_fill(), (space, space));
         }
     }
 

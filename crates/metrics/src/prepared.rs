@@ -5,6 +5,9 @@
 //! masked-side statistics live in [`MaskedStats`]. Keeping both explicit is
 //! what makes the incremental (single-mutation) re-assessment possible.
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use cdp_dataset::{AttrKind, Code, PatternIndex, SubTable};
 
 use crate::contingency::ContingencyTables;
@@ -40,6 +43,79 @@ pub struct PreparedOriginal {
     /// lower bound on any masked-to-original cell distance, used to prune
     /// pattern comparisons in the blocked DBRL scan.
     min_cell_dist: Vec<Vec<f64>>,
+    /// Lazily filled DBRL link per masked pattern (see [`LinkTable`]);
+    /// `None` when the pattern space exceeds [`LINK_TABLE_MAX_SLOTS`].
+    /// Behind an `Arc`, so clones of one preparation share every fill.
+    link_table: Option<Arc<LinkTable>>,
+}
+
+/// Largest masked-pattern space (`Π_k c_k`) that gets a DBRL link table
+/// (one lazily filled `(best distance, tie mass)` slot per pattern).
+/// Every shipped generator is in the low thousands (Adult 1568, German
+/// 180); wider inputs keep the per-call DBRL scan.
+pub const LINK_TABLE_MAX_SLOTS: usize = 1 << 16;
+
+/// One write-once `(best distance, tie mass)` slot per point of the masked
+/// pattern space, indexed by the pattern's mixed-radix code
+/// `Σ_k q[k]·stride_k`. A slot depends only on the pattern and the
+/// original, so it is filled on first use and then served to every later
+/// assessment against this original — and, through the shared `Arc`, to
+/// every clone of the evaluator that owns it.
+pub(crate) struct LinkTable {
+    /// `(category count, stride)` per attribute.
+    radix: Vec<(usize, usize)>,
+    slots: Box<[OnceLock<(f64, u64)>]>,
+}
+
+impl LinkTable {
+    /// An empty table over the product space of `cats`, or `None` when that
+    /// space exceeds [`LINK_TABLE_MAX_SLOTS`].
+    fn new(cats: &[usize]) -> Option<Self> {
+        let mut radix = Vec::with_capacity(cats.len());
+        let mut size = 1usize;
+        for &c in cats {
+            radix.push((c, size));
+            size = size.checked_mul(c).filter(|&s| s <= LINK_TABLE_MAX_SLOTS)?;
+        }
+        Some(LinkTable {
+            radix,
+            slots: (0..size).map(|_| OnceLock::new()).collect(),
+        })
+    }
+
+    /// The slot of pattern `q`, or `None` when `q` lies outside the space.
+    #[inline]
+    fn slot(&self, q: &[Code]) -> Option<&OnceLock<(f64, u64)>> {
+        if q.len() != self.radix.len() {
+            return None;
+        }
+        let mut code = 0;
+        for (&x, &(c, stride)) in q.iter().zip(&self.radix) {
+            if usize::from(x) >= c {
+                return None;
+            }
+            code += usize::from(x) * stride;
+        }
+        self.slots.get(code)
+    }
+
+    fn filled(&self) -> usize {
+        self.slots.iter().filter(|s| s.get().is_some()).count()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<OnceLock<(f64, u64)>>()
+            + self.radix.len() * std::mem::size_of::<(usize, usize)>()
+    }
+}
+
+impl fmt::Debug for LinkTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LinkTable")
+            .field("slots", &self.slots.len())
+            .field("filled", &self.filled())
+            .finish()
+    }
 }
 
 impl PreparedOriginal {
@@ -118,6 +194,7 @@ impl PreparedOriginal {
         PreparedOriginal {
             tables: ContingencyTables::build(orig),
             pattern_index: PatternIndex::build(orig),
+            link_table: LinkTable::new(&cats).map(Arc::new),
             orig: orig.clone(),
             cats,
             ordinal,
@@ -134,7 +211,8 @@ impl PreparedOriginal {
     /// Reassemble a prepared original from its serialized parts (the
     /// snapshot codec's constructor). Field order and semantics match the
     /// struct; the caller (the snapshot loader) guards integrity with
-    /// per-section checksums and a content hash of `orig`.
+    /// per-section checksums and a content hash of `orig`. The link table
+    /// is not serialized: it starts empty and refills on use.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         orig: SubTable,
@@ -151,6 +229,7 @@ impl PreparedOriginal {
         min_cell_dist: Vec<Vec<f64>>,
     ) -> Self {
         PreparedOriginal {
+            link_table: LinkTable::new(&cats).map(Arc::new),
             orig,
             cats,
             ordinal,
@@ -168,8 +247,9 @@ impl PreparedOriginal {
 
     /// Approximate heap footprint in bytes: the retained original arena
     /// plus every derived component (marginals, probabilities, rank stats,
-    /// contingency tables, the pattern index and the distance bounds).
-    /// This is the accounting behind the session cache's byte cap.
+    /// contingency tables, the pattern index, the distance bounds and the
+    /// link table's allocated slots, filled or not). This is the
+    /// accounting behind the session cache's byte cap.
     pub fn approx_bytes(&self) -> usize {
         let arena = self.orig.flat_len() * std::mem::size_of::<Code>();
         let per_cat: usize = (0..self.cats.len())
@@ -185,7 +265,12 @@ impl PreparedOriginal {
             * (std::mem::size_of::<usize>()
                 + std::mem::size_of::<bool>()
                 + 2 * std::mem::size_of::<f64>());
-        arena + per_cat + scalars + self.tables.approx_bytes() + self.pattern_index.approx_bytes()
+        arena
+            + per_cat
+            + scalars
+            + self.tables.approx_bytes()
+            + self.pattern_index.approx_bytes()
+            + self.link_table.as_ref().map_or(0, |t| t.approx_bytes())
     }
 
     /// The original sub-table.
@@ -259,6 +344,23 @@ impl PreparedOriginal {
     #[inline]
     pub fn min_cell_dist(&self, k: usize, x: Code) -> f64 {
         self.min_cell_dist[k][x as usize]
+    }
+
+    /// The DBRL link-table slot of masked pattern `q`, or `None` when the
+    /// pattern space is above [`LINK_TABLE_MAX_SLOTS`] (or `q` lies outside
+    /// it). [`crate::linkage::pattern_link`] is the only reader.
+    #[inline]
+    pub(crate) fn link_slot(&self, q: &[Code]) -> Option<&OnceLock<(f64, u64)>> {
+        self.link_table.as_ref()?.slot(q)
+    }
+
+    /// `(slots, filled)` of the DBRL link table; `(0, 0)` when the pattern
+    /// space is above [`LINK_TABLE_MAX_SLOTS`] and links are scanned per
+    /// call instead.
+    pub fn link_table_fill(&self) -> (usize, usize) {
+        self.link_table
+            .as_ref()
+            .map_or((0, 0), |t| (t.slots.len(), t.filled()))
     }
 
     /// Distance between two codes of attribute `k`: normalized code

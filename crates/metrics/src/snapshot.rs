@@ -651,6 +651,25 @@ mod tests {
     }
 
     #[test]
+    fn warming_the_link_table_leaves_snapshot_bytes_unchanged() {
+        let s = original(120);
+        let cfg = MetricConfig::default();
+        let ev = Evaluator::new(&s, cfg).unwrap();
+        let cold = encode(&ev);
+        ev.assess(&masked(&s));
+        assert!(
+            ev.prepared().link_table_fill().1 > 0,
+            "assessment fills slots"
+        );
+        assert_eq!(encode(&ev), cold, "the link table is not serialized");
+        // a rehydrated preparation starts with an empty table
+        let dir = tmp_dir("link_table");
+        let path = write(&ev, &dir).unwrap();
+        let loaded = load(&path, &s, &cfg).unwrap();
+        assert_eq!(loaded.prepared().link_table_fill().1, 0);
+    }
+
+    #[test]
     fn round_trip_is_bit_identical() {
         let s = original(120);
         let cfg = MetricConfig::default();

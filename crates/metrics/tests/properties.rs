@@ -8,6 +8,7 @@
 //! RNGs, so proptest shrinks over compact parameters while the instances
 //! stay arbitrary.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use cdp_dataset::{Attribute, Code, PatternIndex, Schema, SubTable};
@@ -17,6 +18,7 @@ use cdp_metrics::linkage::{
 };
 use cdp_metrics::{
     Evaluator, LinkageMode, MaskedStats, MetricConfig, Patch, PatchCell, PreparedOriginal,
+    LINK_TABLE_MAX_SLOTS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,10 +26,16 @@ use rand::{Rng, SeedableRng};
 
 /// Deterministic random sub-table: `a` attributes (mixed kinds), `n` rows.
 fn random_subtable(a: usize, n: usize, seed: u64) -> SubTable {
+    random_subtable_with(a, n, 2..=6, seed)
+}
+
+/// [`random_subtable`] with each attribute's category count drawn from
+/// `cats`.
+fn random_subtable_with(a: usize, n: usize, cats: RangeInclusive<usize>, seed: u64) -> SubTable {
     let mut rng = StdRng::seed_from_u64(seed);
     let attrs: Vec<Attribute> = (0..a)
         .map(|i| {
-            let cats = rng.gen_range(2..=6);
+            let cats = rng.gen_range(cats.clone());
             if rng.gen_bool(0.5) {
                 Attribute::ordinal(format!("A{i}"), cats)
             } else {
@@ -77,14 +85,24 @@ proptest! {
     /// The free-function scans: DBRL credits, RSRL credits and the top-k
     /// disclosure rate agree bit for bit between the two backends. Few
     /// categories (2..=6) force heavy pattern duplication, exercising the
-    /// multiplicity-weighted tie expansion.
+    /// multiplicity-weighted tie expansion. A `wide` input has 7
+    /// attributes of 5–6 categories, a pattern space above
+    /// `LINK_TABLE_MAX_SLOTS`, so its blocked DBRL scans run without the
+    /// link table.
     #[test]
     fn blocked_scans_equal_all_pairs_on_random_tables(
-        a in 2usize..=4, n in 10usize..=60, seed in any::<u64>()
+        a in 2usize..=4, n in 10usize..=60, seed in any::<u64>(), wide in any::<bool>()
     ) {
-        let original = random_subtable(a, n, seed);
+        let original = if wide {
+            random_subtable_with(7, n, 5..=6, seed)
+        } else {
+            random_subtable(a, n, seed)
+        };
         let masked = random_masking(&original, seed ^ 1);
         let prep = PreparedOriginal::new(&original);
+        let space: usize = (0..prep.n_attrs()).map(|k| prep.cats(k)).product();
+        prop_assert_eq!(space > LINK_TABLE_MAX_SLOTS, wide);
+        prop_assert_eq!(prep.link_table_fill().0, if wide { 0 } else { space });
         let index = PatternIndex::build(&masked);
         prop_assert_eq!(
             dbrl_credits_blocked(&prep, &masked, &index),
