@@ -1,8 +1,9 @@
 //! Protection-method cost at paper scale.
 //!
 //! The six SDC methods build the initial population once per experiment;
-//! this bench documents their relative cost (microaggregation's sort-based
-//! grouping vs PRAM's per-cell sampling vs the O(n·c) recodings).
+//! this bench documents their relative cost (microaggregation's
+//! bucket-ordered grouping vs PRAM's per-cell sampling vs the O(n·c)
+//! recodings).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

@@ -1,7 +1,7 @@
 //! Delta-vs-full evaluation benchmark: the perf baseline for the
 //! `Evaluator::assess` / `Evaluator::reassess` hot path.
 //!
-//! Five sections, written as `BENCH_evaluator.json`:
+//! Six sections, written as `BENCH_evaluator.json`:
 //!
 //! 1. **micro** — per-dataset-size cost of a full assessment vs a
 //!    single-cell and a quarter-segment patch re-assessment (ns/op and the
@@ -31,6 +31,12 @@
 //!    N=3/N=2 ratio (dominance, crowding, and hypervolume all scale
 //!    with the vector length; the canonical path must stay at its
 //!    pre-refactor cost).
+//! 6. **mask_audit** — the two row-level stages outside the evaluator:
+//!    the population builder's time on each family's share of the Adult
+//!    paper suite (48 microaggregations, 12 bottom/top codings, 6 global
+//!    recodings, 11 rank swaps, 9 PRAMs) and one privacy audit of a masked
+//!    variant against the original, at 1k/20k/100k rows (best of a few
+//!    repetitions).
 //!
 //! ```text
 //! cargo run --release -p cdp_bench --bin evaluator_bench -- \
@@ -62,7 +68,7 @@ use cdp_metrics::linkage::{
 use cdp_metrics::{
     snapshot, Evaluator, MaskedStats, MetricConfig, ObjectiveSet, Patch, PreparedOriginal,
 };
-use cdp_sdc::{build_population, SuiteConfig};
+use cdp_sdc::{build_population, build_population_from, SuiteConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -466,6 +472,104 @@ fn evo_json(run: &EvoRun) -> String {
     )
 }
 
+struct MaskAuditRow {
+    rows: usize,
+    /// Masking ms per family, for the family's whole paper-suite sweep.
+    ms_family: Vec<(&'static str, f64)>,
+    ms_audit: f64,
+}
+
+/// The Adult paper suite split into one sweep per masking family (bottom
+/// and top coding share one), keyed for the report.
+fn family_sweeps() -> Vec<(&'static str, SuiteConfig)> {
+    let paper = SuiteConfig::paper(DatasetKind::Adult);
+    let none = SuiteConfig {
+        microagg_ks: vec![],
+        microagg_variants: vec![],
+        coding_fractions: vec![],
+        recoding_levels: vec![],
+        rank_swap_ps: vec![],
+        pram_thetas: vec![],
+        pram_mode: paper.pram_mode,
+    };
+    vec![
+        (
+            "microaggregation",
+            SuiteConfig {
+                microagg_ks: paper.microagg_ks.clone(),
+                microagg_variants: paper.microagg_variants.clone(),
+                ..none.clone()
+            },
+        ),
+        (
+            "coding",
+            SuiteConfig {
+                coding_fractions: paper.coding_fractions.clone(),
+                ..none.clone()
+            },
+        ),
+        (
+            "recoding",
+            SuiteConfig {
+                recoding_levels: paper.recoding_levels.clone(),
+                ..none.clone()
+            },
+        ),
+        (
+            "rank_swap",
+            SuiteConfig {
+                rank_swap_ps: paper.rank_swap_ps.clone(),
+                ..none.clone()
+            },
+        ),
+        (
+            "pram",
+            SuiteConfig {
+                pram_thetas: paper.pram_thetas.clone(),
+                ..none
+            },
+        ),
+    ]
+}
+
+/// Time the population builder on each family's paper-suite sweep, and
+/// one privacy audit (k-anonymity, prosecutor and journalist risk) of a
+/// masked variant against the original. Each figure is the best of `reps`.
+fn mask_audit_row(rows: usize, reps: usize, seed: u64) -> MaskAuditRow {
+    let ds = DatasetKind::Adult.generate(&GeneratorConfig::seeded(seed).with_records(rows));
+    let original = ds.protected_subtable();
+    let hierarchies = ds.protected_hierarchies();
+    let masked = masked_variant(&original, seed);
+    let best_of = |f: &dyn Fn()| {
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let ms_family = family_sweeps()
+        .into_iter()
+        .map(|(key, cfg)| {
+            let ms = best_of(&|| {
+                let pop = build_population_from(&original, &hierarchies, &cfg, seed);
+                std::hint::black_box(pop.expect("suite"));
+            });
+            (key, ms)
+        })
+        .collect();
+    let ms_audit = best_of(&|| {
+        let report = cdp_privacy::report::audit(&masked, Some(&original), &[]);
+        std::hint::black_box(report.expect("audit"));
+    });
+    MaskAuditRow {
+        rows,
+        ms_family,
+        ms_audit,
+    }
+}
+
 fn main() {
     let args = parse_args();
     let sizes: Vec<(usize, usize)> = if let Some(rows) = args.rows {
@@ -497,6 +601,19 @@ fn main() {
     for &rows in &prepare_sizes {
         eprintln!("prepare: {rows} rows …");
         prepare.push(prepare_row(rows, args.seed));
+    }
+
+    let mask_audit_sizes: Vec<(usize, usize)> = if let Some(rows) = args.rows {
+        vec![(rows, 1)] // (rows, reps)
+    } else if args.quick {
+        vec![(1000, 1)]
+    } else {
+        vec![(1000, 5), (20000, 3), (100000, 3)]
+    };
+    let mut mask_audit = Vec::new();
+    for &(rows, reps) in &mask_audit_sizes {
+        eprintln!("mask_audit: {rows} rows …");
+        mask_audit.push(mask_audit_row(rows, reps, args.seed));
     }
 
     // the acceptance-criteria run: paper suite, 250 iterations (reduced
@@ -603,6 +720,23 @@ fn main() {
             row.ms_prepare_cold / row.ms_snapshot_load.max(1e-9),
             row.snapshot_bytes,
             row.rehydrated_identical,
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"mask_audit\": [");
+    for (i, row) in mask_audit.iter().enumerate() {
+        let comma = if i + 1 < mask_audit.len() { "," } else { "" };
+        let families: String = row
+            .ms_family
+            .iter()
+            .map(|(k, ms)| format!("\"ms_{k}\": {ms:.2}, "))
+            .collect();
+        let _ = writeln!(
+            json,
+            "    {{\"rows\": {}, {families}\"ms_mask_total\": {:.2}, \"ms_audit\": {:.2}}}{comma}",
+            row.rows,
+            row.ms_family.iter().map(|(_, ms)| ms).sum::<f64>(),
+            row.ms_audit,
         );
     }
     let _ = writeln!(json, "  ],");

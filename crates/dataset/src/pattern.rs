@@ -61,23 +61,51 @@ pub struct PatternIndex {
 impl PatternIndex {
     /// Index every row of `sub`. `O(n·a)` expected time.
     pub fn build(sub: &SubTable) -> Self {
-        let n = sub.n_rows();
-        let a = sub.n_attrs();
-        let postings = (0..a)
-            .map(|k| vec![Vec::new(); sub.attr(k).n_categories()])
+        let columns: Vec<&[Code]> = (0..sub.n_attrs()).map(|k| sub.column(k)).collect();
+        let cats: Vec<usize> = (0..sub.n_attrs())
+            .map(|k| sub.attr(k).n_categories())
             .collect();
+        PatternIndex::index(&columns, &cats)
+    }
+
+    /// Index the rows spelled by parallel code columns (row `r` is
+    /// `columns[k][r]` over `k`), with no schema at hand: each attribute's
+    /// postings cover the codes up to its column's largest. Ids, row map
+    /// and multiplicities are exactly those [`PatternIndex::build`] assigns
+    /// to a sub-table holding the same columns.
+    ///
+    /// # Panics
+    /// When `columns` is empty or the columns differ in length.
+    pub fn from_columns(columns: &[&[Code]]) -> Self {
+        let cats: Vec<usize> = columns
+            .iter()
+            .map(|col| col.iter().max().map_or(0, |&m| m as usize + 1))
+            .collect();
+        PatternIndex::index(columns, &cats)
+    }
+
+    fn index(columns: &[&[Code]], cats: &[usize]) -> Self {
+        let a = columns.len();
+        assert!(a > 0, "a pattern index needs at least one attribute");
+        let n = columns[0].len();
+        assert!(
+            columns.iter().all(|col| col.len() == n),
+            "pattern index columns differ in length"
+        );
         let mut idx = PatternIndex {
             n_attrs: a,
             codes: Vec::new(),
             mult: Vec::new(),
             row_pid: Vec::with_capacity(n),
             lookup: HashMap::new(),
-            postings,
+            postings: cats.iter().map(|&c| vec![Vec::new(); c]).collect(),
             n_live: 0,
         };
         let mut buf = vec![0 as Code; a];
         for row in 0..n {
-            sub.read_row(row, &mut buf);
+            for (slot, col) in buf.iter_mut().zip(columns) {
+                *slot = col[row];
+            }
             let pid = idx.intern(&buf);
             idx.mult[pid as usize] += 1;
             if idx.mult[pid as usize] == 1 {
@@ -242,6 +270,12 @@ impl PatternIndex {
             .map(move |(p, &m)| (p as PatternId, self.codes_of(p as PatternId), m))
     }
 
+    /// The id of the pattern spelled by `codes`, if the index has one (live
+    /// or tombstoned). `O(a)` expected time.
+    pub fn find(&self, codes: &[Code]) -> Option<PatternId> {
+        self.lookup.get(codes).copied()
+    }
+
     /// Ids of every pattern (live or dead) whose attribute `k` carries code
     /// `v` — the inverted posting list. Filter by [`PatternIndex::multiplicity`].
     pub fn postings(&self, k: usize, v: Code) -> &[PatternId] {
@@ -361,6 +395,17 @@ mod tests {
         assert_eq!(live[2], (2, &[4, 0][..], 1));
         assert_eq!(idx.pattern_of(4), 1);
         idx.check_consistent(&s);
+    }
+
+    #[test]
+    fn from_columns_matches_build_and_find_resolves_tuples() {
+        let s = sub(&[[0, 1], [2, 3], [0, 1], [4, 0], [2, 3], [0, 1]]);
+        let built = PatternIndex::build(&s);
+        let cols = PatternIndex::from_columns(&[s.column(0), s.column(1)]);
+        assert_eq!(cols.raw_parts(), built.raw_parts());
+        assert_eq!(cols.postings(1, 3), built.postings(1, 3));
+        assert_eq!(built.find(&[4, 0]), Some(2));
+        assert_eq!(built.find(&[4, 1]), None);
     }
 
     #[test]

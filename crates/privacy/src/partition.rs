@@ -7,18 +7,35 @@
 //! for the diversity models, a sensitive column), so it is computed once and
 //! shared.
 //!
-//! Construction is sort-based — O(n log n) comparisons of small code
-//! vectors — which beats hashing for the short, low-cardinality keys of this
-//! domain and needs no collision handling.
+//! Construction works on distinct patterns: one hashing pass dedups the
+//! rows into a [`PatternIndex`] (`O(n·a)`), and only the `p` distinct code
+//! tuples — at most `Π_k c_k`, 1568 for the paper's Adult selection at any
+//! row count — are sorted to number the classes (`O(p log p)`
+//! comparisons). A recoded partition ([`Partition::of_mapped`]) maps each
+//! distinct pattern's codes rather than each row's; patterns that recode
+//! onto one tuple merge into one class.
 
-use cdp_dataset::{Code, SubTable};
+use cdp_dataset::{Code, PatternId, PatternIndex, SubTable};
 
 use crate::{PrivacyError, Result};
 
+/// The pattern index [`Partition::of_subtable`] classes, for callers that
+/// reuse it (the audit's journalist risk).
+///
+/// # Errors
+/// [`PrivacyError::Empty`] when the sub-table has no rows.
+pub(crate) fn index_rows(sub: &SubTable) -> Result<PatternIndex> {
+    if sub.n_rows() == 0 {
+        return Err(PrivacyError::Empty("records".into()));
+    }
+    Ok(PatternIndex::build(sub))
+}
+
 /// An equivalence-class partition of `n` records.
 ///
-/// Class ids are dense in `0..n_classes()`, assigned in ascending key order,
-/// so partitions of the same data are canonical and comparable.
+/// Class ids are dense in `0..n_classes()`, assigned in ascending key order
+/// (lexicographic over the quasi-identifier codes), so partitions of the
+/// same data are canonical and comparable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     class_of: Vec<u32>,
@@ -32,8 +49,7 @@ impl Partition {
     /// # Errors
     /// [`PrivacyError::Empty`] when the sub-table has no rows.
     pub fn of_subtable(sub: &SubTable) -> Result<Self> {
-        let columns: Vec<&[Code]> = (0..sub.n_attrs()).map(|k| sub.column(k)).collect();
-        Partition::of_columns(&columns)
+        Ok(Partition::of_patterns(&index_rows(sub)?))
     }
 
     /// Partition rows by agreement on the *recoded* values
@@ -54,20 +70,12 @@ impl Partition {
                 right: sub.n_attrs(),
             });
         }
-        let n = sub.n_rows();
-        if n == 0 {
+        if sub.n_rows() == 0 {
             return Err(PrivacyError::Empty("sub-table rows".into()));
         }
-        let a = sub.n_attrs();
-        let mut keys: Vec<Vec<Code>> = Vec::with_capacity(n);
-        for r in 0..n {
-            let mut key = Vec::with_capacity(a);
-            for (k, map) in maps.iter().enumerate() {
-                key.push(map[sub.get(r, k) as usize]);
-            }
-            keys.push(key);
-        }
-        Ok(Partition::from_keys(keys))
+        Ok(Partition::classify(&PatternIndex::build(sub), |k, v| {
+            maps[k][v as usize]
+        }))
     }
 
     /// Partition rows by agreement on the given columns (all must share one
@@ -93,32 +101,44 @@ impl Partition {
                 });
             }
         }
-        let keys: Vec<Vec<Code>> = (0..n)
-            .map(|r| columns.iter().map(|col| col[r]).collect())
-            .collect();
-        Ok(Partition::from_keys(keys))
+        Ok(Partition::of_patterns(&PatternIndex::from_columns(columns)))
     }
 
-    fn from_keys(keys: Vec<Vec<Code>>) -> Self {
-        let n = keys.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&i, &j| keys[i as usize].cmp(&keys[j as usize]));
+    /// Partition the rows of a pattern index by exact agreement on their
+    /// patterns (see [`index_rows`]).
+    pub(crate) fn of_patterns(patterns: &PatternIndex) -> Self {
+        Partition::classify(patterns, |_, v| v)
+    }
 
-        let mut class_of = vec![0u32; n];
-        let mut class_sizes = Vec::new();
-        let mut i = 0usize;
-        while i < n {
-            let mut j = i + 1;
-            while j < n && keys[order[j] as usize] == keys[order[i] as usize] {
-                j += 1;
-            }
-            let id = class_sizes.len() as u32;
-            for &row in &order[i..j] {
-                class_of[row as usize] = id;
-            }
-            class_sizes.push((j - i) as u32);
-            i = j;
+    /// The one classer behind every constructor: key each distinct pattern
+    /// by its codes mapped through `map(attribute, code)`, number the
+    /// distinct keys in ascending order, and fan the class ids out to the
+    /// rows. Every pattern of a freshly built index is live.
+    fn classify(patterns: &PatternIndex, map: impl Fn(usize, Code) -> Code) -> Self {
+        let a = patterns.n_attrs();
+        let p = patterns.n_patterns();
+        let mut keys: Vec<Code> = Vec::with_capacity(p * a);
+        for pid in 0..p as PatternId {
+            let codes = patterns.codes_of(pid);
+            keys.extend(codes.iter().enumerate().map(|(k, &v)| map(k, v)));
         }
+        let key = |pid: usize| &keys[pid * a..(pid + 1) * a];
+        let mut by_key: Vec<usize> = (0..p).collect();
+        by_key.sort_unstable_by(|&x, &y| key(x).cmp(key(y)));
+
+        let mut class_of_pattern = vec![0u32; p];
+        let mut class_sizes: Vec<u32> = Vec::new();
+        for (i, &pid) in by_key.iter().enumerate() {
+            if i == 0 || key(pid) != key(by_key[i - 1]) {
+                class_sizes.push(0);
+            }
+            class_of_pattern[pid] = class_sizes.len() as u32 - 1;
+            *class_sizes.last_mut().expect("class pushed") +=
+                patterns.multiplicity(pid as PatternId);
+        }
+        let class_of = (0..patterns.n_rows())
+            .map(|r| class_of_pattern[patterns.pattern_of(r) as usize])
+            .collect();
         Partition {
             class_of,
             class_sizes,
@@ -202,7 +222,76 @@ impl Partition {
 mod tests {
     use super::*;
     use cdp_dataset::{Attribute, Schema, SubTable};
+    use proptest::prelude::*;
     use std::sync::Arc;
+
+    /// The per-row sort-based classer the pattern classer replaced: the
+    /// parity oracle.
+    fn from_keys(keys: Vec<Vec<Code>>) -> Partition {
+        let n = keys.len();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&i, &j| keys[i as usize].cmp(&keys[j as usize]));
+        let mut class_of = vec![0u32; n];
+        let mut class_sizes = Vec::new();
+        let mut i = 0usize;
+        while i < n {
+            let mut j = i + 1;
+            while j < n && keys[order[j] as usize] == keys[order[i] as usize] {
+                j += 1;
+            }
+            let id = class_sizes.len() as u32;
+            for &row in &order[i..j] {
+                class_of[row as usize] = id;
+            }
+            class_sizes.push((j - i) as u32);
+            i = j;
+        }
+        Partition {
+            class_of,
+            class_sizes,
+        }
+    }
+
+    /// Per-row keys of `sub` with codes mapped through `maps`.
+    fn row_keys(sub: &SubTable, maps: &[Vec<Code>]) -> Vec<Vec<Code>> {
+        (0..sub.n_rows())
+            .map(|r| {
+                (0..sub.n_attrs())
+                    .map(|k| maps[k][sub.get(r, k) as usize])
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A 1..=3-column table (codes below 1..=5, so a 1-category column
+    /// occurs) with a random recode map per column.
+    fn arb_table() -> impl Strategy<Value = (SubTable, Vec<Vec<Code>>)> {
+        (1usize..=3, 1usize..=5, 1usize..=60).prop_flat_map(|(a, c, n)| {
+            (
+                proptest::collection::vec(proptest::collection::vec(0..c as Code, n), a),
+                proptest::collection::vec(proptest::collection::vec(0..3 as Code, 8), a),
+            )
+                .prop_map(|(columns, maps)| (sub(columns), maps))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pattern_classer_matches_the_row_sort((s, maps) in arb_table()) {
+            let identity: Vec<Vec<Code>> = vec![(0..8).collect(); s.n_attrs()];
+            let expected = from_keys(row_keys(&s, &identity));
+            let columns: Vec<&[Code]> = (0..s.n_attrs()).map(|k| s.column(k)).collect();
+            prop_assert_eq!(Partition::of_subtable(&s).unwrap(), expected.clone());
+            prop_assert_eq!(Partition::of_columns(&columns).unwrap(), expected);
+            let map_refs: Vec<&[Code]> = maps.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(
+                Partition::of_mapped(&s, &map_refs).unwrap(),
+                from_keys(row_keys(&s, &maps))
+            );
+        }
+    }
 
     fn sub(columns: Vec<Vec<Code>>) -> SubTable {
         let attrs = (0..columns.len())

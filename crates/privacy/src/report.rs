@@ -6,8 +6,8 @@ use std::fmt;
 use cdp_dataset::{Attribute, Code, SubTable};
 
 use crate::models::{k_anonymity, l_diversity, t_closeness, KAnonymity, LDiversity, TCloseness};
-use crate::partition::Partition;
-use crate::risk::{journalist_risk, prosecutor_risk, JournalistRisk, ProsecutorRisk};
+use crate::partition::{index_rows, Partition};
+use crate::risk::{journalist_risk_of, prosecutor_risk, JournalistRisk, ProsecutorRisk};
 use crate::Result;
 
 /// A complete privacy audit of one masked file.
@@ -54,7 +54,10 @@ pub fn audit(
     original: Option<&SubTable>,
     sensitive: &[(&Attribute, &[Code])],
 ) -> Result<PrivacyReport> {
-    let partition = Partition::of_subtable(masked)?;
+    // the masked file is indexed once, for its classes and its journalist
+    // risk alike
+    let patterns = index_rows(masked)?;
+    let partition = Partition::of_patterns(&patterns);
     let mut audits = Vec::with_capacity(sensitive.len());
     for (attr, column) in sensitive {
         audits.push(SensitiveAudit {
@@ -67,7 +70,7 @@ pub fn audit(
         k_anonymity: k_anonymity(&partition),
         prosecutor: prosecutor_risk(&partition),
         journalist: original
-            .map(|orig| journalist_risk(masked, orig))
+            .map(|orig| journalist_risk_of(&patterns, orig))
             .transpose()?,
         sensitive: audits,
         epsilon: None,

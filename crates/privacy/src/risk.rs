@@ -14,7 +14,7 @@
 //! concrete linkage algorithms against the *original* file, while these
 //! model attacker knowledge levels from class-size structure alone.
 
-use cdp_dataset::{Code, SubTable};
+use cdp_dataset::{PatternId, PatternIndex, SubTable};
 
 use crate::partition::Partition;
 use crate::{PrivacyError, Result};
@@ -69,6 +69,17 @@ pub struct JournalistRisk {
 /// [`PrivacyError::ShapeMismatch`] when the two sub-tables have different
 /// column counts, [`PrivacyError::Empty`] on empty inputs.
 pub fn journalist_risk(masked: &SubTable, population: &SubTable) -> Result<JournalistRisk> {
+    journalist_risk_of(&PatternIndex::build(masked), population)
+}
+
+/// [`journalist_risk`] over the masked file's pattern index. The population
+/// frequency `F` is looked up once per distinct masked pattern; the
+/// per-record fold still runs in record order, so the mean is the same
+/// float sum a per-record lookup produces.
+pub(crate) fn journalist_risk_of(
+    masked: &PatternIndex,
+    population: &SubTable,
+) -> Result<JournalistRisk> {
     if masked.n_attrs() != population.n_attrs() {
         return Err(PrivacyError::ShapeMismatch {
             what: "masked vs population attribute count".into(),
@@ -80,28 +91,19 @@ pub fn journalist_risk(masked: &SubTable, population: &SubTable) -> Result<Journ
     if n == 0 || population.n_rows() == 0 {
         return Err(PrivacyError::Empty("records".into()));
     }
-    let a = masked.n_attrs();
-
-    // population key -> frequency, via sort (keys are short code vectors)
-    let mut pop_keys: Vec<Vec<Code>> = (0..population.n_rows())
-        .map(|r| (0..a).map(|k| population.get(r, k)).collect())
+    let pop = PatternIndex::build(population);
+    let freq: Vec<u32> = (0..masked.n_patterns() as PatternId)
+        .map(|p| {
+            pop.find(masked.codes_of(p))
+                .map_or(0, |q| pop.multiplicity(q))
+        })
         .collect();
-    pop_keys.sort_unstable();
-
-    let count_of = |key: &[Code]| -> usize {
-        let lo = pop_keys.partition_point(|k| k.as_slice() < key);
-        let hi = pop_keys.partition_point(|k| k.as_slice() <= key);
-        hi - lo
-    };
 
     let mut max = 0f64;
     let mut sum = 0f64;
     let mut orphans = 0usize;
-    let mut key = Vec::with_capacity(a);
     for r in 0..n {
-        key.clear();
-        key.extend((0..a).map(|k| masked.get(r, k)));
-        let f = count_of(&key);
+        let f = freq[masked.pattern_of(r) as usize];
         if f == 0 {
             orphans += 1;
         } else {
@@ -120,8 +122,67 @@ pub fn journalist_risk(masked: &SubTable, population: &SubTable) -> Result<Journ
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_dataset::{Attribute, Schema, SubTable};
+    use cdp_dataset::{Attribute, Code, Schema, SubTable};
+    use proptest::prelude::*;
     use std::sync::Arc;
+
+    /// The sort-and-binary-search journalist risk [`journalist_risk`]
+    /// replaced: the parity oracle.
+    fn journalist_risk_oracle(masked: &SubTable, population: &SubTable) -> JournalistRisk {
+        let a = masked.n_attrs();
+        let mut pop_keys: Vec<Vec<Code>> = (0..population.n_rows())
+            .map(|r| (0..a).map(|k| population.get(r, k)).collect())
+            .collect();
+        pop_keys.sort_unstable();
+        let count_of = |key: &[Code]| -> usize {
+            let lo = pop_keys.partition_point(|k| k.as_slice() < key);
+            let hi = pop_keys.partition_point(|k| k.as_slice() <= key);
+            hi - lo
+        };
+        let n = masked.n_rows();
+        let (mut max, mut sum, mut orphans) = (0f64, 0f64, 0usize);
+        for r in 0..n {
+            let key: Vec<Code> = (0..a).map(|k| masked.get(r, k)).collect();
+            let f = count_of(&key);
+            if f == 0 {
+                orphans += 1;
+            } else {
+                let risk = 1.0 / f as f64;
+                max = max.max(risk);
+                sum += risk;
+            }
+        }
+        JournalistRisk {
+            max,
+            mean: sum / n as f64,
+            orphan_fraction: orphans as f64 / n as f64,
+        }
+    }
+
+    /// A masked file and a population of the same width (1..=3 columns,
+    /// codes below 1..=4 so repeated keys and orphans both occur).
+    fn arb_pair() -> impl Strategy<Value = (SubTable, SubTable)> {
+        (1usize..=3, 1usize..=4, 1usize..=50, 1usize..=50).prop_flat_map(|(a, c, n, m)| {
+            (
+                proptest::collection::vec(proptest::collection::vec(0..c as Code, n), a),
+                proptest::collection::vec(proptest::collection::vec(0..c as Code + 1, m), a),
+            )
+                .prop_map(|(masked, population)| (sub(masked), sub(population)))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn journalist_risk_matches_the_sort_based_oracle((masked, population) in arb_pair()) {
+            let fast = journalist_risk(&masked, &population).unwrap();
+            let slow = journalist_risk_oracle(&masked, &population);
+            prop_assert_eq!(fast.max.to_bits(), slow.max.to_bits());
+            prop_assert_eq!(fast.mean.to_bits(), slow.mean.to_bits());
+            prop_assert_eq!(fast.orphan_fraction.to_bits(), slow.orphan_fraction.to_bits());
+        }
+    }
 
     fn sub(columns: Vec<Vec<Code>>) -> SubTable {
         let attrs = (0..columns.len())

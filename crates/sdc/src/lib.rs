@@ -40,6 +40,8 @@ mod order;
 mod pram;
 mod rank_swap;
 mod suite;
+#[cfg(test)]
+mod testing;
 
 pub use coding::{BottomCoding, TopCoding};
 pub use error::{Result, SdcError};

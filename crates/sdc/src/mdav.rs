@@ -72,13 +72,13 @@ fn centroid(sub: &SubTable, rows: &[usize]) -> Vec<Code> {
     (0..sub.n_attrs())
         .map(|k| {
             let attr = sub.attr(k);
-            let codes: Vec<Code> = rows.iter().map(|&r| sub.get(r, k)).collect();
+            let mut codes: Vec<Code> = rows.iter().map(|&r| sub.get(r, k)).collect();
             match attr.kind() {
                 AttrKind::Ordinal => {
                     let keys: Vec<usize> = (0..attr.n_categories()).collect();
-                    median_by_keys(codes, &keys)
+                    median_by_keys(&mut codes, &keys)
                 }
-                AttrKind::Nominal => mode(codes.into_iter(), attr.n_categories()),
+                AttrKind::Nominal => mode(&codes, &mut vec![0; attr.n_categories()]),
             }
         })
         .collect()

@@ -5,6 +5,15 @@
 //! microaggregation grouping, quantile coding) fall back to **frequency
 //! order** — categories sorted by how often they occur — which is the usual
 //! adaptation in the SDC literature when a total order is required.
+//!
+//! # Bucket order
+//!
+//! Every record ordering here is a **stable counting sort**: each record
+//! gets a dense rank (its category's order key, or the rank of its
+//! pattern's score in microaggregation), rows are bucketed by rank, and
+//! within a bucket they keep ascending row order. That is exactly the order
+//! a comparison sort on `(rank, row index)` yields, in `O(n + ranks)`
+//! instead of `O(n log n)` comparisons.
 
 use cdp_dataset::{AttrKind, Code};
 
@@ -38,39 +47,135 @@ pub fn category_order_keys(kind: AttrKind, column: &[Code], n_categories: usize)
 }
 
 /// Record indices sorted by the attribute's total order (stable: ties keep
-/// record order, making every method deterministic given its inputs).
+/// record order, making every method deterministic given its inputs) — a
+/// counting sort over the category order keys.
 pub fn sort_indices(column: &[Code], kind: AttrKind, n_categories: usize) -> Vec<usize> {
     let keys = category_order_keys(kind, column, n_categories);
-    let mut idx: Vec<usize> = (0..column.len()).collect();
-    idx.sort_by_key(|&i| (keys[column[i] as usize], i));
-    idx
+    bucket_order(column.len(), n_categories, |i| keys[column[i] as usize])
 }
 
-/// The modal (most frequent) category of a slice of codes; ties resolve to
-/// the smallest code.
-pub fn mode(codes: impl Iterator<Item = Code>, n_categories: usize) -> Code {
-    let mut counts = vec![0usize; n_categories];
-    for c in codes {
+/// The indices `0..n` ordered by ascending `rank_of(i)` (each below
+/// `n_ranks`), equal ranks keeping index order: a stable counting sort.
+pub(crate) fn bucket_order(
+    n: usize,
+    n_ranks: usize,
+    rank_of: impl Fn(usize) -> usize,
+) -> Vec<usize> {
+    let mut next = vec![0usize; n_ranks + 1];
+    for i in 0..n {
+        next[rank_of(i) + 1] += 1;
+    }
+    for r in 0..n_ranks {
+        next[r + 1] += next[r];
+    }
+    let mut order = vec![0usize; n];
+    for i in 0..n {
+        let slot = &mut next[rank_of(i)];
+        order[*slot] = i;
+        *slot += 1;
+    }
+    order
+}
+
+/// The modal (most frequent) category of `codes`; ties resolve to the
+/// smallest code. `counts` is a zeroed scratch buffer covering the
+/// dictionary; it is zeroed again on return, so one buffer serves every
+/// group.
+pub fn mode(codes: &[Code], counts: &mut [usize]) -> Code {
+    for &c in codes {
         counts[c as usize] += 1;
     }
-    counts
-        .iter()
-        .enumerate()
-        .max_by_key(|&(code, &cnt)| (cnt, std::cmp::Reverse(code)))
-        .map(|(code, _)| code as Code)
-        .unwrap_or(0)
+    let mut best = (0usize, 0 as Code);
+    for &c in codes {
+        let cnt = counts[c as usize];
+        if cnt > best.0 || (cnt == best.0 && c < best.1) {
+            best = (cnt, c);
+        }
+    }
+    for &c in codes {
+        counts[c as usize] = 0;
+    }
+    best.1
 }
 
-/// The median category of a slice of codes under the given order keys.
-pub fn median_by_keys(mut codes: Vec<Code>, keys: &[usize]) -> Code {
+/// The median category of `codes` under the given order keys (the lower
+/// middle for an even count), reordering `codes` in place. `keys` must be
+/// a total order — distinct keys for distinct codes — as
+/// [`category_order_keys`] builds it, so the median is unique.
+pub fn median_by_keys(codes: &mut [Code], keys: &[usize]) -> Code {
     debug_assert!(!codes.is_empty());
-    codes.sort_by_key(|&c| keys[c as usize]);
-    codes[(codes.len() - 1) / 2]
+    let mid = (codes.len() - 1) / 2;
+    *codes
+        .select_nth_unstable_by_key(mid, |&c| keys[c as usize])
+        .1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::sort_indices_oracle;
+    use proptest::prelude::*;
+
+    /// The allocating mode [`mode`] replaced: the parity oracle.
+    fn mode_oracle(codes: &[Code], n_categories: usize) -> Code {
+        let mut counts = vec![0usize; n_categories];
+        for &c in codes {
+            counts[c as usize] += 1;
+        }
+        counts
+            .iter()
+            .enumerate()
+            .max_by_key(|&(code, &cnt)| (cnt, std::cmp::Reverse(code)))
+            .map(|(code, _)| code as Code)
+            .unwrap_or(0)
+    }
+
+    /// The stable-sort median [`median_by_keys`] replaced: the parity oracle.
+    fn median_oracle(mut codes: Vec<Code>, keys: &[usize]) -> Code {
+        codes.sort_by_key(|&c| keys[c as usize]);
+        codes[(codes.len() - 1) / 2]
+    }
+
+    /// A random column (1..=60 rows) over a 1..=9-category dictionary,
+    /// with skewed draws so nominal frequency ties and absent categories
+    /// both occur.
+    fn arb_column() -> impl Strategy<Value = (Vec<Code>, usize, AttrKind)> {
+        (1usize..=9, 1usize..=60, any::<bool>()).prop_flat_map(|(c, n, ordinal)| {
+            proptest::collection::vec((0..c as Code, 0..c as Code), n).prop_map(move |pairs| {
+                let col = pairs.into_iter().map(|(x, y)| x.min(y)).collect();
+                let kind = if ordinal {
+                    AttrKind::Ordinal
+                } else {
+                    AttrKind::Nominal
+                };
+                (col, c, kind)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sort_indices_matches_the_comparison_sort((col, c, kind) in arb_column()) {
+            prop_assert_eq!(sort_indices(&col, kind, c), sort_indices_oracle(&col, kind, c));
+        }
+
+        #[test]
+        fn aggregates_match_the_allocating_versions((col, c, kind) in arb_column()) {
+            let keys = category_order_keys(kind, &col, c);
+            let mut counts = vec![0usize; c];
+            for len in 1..=col.len().min(12) {
+                let group = &col[..len];
+                prop_assert_eq!(mode(group, &mut counts), mode_oracle(group, c));
+                prop_assert_eq!(
+                    median_by_keys(&mut group.to_vec(), &keys),
+                    median_oracle(group.to_vec(), &keys)
+                );
+            }
+            prop_assert!(counts.iter().all(|&n| n == 0));
+        }
+    }
 
     #[test]
     fn frequencies_count() {
@@ -107,19 +212,22 @@ mod tests {
     #[test]
     fn mode_breaks_ties_low() {
         let col = [3u16, 1, 1, 3];
-        assert_eq!(mode(col.iter().copied(), 4), 1);
+        let mut counts = vec![0usize; 4];
+        assert_eq!(mode(&col, &mut counts), 1);
+        assert!(counts.iter().all(|&c| c == 0), "scratch left zeroed");
+        assert_eq!(mode(&[2, 3, 3], &mut counts), 3);
     }
 
     #[test]
     fn median_respects_order_keys() {
         // dictionary order
         let keys: Vec<usize> = (0..5).collect();
-        assert_eq!(median_by_keys(vec![4, 0, 2], &keys), 2);
+        assert_eq!(median_by_keys(&mut [4, 0, 2], &keys), 2);
         // even count -> lower middle
-        assert_eq!(median_by_keys(vec![0, 1, 2, 3], &keys), 1);
+        assert_eq!(median_by_keys(&mut [0, 1, 2, 3], &keys), 1);
         // custom order reversing the dictionary
         let rev: Vec<usize> = (0..5).rev().collect();
-        assert_eq!(median_by_keys(vec![4, 0, 2], &rev), 2);
-        assert_eq!(median_by_keys(vec![4, 0], &rev), 4);
+        assert_eq!(median_by_keys(&mut [4, 0, 2], &rev), 2);
+        assert_eq!(median_by_keys(&mut [4, 0], &rev), 4);
     }
 }

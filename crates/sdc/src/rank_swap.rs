@@ -61,36 +61,7 @@ impl ProtectionMethod for RankSwapping {
         for (k, column) in columns.iter_mut().enumerate() {
             let attr = original.attr(k);
             let order = sort_indices(original.column(k), attr.kind(), attr.n_categories());
-            let mut swapped = vec![false; n];
-            for pos in 0..n {
-                if swapped[pos] {
-                    continue;
-                }
-                let hi = (pos + window).min(n - 1);
-                if hi <= pos {
-                    continue;
-                }
-                // pick a random unswapped partner within the window
-                let offset = rng.gen_range(1..=hi - pos);
-                let mut partner = pos + offset;
-                // walk forward (then backward) to the nearest free slot
-                while partner <= hi && swapped[partner] {
-                    partner += 1;
-                }
-                if partner > hi {
-                    partner = pos + offset;
-                    while partner > pos && swapped[partner] {
-                        partner -= 1;
-                    }
-                    if partner == pos {
-                        continue;
-                    }
-                }
-                let (ri, rj) = (order[pos], order[partner]);
-                column.swap(ri, rj);
-                swapped[pos] = true;
-                swapped[partner] = true;
-            }
+            swap_along(&order, window, column, rng);
         }
 
         Ok(SubTable::new(
@@ -101,12 +72,87 @@ impl ProtectionMethod for RankSwapping {
     }
 }
 
+/// Swap each value of `column` with that of an unswapped partner at most
+/// `window` positions further along `order` (record indices by rank).
+fn swap_along(order: &[usize], window: usize, column: &mut [Code], rng: &mut dyn RngCore) {
+    let n = order.len();
+    let mut swapped = vec![false; n];
+    for pos in 0..n {
+        if swapped[pos] {
+            continue;
+        }
+        let hi = (pos + window).min(n - 1);
+        if hi <= pos {
+            continue;
+        }
+        // pick a random unswapped partner within the window
+        let offset = rng.gen_range(1..=hi - pos);
+        let mut partner = pos + offset;
+        // walk forward (then backward) to the nearest free slot
+        while partner <= hi && swapped[partner] {
+            partner += 1;
+        }
+        if partner > hi {
+            partner = pos + offset;
+            while partner > pos && swapped[partner] {
+                partner -= 1;
+            }
+            if partner == pos {
+                continue;
+            }
+        }
+        let (ri, rj) = (order[pos], order[partner]);
+        column.swap(ri, rj);
+        swapped[pos] = true;
+        swapped[partner] = true;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{arb_table, sort_indices_oracle};
     use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Rank swapping along the comparison-sort order the counting sort
+    /// replaced: the parity oracle.
+    fn protect_oracle(p: usize, original: &SubTable, rng: &mut dyn RngCore) -> Vec<Vec<Code>> {
+        let window = ((p * original.n_rows()) / 100).max(1);
+        (0..original.n_attrs())
+            .map(|k| {
+                let attr = original.attr(k);
+                let order =
+                    sort_indices_oracle(original.column(k), attr.kind(), attr.n_categories());
+                let mut column = original.column(k).to_vec();
+                swap_along(&order, window, &mut column, rng);
+                column
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn counting_sort_swaps_match_the_comparison_sort(
+            sub in arb_table(60),
+            p in 1usize..=100,
+            seed in any::<u64>(),
+        ) {
+            let hs: Vec<&cdp_dataset::Hierarchy> = vec![];
+            let ctx = MethodContext { hierarchies: &hs };
+            let fast = RankSwapping::new(p)
+                .protect(&sub, &ctx, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            let slow = protect_oracle(p, &sub, &mut StdRng::seed_from_u64(seed));
+            for (k, column) in slow.iter().enumerate() {
+                prop_assert_eq!(fast.column(k), column.as_slice(), "attribute {}", k);
+            }
+        }
+    }
 
     fn setup() -> SubTable {
         DatasetKind::German

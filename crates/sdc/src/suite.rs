@@ -19,6 +19,7 @@ use cdp_dataset::{Hierarchy, SubTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::microaggregation::Plane;
 use crate::{
     BottomCoding, GlobalRecoding, MethodContext, MethodFamily, MicroVariant, Microaggregation,
     Pram, PramMode, ProtectionMethod, RankSwapping, Result, TopCoding,
@@ -172,9 +173,18 @@ pub fn build_population_from(
         Ok(())
     };
 
+    // microaggregation draws no randomness, and every one of them orders
+    // the same original: its pattern plane is computed once for all
+    let mut plane = None;
     for &k in &cfg.microagg_ks {
         for &variant in &cfg.microagg_variants {
-            run(&Microaggregation::new(k, variant), &mut rng, &mut out)?;
+            let method = Microaggregation::new(k, variant);
+            let plane = plane.get_or_insert_with(|| Plane::of(original));
+            out.push(NamedProtection {
+                name: method.name(),
+                family: method.family(),
+                data: method.protect_on(original, plane)?,
+            });
         }
     }
     for &q in &cfg.coding_fractions {
