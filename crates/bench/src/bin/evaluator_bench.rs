@@ -1,7 +1,7 @@
 //! Delta-vs-full evaluation benchmark: the perf baseline for the
 //! `Evaluator::assess` / `Evaluator::reassess` hot path.
 //!
-//! Six sections, written as `BENCH_evaluator.json`:
+//! Five sections, written as `BENCH_evaluator.json`:
 //!
 //! 1. **micro** — per-dataset-size cost of a full assessment vs a
 //!    single-cell and a quarter-segment patch re-assessment (ns/op and the
@@ -18,20 +18,16 @@
 //!    The all-pairs scan (and the credit-equality cross-check over DBRL
 //!    *and* RSRL) runs only up to 20k rows — beyond that O(n²·a) is the
 //!    wall this section exists to document.
-//! 3. **prepare** — cold `Evaluator::new` preparation vs rehydrating the
-//!    same prepared state from a `cdp_metrics::snapshot` file, at
-//!    1k/20k/100k rows, with the snapshot size and a bit-identity check
-//!    of the rehydrated evaluator's assessment.
-//! 4. **evolution** — a 250-iteration paper-suite evolution run with the
+//! 3. **evolution** — a 250-iteration paper-suite evolution run with the
 //!    incremental knobs off vs on: wall time, the full/incremental
 //!    assessment split, and the best point's (IL, DR) drift.
-//! 5. **objectives** — the objective-vector overhead: the same NSGA-II
+//! 4. **objectives** — the objective-vector overhead: the same NSGA-II
 //!    run over the canonical (IL, DR) pair vs the 3-component
 //!    (IL, DR, eps) vector, with per-generation wall cost and the
 //!    N=3/N=2 ratio (dominance, crowding, and hypervolume all scale
 //!    with the vector length; the canonical path must stay at its
 //!    pre-refactor cost).
-//! 6. **mask_audit** — the two row-level stages outside the evaluator:
+//! 5. **mask_audit** — the two row-level stages outside the evaluator:
 //!    the population builder's time on each family's share of the Adult
 //!    paper suite (48 microaggregations, 12 bottom/top codings, 6 global
 //!    recodings, 11 rank swaps, 9 PRAMs) and one privacy audit of a masked
@@ -50,10 +46,8 @@
 //! `--check-drift` exits nonzero unless (a) the full-vs-incremental
 //! evolution runs publish a best point with *exactly zero* (IL, DR) drift,
 //! (b) the patch-vs-full exactness delta is exactly zero, (c) every
-//! blocked-vs-all-pairs credit comparison is `==`-equal, and (d) every
-//! snapshot-rehydrated evaluator assesses bit-identically to its cold
-//! counterpart — all four are bit-exactness contracts, so any difference
-//! at all is a regression.
+//! blocked-vs-all-pairs credit comparison is `==`-equal — all three are
+//! bit-exactness contracts, so any difference at all is a regression.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -65,9 +59,7 @@ use cdp_dataset::{Code, PatternIndex, SubTable};
 use cdp_metrics::linkage::{
     dbrl_credits, dbrl_credits_blocked, rsrl_credits, rsrl_credits_blocked,
 };
-use cdp_metrics::{
-    snapshot, Evaluator, MaskedStats, MetricConfig, ObjectiveSet, Patch, PreparedOriginal,
-};
+use cdp_metrics::{Evaluator, MaskedStats, MetricConfig, ObjectiveSet, Patch, PreparedOriginal};
 use cdp_sdc::{build_population, build_population_from, SuiteConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -267,61 +259,6 @@ fn linkage_row(rows: usize, seed: u64) -> LinkageRow {
         ns_blocked_warm,
         ns_pairs,
         credits_equal,
-    }
-}
-
-struct PrepareRow {
-    rows: usize,
-    ms_prepare_cold: f64,
-    ms_snapshot_load: f64,
-    snapshot_bytes: u64,
-    rehydrated_identical: bool,
-}
-
-/// Time a cold `Evaluator::new` preparation against rehydrating the same
-/// prepared state from a snapshot file, and cross-check that the
-/// rehydrated evaluator assesses a masked variant bit-identically.
-fn prepare_row(rows: usize, seed: u64) -> PrepareRow {
-    let original = DatasetKind::Adult
-        .generate(&GeneratorConfig::seeded(seed).with_records(rows))
-        .protected_subtable();
-
-    let t0 = Instant::now();
-    let cold = Evaluator::new(&original, MetricConfig::default()).expect("evaluator");
-    let ms_prepare_cold = t0.elapsed().as_secs_f64() * 1e3;
-
-    let dir = std::env::temp_dir().join("cdp_bench_snapshots");
-    let path = snapshot::write(&cold, &dir).expect("write snapshot");
-    let snapshot_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-
-    let t0 = Instant::now();
-    let loaded = snapshot::load(&path, &original, &MetricConfig::default()).expect("load snapshot");
-    let ms_snapshot_load = t0.elapsed().as_secs_f64() * 1e3;
-    let _ = std::fs::remove_file(&path);
-
-    let masked = masked_variant(&original, seed);
-    let (a, b) = (
-        cold.assess(&masked).assessment,
-        loaded.assess(&masked).assessment,
-    );
-    let rehydrated_identical = [
-        (a.il_parts.ctbil, b.il_parts.ctbil),
-        (a.il_parts.dbil, b.il_parts.dbil),
-        (a.il_parts.ebil, b.il_parts.ebil),
-        (a.dr_parts.id, b.dr_parts.id),
-        (a.dr_parts.dbrl, b.dr_parts.dbrl),
-        (a.dr_parts.prl, b.dr_parts.prl),
-        (a.dr_parts.rsrl, b.dr_parts.rsrl),
-    ]
-    .into_iter()
-    .all(|(x, y)| x.to_bits() == y.to_bits());
-
-    PrepareRow {
-        rows,
-        ms_prepare_cold,
-        ms_snapshot_load,
-        snapshot_bytes,
-        rehydrated_identical,
     }
 }
 
@@ -590,19 +527,6 @@ fn main() {
     }
     let exact_delta = exactness_delta(args.seed);
 
-    let prepare_sizes: Vec<usize> = if let Some(rows) = args.rows {
-        vec![rows]
-    } else if args.quick {
-        vec![1000]
-    } else {
-        vec![1000, 20000, 100000]
-    };
-    let mut prepare = Vec::new();
-    for &rows in &prepare_sizes {
-        eprintln!("prepare: {rows} rows …");
-        prepare.push(prepare_row(rows, args.seed));
-    }
-
     let mask_audit_sizes: Vec<(usize, usize)> = if let Some(rows) = args.rows {
         vec![(rows, 1)] // (rows, reps)
     } else if args.quick {
@@ -703,23 +627,6 @@ fn main() {
             row.patterns_masked,
             row.ns_blocked_cold,
             row.ns_blocked_warm,
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"prepare\": [");
-    for (i, row) in prepare.iter().enumerate() {
-        let comma = if i + 1 < prepare.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"rows\": {}, \"ms_prepare_cold\": {:.2}, \"ms_snapshot_load\": {:.2}, \
-             \"cold_over_load\": {:.1}, \"snapshot_bytes\": {}, \
-             \"rehydrated_identical\": {}}}{comma}",
-            row.rows,
-            row.ms_prepare_cold,
-            row.ms_snapshot_load,
-            row.ms_prepare_cold / row.ms_snapshot_load.max(1e-9),
-            row.snapshot_bytes,
-            row.rehydrated_identical,
         );
     }
     let _ = writeln!(json, "  ],");
@@ -827,17 +734,6 @@ fn main() {
                 eprintln!(
                     "DRIFT CHECK FAILED: blocked vs all-pairs credit mismatch \
                      at {} rows; the blocked scans must be bit-exact",
-                    row.rows
-                );
-                failed = true;
-            }
-        }
-        for row in &prepare {
-            if !row.rehydrated_identical {
-                eprintln!(
-                    "DRIFT CHECK FAILED: snapshot-rehydrated evaluator diverged \
-                     from the cold preparation at {} rows; rehydration must be \
-                     bit-exact",
                     row.rows
                 );
                 failed = true;

@@ -343,21 +343,21 @@ mod tests {
         let mut h = tiny();
         // three Flare runs (full, drop 5%, drop 10%) — one original
         h.robustness();
-        assert_eq!(h.session().preparations(), 1, "one dataset, one prep");
+        assert_eq!(h.session().stats().preparations, 1, "one dataset, one prep");
         // a different aggregator on the same dataset still reuses it
         h.run(RunSpec {
             dataset: DatasetKind::Flare,
             aggregator: ScoreAggregator::Mean,
             drop_fraction: 0.0,
         });
-        assert_eq!(h.session().preparations(), 1);
+        assert_eq!(h.session().stats().preparations, 1);
         // a new dataset pays its own preparation
         h.run(RunSpec {
             dataset: DatasetKind::Adult,
             aggregator: ScoreAggregator::Max,
             drop_fraction: 0.0,
         });
-        assert_eq!(h.session().preparations(), 2);
+        assert_eq!(h.session().stats().preparations, 2);
     }
 
     #[test]
@@ -368,10 +368,14 @@ mod tests {
             aggregator: ScoreAggregator::Max,
             drop_fraction: 0.0,
         });
-        assert_eq!(h.session().preparations(), 1);
+        assert_eq!(h.session().stats().preparations, 1);
         // the nsga contender on the same dataset reuses the preparation …
         let front = h.run_front(DatasetKind::German, 2);
-        assert_eq!(h.session().preparations(), 1, "nsga shares the session");
+        assert_eq!(
+            h.session().stats().preparations,
+            1,
+            "nsga shares the session"
+        );
         assert!(!front.points.is_empty());
         assert_eq!(front.generations_run(), 2);
         // … and the front cache dedupes repeated sweep points

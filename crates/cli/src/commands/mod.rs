@@ -1,7 +1,6 @@
 //! The CLI subcommands.
 
 pub mod analyze;
-pub mod cache;
 pub mod evaluate;
 pub mod generate;
 pub mod hierarchy;

@@ -4,12 +4,12 @@
 //!
 //! Flags deserialize into one [`cdp::pipeline::ProtectionJob`] carrying
 //! its [`cdp::pipeline::OptimizerMode`]; both modes run through
-//! [`Session::run_with`], so the CLI and the library cannot drift.
+//! [`SharedSession::run_with`], so the CLI and the library cannot drift.
 
 use std::io::Write;
 use std::path::Path;
 
-use cdp::pipeline::{JobEvent, OptimizerMode, ProtectionJob, Session, SnapshotCacheConfig};
+use cdp::pipeline::{JobEvent, OptimizerMode, ProtectionJob, SharedSession};
 use cdp_core::ScatterPoint;
 use cdp_dataset::io::write_table_path;
 
@@ -37,11 +37,6 @@ cdp optimize (--dataset <name> | --input <file.csv> | --job <spec>) --out <dir>
              [--offspring <n>]           offspring per generation (nsga; 0 = pop size)
              [--xprob <p>]               crossover probability (nsga; default 0.5)
              [--seed <u64>]
-             [--cache-dir <dir>]         persistent snapshot cache: the prepared
-                                         evaluator is written to <dir> and later
-                                         runs rehydrate it instead of re-preparing
-             [--cache-cap <bytes>]       LRU byte cap on the in-memory cache tier
-                                         (requires --cache-dir)
 
 Scalar mode writes evolution.csv, scatter.csv and best.csv into --out;
 NSGA-II mode writes front.csv, hypervolume.csv and best.csv (the front's
@@ -76,17 +71,14 @@ pub fn run(args: &Args) -> Result<()> {
         "xprob",
         "seed",
         "schema",
-        "cache-dir",
-        "cache-cap",
     ])?;
     let out_dir = Path::new(args.require("out")?);
     std::fs::create_dir_all(out_dir)?;
 
-    let snapshot = super::cache::snapshot_config_from(args)?;
     let job = job_from_args(args)?;
     match job.optimizer() {
-        OptimizerMode::Scalar(_) => run_scalar(&job, out_dir, snapshot),
-        OptimizerMode::Nsga(_) => run_nsga(&job, out_dir, snapshot),
+        OptimizerMode::Scalar(_) => run_scalar(&job, out_dir),
+        OptimizerMode::Nsga(_) => run_nsga(&job, out_dir),
     }
 }
 
@@ -215,11 +207,7 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
     }
 }
 
-fn run_scalar(
-    job: &ProtectionJob,
-    out_dir: &Path,
-    snapshot: Option<SnapshotCacheConfig>,
-) -> Result<()> {
+fn run_scalar(job: &ProtectionJob, out_dir: &Path) -> Result<()> {
     if job.iterations() == 0 {
         return Err(CliError::Usage(
             "scalar mode needs --iters >= 1 (0 is mask-and-score only)".into(),
@@ -230,8 +218,7 @@ fn run_scalar(
     if let Ok(spec) = JobSpec::from_job(job) {
         println!("job: {}", spec.to_spec_string());
     }
-    let mut session = Session::new();
-    session.set_snapshot_cache(snapshot);
+    let session = SharedSession::new();
     let mut dims = (0usize, 0usize);
     let report = session.run_with(job, |event| match event {
         JobEvent::SourceReady {
@@ -287,19 +274,14 @@ fn run_scalar(
     Ok(())
 }
 
-fn run_nsga(
-    job: &ProtectionJob,
-    out_dir: &Path,
-    snapshot: Option<SnapshotCacheConfig>,
-) -> Result<()> {
+fn run_nsga(job: &ProtectionJob, out_dir: &Path) -> Result<()> {
     // NSGA-II is a first-class job mode: the run goes through the same
-    // Session engine as the scalar path, artifact emission lives on the
+    // session engine as the scalar path, artifact emission lives on the
     // report's `Front`.
     if let Ok(spec) = JobSpec::from_job(job) {
         println!("job: {}", spec.to_spec_string());
     }
-    let mut session = Session::new();
-    session.set_snapshot_cache(snapshot);
+    let session = SharedSession::new();
     let mut dims = (0usize, 0usize);
     let report = session.run_with(job, |event| match event {
         JobEvent::SourceReady {
@@ -553,50 +535,9 @@ mod tests {
         }
     }
 
-    /// `--cache-dir` reruns are bit-identical to cold runs: the second
-    /// invocation rehydrates the prepared evaluator from disk (a fresh
-    /// `Session` each time, so only the snapshot tier can carry state) and
-    /// every artifact matches byte for byte.
     #[test]
-    fn cache_dir_reruns_are_bit_identical() {
-        let out_cold = tmp_dir("snap_cold");
-        let out_warm = tmp_dir("snap_warm");
-        let cache = tmp_dir("snap_cache");
-        let _ = std::fs::remove_dir_all(&cache);
-        for out in [&out_cold, &out_warm] {
-            run(&args(&[
-                "--dataset",
-                "german",
-                "--records",
-                "60",
-                "--iters",
-                "4",
-                "--seed",
-                "13",
-                "--cache-dir",
-                cache.to_str().unwrap(),
-                "--out",
-                out.to_str().unwrap(),
-            ]))
-            .unwrap();
-        }
-        assert!(
-            std::fs::read_dir(&cache).unwrap().count() > 0,
-            "cold run must write a snapshot"
-        );
-        for file in ["evolution.csv", "scatter.csv", "best.csv"] {
-            assert_eq!(
-                std::fs::read_to_string(out_cold.join(file)).unwrap(),
-                std::fs::read_to_string(out_warm.join(file)).unwrap(),
-                "{file} must be bit-identical across the snapshot tier"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&cache);
-    }
-
-    #[test]
-    fn cache_cap_requires_cache_dir() {
-        let out = tmp_dir("snap_capflag");
+    fn snapshot_cache_flags_are_unknown() {
+        let out = tmp_dir("cache_flags");
         let err = run(&args(&[
             "--dataset",
             "adult",
@@ -605,12 +546,16 @@ mod tests {
             "--iters",
             "2",
             "--cache-cap",
-            "4096",
+            "1",
             "--out",
             out.to_str().unwrap(),
         ]))
         .unwrap_err();
-        assert!(err.to_string().contains("--cache-dir"), "{err}");
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(
+            err.to_string().contains("unknown flag --cache-cap"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -13,14 +13,14 @@
 //! fixed pool of accept workers (each connection is served start to
 //! finish by one worker; concurrency = many connections). Determinism
 //! holds across the wire: a served job produces the bit-identical
-//! [`DoneSummary`] to [`Session::run`] on the same spec, which `--once`
+//! [`DoneSummary`] to [`SharedSession::run`] on the same spec, which `--once`
 //! smoke mode (and the e2e suite) asserts.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cdp::pipeline::{Session, SessionStats, SharedSession, SnapshotCacheConfig};
+use cdp::pipeline::{SessionStats, SharedSession};
 
 use crate::args::Args;
 use crate::error::{CliError, Result};
@@ -39,21 +39,13 @@ cdp serve [--addr <host:port>]  listen address (default 127.0.0.1:7171;
                                 bit-identical in-process rerun, then exit
           [--job '<spec>']      smoke-mode job (canonical key=value spec;
                                 default a mask-and-score Adult job)
-          [--cache-dir <dir>]   persistent snapshot cache: prepared
-                                evaluators are written to <dir> and
-                                rehydrated on later runs — even after a
-                                server restart — instead of re-prepared
-          [--cache-cap <bytes>] LRU byte cap on the in-memory tier
-                                (requires --cache-dir); slots over the cap
-                                demote to disk and fault back on demand
 
 Line-delimited protocol (UTF-8, one request per line):
   JOB <key=value spec>   run a job; streams `EVENT <kind> <fields>` lines
                          (one per JobEvent) and ends with one `DONE
                          <winner IL/DR breakdown, eval counts, cache_hit>`
                          or `ERR <message>` line
-  STATS                  one `STATS <preparations/hits/misses/
-                         snapshot_hits/snapshot_misses/evictions/cached/
+  STATS                  one `STATS <preparations/hits/misses/cached/
                          approx_bytes>` line for the shared cache, plus
                          one `entry=rows:attrs:hits:bytes:prepared` field
                          of per-slot detail per cached original
@@ -62,8 +54,8 @@ Line-delimited protocol (UTF-8, one request per line):
 A request line longer than 64 KiB draws `ERR request line too long` and
 the connection is closed; the server keeps serving other clients.
 
-Jobs served over the wire are bit-identical to `Session::run` on the same
-spec — same seed, same RNG stream, same winner.";
+Jobs served over the wire are bit-identical to `SharedSession::run` on the
+same spec — same seed, same RNG stream, same winner.";
 
 /// Longest request line the server reads, newline excluded. A longer line
 /// draws `ERR request line too long` and the connection is dropped, so a
@@ -77,16 +69,15 @@ const SMOKE_SPEC: &str = "dataset=adult records=120 iters=0 seed=42";
 
 /// Run the command.
 pub fn run(args: &Args) -> Result<()> {
-    args.expect_only(&["addr", "workers", "once", "job", "cache-dir", "cache-cap"])?;
+    args.expect_only(&["addr", "workers", "once", "job"])?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7171");
     let workers = args.get_or("workers", default_workers())?;
     if workers == 0 {
         return Err(CliError::Usage("--workers must be at least 1".into()));
     }
-    let snapshot = super::cache::snapshot_config_from(args)?;
     let once = args.get_parse::<bool>("once")?.unwrap_or(false);
     if once {
-        return run_once(addr, args.get("job"), snapshot);
+        return run_once(addr, args.get("job"));
     }
     if args.get("job").is_some() {
         return Err(CliError::Usage("--job applies to --once smoke mode".into()));
@@ -98,7 +89,6 @@ pub fn run(args: &Args) -> Result<()> {
         listener.local_addr()?
     );
     let session = SharedSession::new();
-    session.set_snapshot_cache(snapshot);
     let stop = AtomicBool::new(false);
     serve_on(&listener, workers, &session, &stop)?;
     let stats = session.stats();
@@ -118,8 +108,8 @@ fn default_workers() -> usize {
 /// entry ([`cdp::pipeline::CacheEntryStats`]).
 fn stats_headline(stats: &SessionStats) -> String {
     let mut out = format!(
-        "cache hit rate {} (preparations={}, hits={}, misses={}, snapshot_hits={}, \
-         snapshot_misses={}, evictions={}, cached={}, ~{} KiB resident)",
+        "cache hit rate {} (preparations={}, hits={}, misses={}, cached={}, \
+         ~{} KiB resident)",
         match stats.hit_rate() {
             Some(rate) => format!("{:.0}%", rate * 100.0),
             None => "n/a".into(),
@@ -127,9 +117,6 @@ fn stats_headline(stats: &SessionStats) -> String {
         stats.preparations,
         stats.hits,
         stats.misses,
-        stats.snapshot_hits,
-        stats.snapshot_misses,
-        stats.evictions,
         stats.cached,
         stats.approx_bytes / 1024,
     );
@@ -344,26 +331,18 @@ fn done_of(responses: &[Response]) -> Result<DoneSummary> {
 /// 1. **amortization**: the hot original is prepared exactly once
 ///    (`preparations == 1`, `hits >= 1`);
 /// 2. **determinism**: both wire summaries are bit-identical to
-///    [`Session::run`] on the same spec, in-process.
-fn run_once(
-    addr: &str,
-    spec_text: Option<&str>,
-    snapshot: Option<SnapshotCacheConfig>,
-) -> Result<()> {
+///    [`SharedSession::run`] on the same spec, in-process.
+fn run_once(addr: &str, spec_text: Option<&str>) -> Result<()> {
     let spec = JobSpec::parse(spec_text.unwrap_or(SMOKE_SPEC))?;
     let canonical = spec.to_spec_string();
 
-    // the in-process reference: same spec through the plain Session API
-    let reference = {
-        let mut session = Session::new();
-        DoneSummary::from_report(&session.run(&spec.to_job()?)?)
-    };
+    // the in-process reference: same spec through a fresh session
+    let reference = DoneSummary::from_report(&SharedSession::new().run(&spec.to_job()?)?);
 
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     println!("smoke: listening on {local}, job `{canonical}`");
     let session = SharedSession::new();
-    session.set_snapshot_cache(snapshot);
     let stop = AtomicBool::new(false);
 
     let (replies, stats) = std::thread::scope(|scope| -> Result<_> {
@@ -559,65 +538,8 @@ mod tests {
         );
         assert!(run(&args(&["--port", "1"])).is_err(), "unknown flag");
         assert!(
-            run(&args(&["--cache-cap", "1024"])).is_err(),
-            "--cache-cap needs --cache-dir"
+            matches!(run(&args(&["--cache-dir", "x"])), Err(CliError::Usage(_))),
+            "there is no snapshot cache to point at a directory"
         );
-    }
-
-    /// A server restart with the same `--cache-dir` warm-starts from the
-    /// snapshot tier: the second server's first job rehydrates from disk
-    /// (`snapshot_hits == 1`, `preparations == 0`) and still produces the
-    /// bit-identical summary.
-    #[test]
-    fn restarted_server_warm_starts_from_the_snapshot_tier() {
-        let dir = std::env::temp_dir().join(format!(
-            "cdp_serve_snapshot_tests/restart_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec_text = "dataset=german records=60 iters=2 seed=11";
-
-        let serve_one = |session: &SharedSession| -> (DoneSummary, SessionStats) {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let stop = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                scope.spawn(|| serve_on(&listener, 1, session, &stop).unwrap());
-                let spec = JobSpec::parse(spec_text).unwrap();
-                let done = done_of(&request(addr, &Request::Job(spec)).unwrap()).unwrap();
-                let stats = match request(addr, &Request::Stats).unwrap().as_slice() {
-                    [Response::Stats(s)] => s.clone(),
-                    other => panic!("unexpected STATS reply: {other:?}"),
-                };
-                request(addr, &Request::Shutdown).unwrap();
-                (done, stats)
-            })
-        };
-
-        let cold_session = SharedSession::new();
-        cold_session.set_snapshot_cache(Some(SnapshotCacheConfig::new(&dir)));
-        let (cold, cold_stats) = serve_one(&cold_session);
-        assert_eq!(cold_stats.preparations, 1);
-        assert_eq!(
-            cold_stats.snapshot_misses, 1,
-            "cold start misses the disk tier"
-        );
-
-        // "restart": a brand-new session (empty in-memory cache), same dir
-        let warm_session = SharedSession::new();
-        warm_session.set_snapshot_cache(Some(SnapshotCacheConfig::new(&dir)));
-        let (warm, warm_stats) = serve_one(&warm_session);
-        assert_eq!(
-            warm_stats.preparations, 0,
-            "no cold preparation after restart"
-        );
-        assert_eq!(warm_stats.snapshot_hits, 1, "rehydrated from disk");
-        assert!(warm.cache_hit, "snapshot loads count as cache reuse");
-
-        let mut normalized = warm.clone();
-        normalized.cache_hit = cold.cache_hit;
-        assert_eq!(normalized, cold, "rehydrated run is bit-identical");
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,9 +22,6 @@ pub enum CliError {
     /// Protection-server failure (`cdp serve`): a broken wire exchange or
     /// a failed smoke-mode contract.
     Server(String),
-    /// Snapshot-cache failure (`cdp cache`): an unreadable cache directory
-    /// or a verification that found defective snapshot files.
-    Cache(String),
     /// Filesystem failure outside the dataset layer.
     Io(std::io::Error),
 }
@@ -40,7 +37,6 @@ impl fmt::Display for CliError {
             CliError::Evo(e) => write!(f, "{e}"),
             CliError::Pipeline(e) => write!(f, "{e}"),
             CliError::Server(msg) => write!(f, "server error: {msg}"),
-            CliError::Cache(msg) => write!(f, "cache error: {msg}"),
             CliError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -57,7 +53,6 @@ impl std::error::Error for CliError {
             CliError::Evo(e) => Some(e),
             CliError::Pipeline(e) => Some(e),
             CliError::Server(_) => None,
-            CliError::Cache(_) => None,
             CliError::Io(e) => Some(e),
         }
     }

@@ -29,7 +29,6 @@ commands:
   optimize   evolutionary optimization of a protection population
   hierarchy  export editable generalization-hierarchy files
   serve      protection server: JobSpec lines over TCP, streamed events
-  cache      inspect, verify or clear a snapshot-cache directory
   help       this text (or `cdp help <command>`)
 
 run `cdp help <command>` for flags.";
@@ -44,7 +43,6 @@ pub fn usage_of(command: &str) -> Option<String> {
         "optimize" => Some(commands::optimize::USAGE.to_string()),
         "hierarchy" => Some(commands::hierarchy::USAGE.to_string()),
         "serve" => Some(commands::serve::USAGE.to_string()),
-        "cache" => Some(commands::cache::USAGE.to_string()),
         _ => None,
     }
 }
@@ -63,17 +61,6 @@ pub fn dispatch(command: &str, rest: Vec<String>) -> Result<()> {
         "optimize" => commands::optimize::run(&Args::parse(rest)?),
         "hierarchy" => commands::hierarchy::run(&Args::parse(rest)?),
         "serve" => commands::serve::run(&Args::parse(rest)?),
-        "cache" => {
-            // the action (`ls`/`verify`/`clear`) is the one positional
-            // token in the whole grammar; peel it off before the flag-only
-            // parser sees the rest
-            let mut rest = rest;
-            let action = match rest.first() {
-                Some(token) if !token.starts_with("--") => Some(rest.remove(0)),
-                _ => None,
-            };
-            commands::cache::run(action.as_deref(), &Args::parse(rest)?)
-        }
         "help" | "--help" | "-h" => {
             match rest.first().and_then(|c| usage_of(c)) {
                 Some(text) => println!("{text}"),

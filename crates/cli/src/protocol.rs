@@ -66,7 +66,7 @@ impl Request {
 }
 
 /// The final summary of a served job: everything a client needs to verify
-/// the run against an in-process [`cdp::pipeline::Session::run`] of the
+/// the run against an in-process [`cdp::pipeline::SharedSession::run`] of the
 /// same spec.
 ///
 /// Built by [`DoneSummary::from_report`] on both sides of the wire, so
@@ -321,16 +321,8 @@ impl<'a> Fields<'a> {
 
 fn encode_stats(s: &SessionStats) -> String {
     let mut out = format!(
-        "preparations={} hits={} misses={} snapshot_hits={} snapshot_misses={} \
-         evictions={} cached={} approx_bytes={}",
-        s.preparations,
-        s.hits,
-        s.misses,
-        s.snapshot_hits,
-        s.snapshot_misses,
-        s.evictions,
-        s.cached,
-        s.approx_bytes
+        "preparations={} hits={} misses={} cached={} approx_bytes={}",
+        s.preparations, s.hits, s.misses, s.cached, s.approx_bytes
     );
     for e in &s.entries {
         out.push_str(&format!(
@@ -361,9 +353,6 @@ fn decode_stats(f: &Fields<'_>) -> Result<SessionStats> {
         preparations: f.num("preparations")?,
         hits: f.num("hits")?,
         misses: f.num("misses")?,
-        snapshot_hits: f.num("snapshot_hits")?,
-        snapshot_misses: f.num("snapshot_misses")?,
-        evictions: f.num("evictions")?,
         cached: f.num("cached")?,
         approx_bytes: f.num("approx_bytes")?,
         entries: f
@@ -598,9 +587,6 @@ mod tests {
                 preparations: 1,
                 hits: 3,
                 misses: 1,
-                snapshot_hits: 2,
-                snapshot_misses: 1,
-                evictions: 1,
                 cached: 1,
                 approx_bytes: 32_768,
                 entries: vec![CacheEntryStats {
@@ -719,9 +705,6 @@ mod tests {
             preparations: 2,
             hits: 40,
             misses: 2,
-            snapshot_hits: 0,
-            snapshot_misses: 0,
-            evictions: 0,
             cached: 2,
             approx_bytes: 1 << 20,
             entries: Vec::new(),
@@ -731,9 +714,6 @@ mod tests {
             preparations: 2,
             hits: 40,
             misses: 2,
-            snapshot_hits: 7,
-            snapshot_misses: 2,
-            evictions: 6,
             cached: 2,
             approx_bytes: 1 << 20,
             entries: vec![
@@ -772,10 +752,9 @@ mod tests {
             "EVENT front generation=1 front_size=2 hypervolume=3 ideal=1:x",
             "EVENT front generation=1 front_size=2 hypervolume=3 ideal=1:2:3:4:5",
             // short entry list
-            "STATS preparations=1 hits=0 misses=1 snapshot_hits=0 snapshot_misses=1 \
-             evictions=0 cached=1 approx_bytes=8 entry=1:2:3",
-            // pre-snapshot STATS lines lack the new mandatory counters
-            "STATS preparations=1 hits=0 misses=1 cached=1 approx_bytes=8",
+            "STATS preparations=1 hits=0 misses=1 cached=1 approx_bytes=8 entry=1:2:3",
+            // a mandatory counter missing
+            "STATS preparations=1 hits=0 misses=1 approx_bytes=8",
             "DONE name=x", // breakdown missing
         ] {
             assert!(Response::parse(line).is_err(), "`{line}` must be rejected");
@@ -843,13 +822,11 @@ mod tests {
         }
 
         /// `STATS` lines (and the identical `EVENT cache` payload) carry
-        /// the full counter set — including the snapshot-tier counters —
-        /// losslessly, for any entry list.
+        /// the full counter set losslessly, for any entry list.
         #[test]
         fn session_stats_round_trip_losslessly(
             preparations in 0usize..1_000, hits in 0usize..1_000_000,
-            misses in 0usize..1_000, snapshot_hits in 0usize..1_000,
-            snapshot_misses in 0usize..1_000, evictions in 0usize..1_000,
+            misses in 0usize..1_000,
             approx_bytes in proptest::prelude::any::<usize>(),
             entry_rows in proptest::collection::vec(0usize..1_000_000, 0..4),
             entry_hits in 0usize..1_000,
@@ -866,8 +843,7 @@ mod tests {
                 })
                 .collect();
             let stats = Response::Stats(SessionStats {
-                preparations, hits, misses, snapshot_hits, snapshot_misses,
-                evictions, cached: entries.len(), approx_bytes, entries,
+                preparations, hits, misses, cached: entries.len(), approx_bytes, entries,
             });
             let line = stats.to_line();
             proptest::prop_assert_eq!(line.lines().count(), 1);

@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use crate::{Code, DatasetError, Result, SubTable};
+use crate::{Code, SubTable};
 
 /// Id of a distinct pattern inside a [`PatternIndex`].
 pub type PatternId = u32;
@@ -114,92 +114,6 @@ impl PatternIndex {
             idx.row_pid.push(pid);
         }
         idx
-    }
-
-    /// Rebuild an index from its serialized parts: the flat pattern
-    /// dictionary (`n_attrs` codes per pattern), the per-pattern
-    /// multiplicities and the row → pattern map. `cats[k]` is the
-    /// dictionary size of attribute `k`, used to size the postings.
-    ///
-    /// The derived structures (`lookup`, `postings`, `n_live`) are rebuilt
-    /// by visiting the patterns in id order — exactly the order
-    /// [`PatternIndex::build`] interned them in — so the result is
-    /// bit-identical to the index the parts were taken from, posting order
-    /// included.
-    ///
-    /// # Errors
-    /// [`DatasetError::SchemaMismatch`] when the parts are inconsistent:
-    /// ragged dictionary, out-of-range codes or pattern ids, duplicate
-    /// patterns, or multiplicities that do not sum over the rows.
-    pub fn from_parts(
-        n_attrs: usize,
-        codes: Vec<Code>,
-        mult: Vec<u32>,
-        row_pid: Vec<PatternId>,
-        cats: &[usize],
-    ) -> Result<Self> {
-        let err = |what: String| DatasetError::SchemaMismatch(format!("pattern index: {what}"));
-        if n_attrs == 0 || cats.len() != n_attrs {
-            return Err(err(format!(
-                "{} category counts for {n_attrs} attributes",
-                cats.len()
-            )));
-        }
-        if codes.len() != mult.len() * n_attrs {
-            return Err(err(format!(
-                "{} codes for {} patterns of {n_attrs} attributes",
-                codes.len(),
-                mult.len()
-            )));
-        }
-        let n_patterns = mult.len();
-        let mut postings: Vec<Vec<Vec<PatternId>>> =
-            cats.iter().map(|&c| vec![Vec::new(); c]).collect();
-        let mut lookup = HashMap::with_capacity(n_patterns);
-        for pid in 0..n_patterns {
-            let tuple = &codes[pid * n_attrs..(pid + 1) * n_attrs];
-            for (k, &v) in tuple.iter().enumerate() {
-                if (v as usize) >= cats[k] {
-                    return Err(err(format!(
-                        "pattern {pid} carries code {v} on attribute {k} (dictionary size {})",
-                        cats[k]
-                    )));
-                }
-                postings[k][v as usize].push(pid as PatternId);
-            }
-            if lookup.insert(tuple.to_vec(), pid as PatternId).is_some() {
-                return Err(err(format!("pattern {pid} duplicates an earlier tuple")));
-            }
-        }
-        let mut counted = vec![0u32; n_patterns];
-        for &pid in &row_pid {
-            if (pid as usize) >= n_patterns {
-                return Err(err(format!("row maps to unknown pattern {pid}")));
-            }
-            counted[pid as usize] += 1;
-        }
-        if counted != mult {
-            return Err(err("multiplicities do not match the row map".into()));
-        }
-        let n_live = mult.iter().filter(|&&m| m > 0).count();
-        Ok(PatternIndex {
-            n_attrs,
-            codes,
-            mult,
-            row_pid,
-            lookup,
-            postings,
-            n_live,
-        })
-    }
-
-    /// The serialized parts of the index, as
-    /// [`PatternIndex::from_parts`] expects them back: the flat pattern
-    /// dictionary, the multiplicities and the row → pattern map. The
-    /// derived `lookup`/`postings` are not part of the tuple — they rebuild
-    /// deterministically.
-    pub fn raw_parts(&self) -> (&[Code], &[u32], &[PatternId]) {
-        (&self.codes, &self.mult, &self.row_pid)
     }
 
     /// Approximate heap footprint in bytes: dictionary, multiplicities,
@@ -402,7 +316,10 @@ mod tests {
         let s = sub(&[[0, 1], [2, 3], [0, 1], [4, 0], [2, 3], [0, 1]]);
         let built = PatternIndex::build(&s);
         let cols = PatternIndex::from_columns(&[s.column(0), s.column(1)]);
-        assert_eq!(cols.raw_parts(), built.raw_parts());
+        assert_eq!(
+            (&cols.codes, &cols.mult, &cols.row_pid),
+            (&built.codes, &built.mult, &built.row_pid)
+        );
         assert_eq!(cols.postings(1, 3), built.postings(1, 3));
         assert_eq!(built.find(&[4, 0]), Some(2));
         assert_eq!(built.find(&[4, 1]), None);
@@ -478,90 +395,6 @@ mod tests {
             );
         }
         assert_eq!(idx.n_live(), fresh.n_live());
-    }
-
-    #[test]
-    fn from_parts_round_trips_bit_identically() {
-        let s = sub(&[[0, 1], [2, 3], [0, 1], [4, 0], [2, 3], [0, 1]]);
-        let built = PatternIndex::build(&s);
-        let (codes, mult, row_pid) = built.raw_parts();
-        let rebuilt = PatternIndex::from_parts(
-            built.n_attrs(),
-            codes.to_vec(),
-            mult.to_vec(),
-            row_pid.to_vec(),
-            &[5, 4],
-        )
-        .unwrap();
-        rebuilt.check_consistent(&s);
-        assert_eq!(rebuilt.n_live(), built.n_live());
-        assert_eq!(rebuilt.n_patterns(), built.n_patterns());
-        // postings rebuild in the same append order, element for element
-        for k in 0..2 {
-            for v in 0..s.attr(k).n_categories() as Code {
-                assert_eq!(rebuilt.postings(k, v), built.postings(k, v));
-            }
-        }
-        // tombstones survive the round trip with their ids: row 3 is the
-        // only holder of pattern [4, 0] (pid 2), so moving it leaves a
-        // zero-multiplicity entry
-        let mut s2 = s.clone();
-        let mut moved = built.clone();
-        s2.set(3, 0, 0);
-        s2.set(3, 1, 1);
-        moved.move_row(3, &[0, 1]);
-        let (codes, mult, row_pid) = moved.raw_parts();
-        let rebuilt = PatternIndex::from_parts(
-            moved.n_attrs(),
-            codes.to_vec(),
-            mult.to_vec(),
-            row_pid.to_vec(),
-            &[5, 4],
-        )
-        .unwrap();
-        rebuilt.check_consistent(&s2);
-        assert_eq!(rebuilt.multiplicity(2), 0, "tombstone survives");
-        assert_eq!(rebuilt.n_live(), moved.n_live());
-        assert_eq!(rebuilt.n_patterns(), moved.n_patterns());
-    }
-
-    #[test]
-    fn from_parts_rejects_inconsistent_parts() {
-        let s = sub(&[[0, 1], [2, 3]]);
-        let idx = PatternIndex::build(&s);
-        let (codes, mult, row_pid) = idx.raw_parts();
-        let (codes, mult, row_pid) = (codes.to_vec(), mult.to_vec(), row_pid.to_vec());
-        // ragged dictionary
-        assert!(PatternIndex::from_parts(
-            2,
-            codes[1..].to_vec(),
-            mult.clone(),
-            row_pid.clone(),
-            &[5, 4]
-        )
-        .is_err());
-        // out-of-range code
-        let mut bad = codes.clone();
-        bad[0] = 99;
-        assert!(PatternIndex::from_parts(2, bad, mult.clone(), row_pid.clone(), &[5, 4]).is_err());
-        // row mapped to unknown pattern
-        let mut bad_rows = row_pid.clone();
-        bad_rows[0] = 7;
-        assert!(
-            PatternIndex::from_parts(2, codes.clone(), mult.clone(), bad_rows, &[5, 4]).is_err()
-        );
-        // multiplicities out of sync with the row map
-        let mut bad_mult = mult.clone();
-        bad_mult[0] += 1;
-        assert!(
-            PatternIndex::from_parts(2, codes.clone(), bad_mult, row_pid.clone(), &[5, 4]).is_err()
-        );
-        // duplicate pattern tuple
-        let mut dup_codes = codes.clone();
-        dup_codes.extend_from_slice(&codes[0..2]);
-        let mut dup_mult = mult.clone();
-        dup_mult.push(0);
-        assert!(PatternIndex::from_parts(2, dup_codes, dup_mult, row_pid, &[5, 4]).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use cdp_dataset::{Code, SubTable};
 
-/// Borrowed serialized parts of [`ContingencyTables`]:
+/// Borrowed raw parts of [`ContingencyTables`]:
 /// `(singles, pairs, cats)`.
 pub(crate) type RawTableParts<'a> = (&'a [Vec<u32>], &'a [(usize, usize, Vec<u32>)], &'a [usize]);
 
@@ -82,25 +82,7 @@ impl ContingencyTables {
         }
     }
 
-    /// Reassemble tables from their serialized parts (the snapshot codec's
-    /// constructor). The caller is responsible for consistency — snapshot
-    /// loads guard the payload with checksums and a content hash instead of
-    /// re-validating cell sums here.
-    pub(crate) fn from_parts(
-        singles: Vec<Vec<u32>>,
-        pairs: Vec<(usize, usize, Vec<u32>)>,
-        cats: Vec<usize>,
-        n_rows: usize,
-    ) -> Self {
-        ContingencyTables {
-            singles,
-            pairs,
-            cats,
-            n_rows,
-        }
-    }
-
-    /// The serialized parts: `(singles, pairs, cats)`; `n_rows` is
+    /// The raw parts: `(singles, pairs, cats)`; `n_rows` is
     /// [`ContingencyTables::n_rows`].
     pub(crate) fn raw_parts(&self) -> RawTableParts<'_> {
         (&self.singles, &self.pairs, &self.cats)

@@ -122,7 +122,12 @@ impl Default for MetricConfig {
 }
 
 impl MetricConfig {
-    fn validate(&self) -> Result<()> {
+    /// Check every parameter's range. This is the only way
+    /// [`Evaluator::new`] can fail, and the first thing it does.
+    ///
+    /// # Errors
+    /// [`MetricError::InvalidConfig`] naming the out-of-range parameter.
+    pub fn validate(&self) -> Result<()> {
         if !(self.interval_fraction > 0.0 && self.interval_fraction < 1.0) {
             return Err(MetricError::InvalidConfig(format!(
                 "interval_fraction must lie in (0,1), got {}",
@@ -306,15 +311,6 @@ impl Evaluator {
             prep: PreparedOriginal::new(original),
             cfg,
         })
-    }
-
-    /// Bind an already-prepared original (a snapshot rehydration) to a
-    /// configuration. The config is re-validated; the preparation is
-    /// adopted verbatim, so an evaluator rebuilt this way assesses
-    /// bit-identically to one built by [`Evaluator::new`].
-    pub(crate) fn from_prepared(prep: PreparedOriginal, cfg: MetricConfig) -> Result<Self> {
-        cfg.validate()?;
-        Ok(Evaluator { prep, cfg })
     }
 
     /// Approximate heap footprint of the retained preparation, in bytes

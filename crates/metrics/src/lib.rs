@@ -33,10 +33,10 @@
 //! exactly and relinking only the touched records, addressing the paper's
 //! future-work item on fitness cost (ablated in `cdp-bench`).
 //!
-//! The prepared state also persists across processes: the [`snapshot`]
-//! module serializes it to a versioned binary file keyed by a content hash
-//! of `(original, config)`, so a later session rehydrates the evaluator
-//! with a near-memcpy load instead of re-preparing.
+//! Preparing the original is a one-off cost per process: a long-lived
+//! session keeps one prepared evaluator per original in memory and hands
+//! each job a clone, and every clone shares the prepared state's DBRL
+//! link table.
 //!
 //! ```
 //! use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
@@ -63,7 +63,6 @@ mod score;
 pub mod dr;
 pub mod il;
 pub mod linkage;
-pub mod snapshot;
 
 pub use contingency::ContingencyTables;
 pub use error::{MetricError, Result};

@@ -208,48 +208,11 @@ impl PreparedOriginal {
         }
     }
 
-    /// Reassemble a prepared original from its serialized parts (the
-    /// snapshot codec's constructor). Field order and semantics match the
-    /// struct; the caller (the snapshot loader) guards integrity with
-    /// per-section checksums and a content hash of `orig`. The link table
-    /// is not serialized: it starts empty and refills on use.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        orig: SubTable,
-        cats: Vec<usize>,
-        ordinal: Vec<bool>,
-        inv_span: Vec<f64>,
-        counts: Vec<Vec<u32>>,
-        probs: Vec<Vec<f64>>,
-        order_keys: Vec<Vec<usize>>,
-        rank_start: Vec<Vec<usize>>,
-        tables: ContingencyTables,
-        chance_agreement: Vec<f64>,
-        pattern_index: PatternIndex,
-        min_cell_dist: Vec<Vec<f64>>,
-    ) -> Self {
-        PreparedOriginal {
-            link_table: LinkTable::new(&cats).map(Arc::new),
-            orig,
-            cats,
-            ordinal,
-            inv_span,
-            counts,
-            probs,
-            order_keys,
-            rank_start,
-            tables,
-            chance_agreement,
-            pattern_index,
-            min_cell_dist,
-        }
-    }
-
     /// Approximate heap footprint in bytes: the retained original arena
     /// plus every derived component (marginals, probabilities, rank stats,
     /// contingency tables, the pattern index, the distance bounds and the
-    /// link table's allocated slots, filled or not). This is the
-    /// accounting behind the session cache's byte cap.
+    /// link table's allocated slots, filled or not). The session cache
+    /// reports this per cached original.
     pub fn approx_bytes(&self) -> usize {
         let arena = self.orig.flat_len() * std::mem::size_of::<Code>();
         let per_cat: usize = (0..self.cats.len())

@@ -32,7 +32,7 @@ fn balance(points: &[ScatterPoint]) -> f64 {
 }
 
 fn main() {
-    let mut session = Session::new();
+    let session = Session::new();
 
     println!("== Experiment 1: Eq. 1 (mean of IL and DR) ==");
     let mean_run = session.run(&job(ScoreAggregator::Mean)).expect("job runs");
@@ -60,7 +60,7 @@ fn main() {
     );
     println!(
         "(evaluator prepared {} time(s) for 2 runs — session reuse)",
-        session.preparations()
+        session.stats().preparations
     );
 
     // Publish the winner: the report re-assembles the full table with the

@@ -65,7 +65,7 @@ fn main() {
     }
     let job = builder.build().expect("valid job");
 
-    let mut session = Session::new();
+    let session = Session::new();
     let report = session
         .run_with(&job, |event| match event {
             JobEvent::PopulationReady { size } => println!("candidate protections: {size}"),

@@ -23,7 +23,7 @@ fn main() {
     let ds = DatasetKind::Adult.generate(&GeneratorConfig::seeded(7).with_records(300));
     let sub = ds.protected_subtable();
     let hierarchies = ds.protected_hierarchies();
-    let mut session = Session::new();
+    let session = Session::new();
 
     println!("contender            IL      DR   max(IL,DR)   k");
     println!("-------------------------------------------------");

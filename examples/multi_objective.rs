@@ -26,7 +26,7 @@ fn hv(points: &[ScatterPoint]) -> f64 {
 
 fn main() {
     let iterations = 150usize;
-    let mut session = Session::new();
+    let session = Session::new();
 
     let job = |aggregator: ScoreAggregator| {
         ProtectionJob::builder()
@@ -82,7 +82,11 @@ fn main() {
         report.evaluator_reused,
         "scalar jobs already prepared this original"
     );
-    assert_eq!(session.preparations(), 1, "one original, one preparation");
+    assert_eq!(
+        session.stats().preparations,
+        1,
+        "one original, one preparation"
+    );
     let front = report.front().expect("nsga outcome");
     println!(
         "nsga2({:>2} gen)    {:>4}   {:>10.0}",

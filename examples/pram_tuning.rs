@@ -19,7 +19,7 @@ use cdp::sdc::{Pram, PramMode};
 
 fn main() {
     let ds = DatasetKind::Flare.generate(&GeneratorConfig::seeded(4).with_records(500));
-    let mut session = Session::new();
+    let session = Session::new();
 
     println!("Flare dataset, PRAM sweep (500 records)\n");
     println!(
@@ -59,7 +59,7 @@ fn main() {
     }
     println!(
         "(evaluator prepared {} time(s) for 18 sweep points)\n",
-        session.preparations()
+        session.stats().preparations
     );
     println!(
         "Reading the table: theta down -> IL up, DR down. The invariant\n\

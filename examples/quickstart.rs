@@ -18,9 +18,6 @@ fn main() {
         .suite_small()
         .aggregator(ScoreAggregator::Max)
         .iterations(200)
-        // optional: .snapshot_cache(SnapshotCacheConfig::new("snapshots"))
-        // persists the prepared evaluator to disk, so later runs (even in
-        // new processes) rehydrate it instead of re-preparing
         .seed(42)
         .build()
         .expect("valid job");

@@ -11,7 +11,7 @@
 
 use cdp::prelude::*;
 
-fn run(session: &mut Session, drop_fraction: f64) -> (usize, f64, f64) {
+fn run(session: &Session, drop_fraction: f64) -> (usize, f64, f64) {
     let job = ProtectionJob::builder()
         .dataset(DatasetKind::Flare)
         .records(400)
@@ -29,14 +29,14 @@ fn run(session: &mut Session, drop_fraction: f64) -> (usize, f64, f64) {
 }
 
 fn main() {
-    let mut session = Session::new();
+    let session = Session::new();
     println!("Flare dataset, Eq. 2 fitness, 250 iterations\n");
     println!(
         "{:<18} {:>4} {:>12} {:>11}",
         "population", "N", "initial min", "final min"
     );
 
-    let (n_full, init_full, final_full) = run(&mut session, 0.0);
+    let (n_full, init_full, final_full) = run(&session, 0.0);
     println!(
         "{:<18} {n_full:>4} {init_full:>12.2} {final_full:>11.2}",
         "full"
@@ -46,7 +46,7 @@ fn main() {
         ("best 5% removed", 0.05, 1.33),
         ("best 10% removed", 0.10, 1.08),
     ] {
-        let (n, init, fin) = run(&mut session, fraction);
+        let (n, init, fin) = run(&session, fraction);
         println!(
             "{label:<18} {n:>4} {init:>12.2} {fin:>11.2}   gap {:+.2} (paper: +{paper_gap})",
             fin - final_full
@@ -54,7 +54,7 @@ fn main() {
     }
     println!(
         "\n(evaluator prepared {} time(s) for 3 runs)",
-        session.preparations()
+        session.stats().preparations
     );
     println!(
         "\nThe paper's conclusion: the evolutionary search recovers protections\n\

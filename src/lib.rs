@@ -28,8 +28,8 @@
 //! * [`pipeline`] — the unified job API: [`pipeline::ProtectionJob`] (one
 //!   declarative builder for the whole mask → score → evolve → audit
 //!   workflow, scalar or NSGA-II via [`pipeline::OptimizerMode`]),
-//!   [`pipeline::Session`] (evaluator preparation amortized across jobs of
-//!   either mode), and [`pipeline::JobReport`] (mode-aware
+//!   [`pipeline::SharedSession`] (evaluator preparation amortized across
+//!   jobs of either mode), and [`pipeline::JobReport`] (mode-aware
 //!   [`pipeline::JobOutcome`]).
 //!
 //! ## Quickstart
@@ -144,12 +144,11 @@
 //! ## Serving jobs concurrently — `cdp serve`
 //!
 //! The pipeline doubles as a long-lived protection service. A
-//! [`pipeline::SharedSession`] is the concurrency-safe form of
-//! [`pipeline::Session`] — cloneable, `&self` methods, one shared
-//! evaluator cache — so N threads (or N clients of the `cdp serve`
-//! subcommand) running jobs against the same original trigger exactly
-//! **one** preparation; the rest block briefly on that key and then hit
-//! the cache. [`pipeline::SessionStats`] reports the counters (also
+//! [`pipeline::SharedSession`] is concurrency-safe — cloneable, `&self`
+//! methods, one shared evaluator cache — so N threads (or N clients of
+//! the `cdp serve` subcommand) running jobs against the same original
+//! trigger exactly **one** preparation; the rest block briefly on that
+//! key and then hit the cache. [`pipeline::SessionStats`] reports the counters (also
 //! streamed per job as [`pipeline::JobEvent::CacheStats`]); the hit rate
 //! `hits / (hits + misses)` is the service's headline metric.
 //!
@@ -182,7 +181,7 @@
 //! (winner IL/DR breakdown, eval counts, cache-hit flag) or a one-line
 //! `ERR …`; `STATS` returns the [`pipeline::SessionStats`] counters. The
 //! determinism contract holds across the wire: a job submitted to the
-//! server produces the bit-identical summary to [`pipeline::Session::run`]
+//! server produces the bit-identical summary to [`pipeline::SharedSession::run`]
 //! on the same spec — asserted end-to-end in the server tests.
 //!
 //! ## Low-level entry points
@@ -236,6 +235,6 @@ pub mod prelude {
     pub use crate::pipeline::{
         BestProtection, CacheEntryStats, DataSource, Front, JobEvent, JobOutcome, JobReport,
         OptimizerMode, PipelineError, PopulationSpec, ProtectionJob, Session, SessionStats,
-        SharedSession, SnapshotCacheConfig, SuiteKind,
+        SharedSession, SuiteKind,
     };
 }

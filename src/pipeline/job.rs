@@ -11,8 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::report::JobReport;
-use super::session::Session;
-use super::shared::SnapshotCacheConfig;
+use super::shared::SharedSession;
 use super::stages::JobEvent;
 use super::{PipelineError, Result};
 
@@ -293,7 +292,7 @@ pub struct AuditSpec {
 /// A declarative protection job: the paper's whole workflow in one value.
 ///
 /// Build with [`ProtectionJob::builder`]; execute with
-/// [`ProtectionJob::run`] (one-shot) or [`Session::run`] (amortizing
+/// [`ProtectionJob::run`] (one-shot) or [`SharedSession::run`] (amortizing
 /// evaluator preparation across jobs). A job is immutable and reusable:
 /// running it twice produces identical reports.
 pub struct ProtectionJob {
@@ -308,7 +307,6 @@ pub struct ProtectionJob {
     pub(crate) iterations: usize,
     pub(crate) drop_best_fraction: f64,
     pub(crate) audit: Option<AuditSpec>,
-    pub(crate) snapshot: Option<SnapshotCacheConfig>,
     pub(crate) seed: u64,
 }
 
@@ -318,20 +316,20 @@ impl ProtectionJob {
         ProtectionJobBuilder::default()
     }
 
-    /// Execute in a throwaway [`Session`].
+    /// Execute in a throwaway [`SharedSession`].
     ///
     /// # Errors
     /// Any [`PipelineError`] raised by a stage.
     pub fn run(&self) -> Result<JobReport> {
-        Session::new().run(self)
+        SharedSession::new().run(self)
     }
 
-    /// Execute in a throwaway [`Session`] with a progress observer.
+    /// Execute in a throwaway [`SharedSession`] with a progress observer.
     ///
     /// # Errors
     /// Any [`PipelineError`] raised by a stage.
     pub fn run_with<F: FnMut(&JobEvent)>(&self, observer: F) -> Result<JobReport> {
-        Session::new().run_with(self, observer)
+        SharedSession::new().run_with(self, observer)
     }
 
     /// Resolve the data source into the concrete table the job runs
@@ -514,12 +512,6 @@ impl ProtectionJob {
     pub fn audit_spec(&self) -> Option<&AuditSpec> {
         self.audit.as_ref()
     }
-
-    /// The persistent snapshot-cache tier the job attaches to its
-    /// session, when configured.
-    pub fn snapshot_cache(&self) -> Option<&SnapshotCacheConfig> {
-        self.snapshot.as_ref()
-    }
 }
 
 /// Fluent builder for [`ProtectionJob`]; see the module docs for the
@@ -545,7 +537,6 @@ pub struct ProtectionJobBuilder {
     stagnation: Option<usize>,
     drop_best_fraction: f64,
     audit: Option<AuditSpec>,
-    snapshot: Option<SnapshotCacheConfig>,
     seed: u64,
 }
 
@@ -572,7 +563,6 @@ impl Default for ProtectionJobBuilder {
             stagnation: None,
             drop_best_fraction: 0.0,
             audit: None,
-            snapshot: None,
             seed: 42,
         }
     }
@@ -906,18 +896,6 @@ impl ProtectionJobBuilder {
         self
     }
 
-    /// Attach a persistent snapshot cache: the session running this job
-    /// serializes prepared evaluators under the configured directory and
-    /// rehydrates them on later runs — even in a fresh process — instead
-    /// of re-preparing (see [`SnapshotCacheConfig`] and
-    /// [`super::SharedSession::set_snapshot_cache`]). The configuration
-    /// is applied to the session at run time and stays in effect for its
-    /// subsequent jobs.
-    pub fn snapshot_cache(mut self, config: SnapshotCacheConfig) -> Self {
-        self.snapshot = Some(config);
-        self
-    }
-
     /// Master seed: population masking, evolution, and the generator
     /// (unless overridden with [`ProtectionJobBuilder::generator_seed`]).
     pub fn seed(mut self, seed: u64) -> Self {
@@ -1062,7 +1040,6 @@ impl ProtectionJobBuilder {
             iterations: self.iterations,
             drop_best_fraction: self.drop_best_fraction,
             audit: self.audit,
-            snapshot: self.snapshot,
             seed: self.seed,
         })
     }

@@ -15,22 +15,22 @@
 //!   Pareto dominance), evolution knobs, stop conditions and an optional
 //!   privacy audit. Built with [`ProtectionJob::builder`], executed with
 //!   [`ProtectionJob::run`].
-//! * [`Session`] — an execution context that caches the prepared
+//! * [`SharedSession`] — an execution context that caches the prepared
 //!   original-side statistics ([`cdp_metrics::PreparedOriginal`] inside an
 //!   [`cdp_metrics::Evaluator`]), so repeated jobs against the same
 //!   original skip re-preparation — scalar and NSGA-II jobs share the one
-//!   cache. One session can serve many jobs — the CLI, the bench harness
-//!   and the `cdp serve` protection server all drive this cache;
-//!   [`SharedSession`] is its thread-safe form (cloneable, `&self`
-//!   methods, exactly-once preparation under concurrency) and
-//!   [`SessionStats`] its observability counters.
+//!   cache. One session can serve many jobs from many threads (cloneable,
+//!   `&self` methods, exactly-once preparation under concurrency) — the
+//!   CLI, the bench harness and the `cdp serve` protection server all
+//!   drive this cache; [`SessionStats`] are its observability counters.
+//!   [`Session`] is another name for the same type.
 //! * [`JobReport`] — everything a run produces: the mode-aware
 //!   [`JobOutcome`] (scalar [`cdp_core::EvolutionOutcome`] telemetry, or a
 //!   Pareto [`Front`] with hypervolume trajectory), the winning protection
 //!   with its full IL/DR breakdown (the front's knee point in NSGA-II
 //!   mode), and the optional [`cdp_privacy::PrivacyReport`].
 //!
-//! Progress streams through [`JobEvent`] observers ([`Session::run_with`]),
+//! Progress streams through [`JobEvent`] observers ([`SharedSession::run_with`]),
 //! giving interactive consumers one channel for preparation, population,
 //! per-generation and front-progress telemetry.
 //!
@@ -55,7 +55,6 @@
 
 mod job;
 mod report;
-mod session;
 mod shared;
 mod stages;
 
@@ -66,9 +65,32 @@ pub use job::{
     SourceData, SuiteKind,
 };
 pub use report::{BestProtection, Front, JobOutcome, JobReport};
-pub use session::Session;
-pub use shared::{CacheEntryStats, SessionStats, SharedSession, SnapshotCacheConfig};
+pub use shared::{CacheEntryStats, SessionStats, SharedSession};
 pub use stages::JobEvent;
+
+/// The job execution context under its short name: the same type as
+/// [`SharedSession`].
+///
+/// ```
+/// use cdp::prelude::*;
+///
+/// let job = ProtectionJob::builder()
+///     .dataset(DatasetKind::German)
+///     .records(80)
+///     .iterations(10)
+///     .seed(3)
+///     .build()
+///     .unwrap();
+/// let session = Session::new();
+/// session.run(&job).unwrap();
+/// session.run(&job).unwrap(); // same original: no second preparation
+/// let stats = session.stats();
+/// assert_eq!(stats.preparations, 1);
+/// assert_eq!(stats.hits, 1);
+/// let shared: SharedSession = session.clone(); // one type, one cache
+/// assert_eq!(shared.stats(), stats);
+/// ```
+pub type Session = SharedSession;
 
 /// Everything that can go wrong while describing or executing a job.
 #[derive(Debug)]

@@ -1,125 +1,52 @@
-//! The concurrency-safe session: a shared evaluator cache many threads
-//! amortize, plus the [`SessionStats`] observability counters.
+//! The job execution context: one in-memory evaluator cache that any
+//! number of threads share, plus the [`SessionStats`] observability
+//! counters.
 //!
-//! [`SharedSession`] is the seam the protection server (`cdp serve`)
-//! builds on: N concurrent clients submitting jobs against the same
-//! original must trigger exactly **one** preparation of that original's
-//! measure statistics. The cache therefore coordinates at two levels:
+//! Preparing an [`Evaluator`] computes the original file's ranks,
+//! marginals, contingency tables and chance-agreement probabilities —
+//! work that depends only on the original, not on the job. A
+//! [`SharedSession`] keeps one prepared evaluator per distinct
+//! `(original, MetricConfig)` pair and hands each job a clone, so sweeps
+//! (many jobs over one original) and the protection server (`cdp serve`:
+//! many requests over few originals) pay that cost once per process.
 //!
-//! 1. a registry lock guards the list of cache slots (one per distinct
-//!    `(original, MetricConfig)` pair) — held only to *find or insert* a
-//!    slot, never while preparing;
-//! 2. a per-slot lock guards the slot's evaluator — the first arrival
-//!    prepares while holding it, racing arrivals block on the slot (not
-//!    the registry) and wake up to a cache hit.
-//!
-//! Distinct originals prepare in parallel; the same original prepares
-//! once no matter how many threads ask for it. [`Session`] (the
-//! single-threaded API every example and the bench harness use) is a thin
-//! wrapper over this type since the server refactor.
-//!
-//! # The snapshot tier
-//!
-//! With [`SharedSession::set_snapshot_cache`] the in-memory cache gains a
-//! second, persistent tier backed by [`cdp_metrics::snapshot`] files:
-//!
-//! * an in-memory **miss** first tries the snapshot directory — a valid
-//!   snapshot rehydrates the evaluator with a near-memcpy load
-//!   ([`SessionStats::snapshot_hits`]) instead of a cold preparation;
-//! * every cold preparation is written back (atomically, temp + rename),
-//!   so the *next process* starts warm;
-//! * an optional byte cap turns the in-memory tier into an LRU: when the
-//!   resident prepared state exceeds the cap, least-recently-used slots
-//!   are demoted ([`SessionStats::evictions`]) — their evaluators drop
-//!   from memory but fault back from disk on the next request, never
-//!   re-preparing.
-//!
-//! [`Session`]: super::Session
+//! The cache is a list of slots behind one registry lock, which is held
+//! only to find or insert a slot, never across a preparation. A slot
+//! prepares its evaluator in a [`OnceLock`]: the first caller prepares,
+//! callers racing it on the same key wait for that preparation and then
+//! share it, and nobody else waits for it — not a caller on another
+//! original, and not [`SharedSession::stats`]. A hot original is prepared
+//! exactly once however many threads ask for it; distinct originals
+//! prepare in parallel.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use cdp_dataset::{Code, SubTable};
-use cdp_metrics::{snapshot, Evaluator, MetricConfig};
+use cdp_metrics::{Evaluator, MetricConfig};
 
 use super::job::ProtectionJob;
 use super::report::JobReport;
 use super::stages::{run_job, JobEvent};
 use super::Result;
 
-/// Configuration of the persistent snapshot tier
-/// ([`SharedSession::set_snapshot_cache`]): where prepared-evaluator
-/// snapshots live on disk, and an optional LRU byte cap on the in-memory
-/// tier above it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotCacheConfig {
-    dir: PathBuf,
-    cap_bytes: Option<usize>,
-}
-
-impl SnapshotCacheConfig {
-    /// Snapshot tier rooted at `dir` (created on first write), no cap.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        SnapshotCacheConfig {
-            dir: dir.into(),
-            cap_bytes: None,
-        }
-    }
-
-    /// Cap the in-memory tier's *evictable* resident bytes (the prepared
-    /// state; the original arenas that key the slots are never evicted).
-    /// When an insert pushes the resident prepared state past the cap,
-    /// least-recently-used slots demote to disk until it fits — a cap of
-    /// `0` keeps nothing in memory and serves every request from disk.
-    #[must_use]
-    pub fn with_cap(mut self, cap_bytes: usize) -> Self {
-        self.cap_bytes = Some(cap_bytes);
-        self
-    }
-
-    /// The snapshot directory.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-
-    /// The in-memory LRU cap in bytes, if any.
-    pub fn cap_bytes(&self) -> Option<usize> {
-        self.cap_bytes
-    }
-}
-
-/// Cache observability counters of a session ([`SharedSession::stats`] /
-/// [`Session::stats`]): how much preparation work the evaluator cache
-/// amortized. Under server load, `hits / (hits + misses)` — the cache hit
-/// rate — is the headline metric.
-///
-/// [`Session::stats`]: super::Session::stats
+/// Cache observability counters of a session ([`SharedSession::stats`]):
+/// how much preparation work the evaluator cache amortized. Under server
+/// load, `hits / (hits + misses)` — the cache hit rate — is the headline
+/// metric.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Evaluator preparations actually performed (the expensive cold
     /// path: ranks, marginals, contingency tables, PRL census, pattern
-    /// index). Snapshot loads do **not** count here.
+    /// index).
     pub preparations: usize,
     /// Requests served from an already-registered slot. A request that
     /// arrives while the first one is still preparing counts as a hit —
-    /// it blocks on the slot instead of re-preparing.
+    /// it waits for that preparation instead of repeating it.
     pub hits: usize,
-    /// Requests that had to register a new slot (== `preparations` +
-    /// `snapshot_hits`, minus slots whose preparation failed and was
-    /// evicted).
+    /// Requests that registered a new slot. Every slot is prepared once,
+    /// so this equals `preparations`.
     pub misses: usize,
-    /// Evaluators rehydrated from an on-disk snapshot instead of a cold
-    /// preparation — both first-sight loads and post-eviction fault-backs.
-    pub snapshot_hits: usize,
-    /// Disk lookups that found no usable snapshot (missing, corrupt,
-    /// stale content hash, wrong format version) and fell back to a cold
-    /// preparation. Zero unless a snapshot cache is configured.
-    pub snapshot_misses: usize,
-    /// In-memory slots demoted to disk by the LRU byte cap. Evicted
-    /// slots fault back from their snapshot, so an eviction never causes
-    /// a re-preparation.
-    pub evictions: usize,
     /// Distinct `(original, MetricConfig)` slots currently cached.
     pub cached: usize,
     /// Approximate resident size of the cache, in bytes: the retained
@@ -147,9 +74,8 @@ pub struct CacheEntryStats {
     /// Approximate resident bytes of this slot (same accounting as
     /// [`SessionStats::approx_bytes`]).
     pub approx_bytes: usize,
-    /// Whether the slot's evaluator is resident in memory (`false` while
-    /// the first arrival is still preparing it, or after an LRU
-    /// eviction demoted it to its on-disk snapshot).
+    /// Whether the slot's evaluator is prepared (`false` while the first
+    /// arrival is still preparing it).
     pub prepared: bool,
 }
 
@@ -161,36 +87,27 @@ impl SessionStats {
     }
 }
 
-/// One cached preparation: the original it was built for, and the
-/// evaluator — `None` while the first arrival is still preparing it or
-/// after an LRU eviction demoted it to disk.
+/// One cached preparation: the key it was registered under, and its
+/// evaluator, prepared by the first caller to reach it.
 struct CacheSlot {
     original: SubTable,
     cfg: MetricConfig,
     hits: AtomicUsize,
-    /// LRU stamp: the session clock value of the last request that
-    /// touched this slot. Never decreases.
-    last_used: AtomicUsize,
-    evaluator: Mutex<Option<Evaluator>>,
+    evaluator: OnceLock<Evaluator>,
 }
 
 impl CacheSlot {
-    /// Bytes of the retained original arena — the slot's irreducible
-    /// footprint, kept even after eviction (it is the cache key).
-    fn arena_bytes(&self) -> usize {
-        self.original.flat_len() * std::mem::size_of::<Code>()
-    }
-
-    /// The slot's [`SessionStats::entries`] element.
+    /// The slot's [`SessionStats::entries`] element. Never waits: a slot
+    /// still being prepared reports `prepared: false`.
     fn entry_stats(&self) -> CacheEntryStats {
-        let guard = self.evaluator.lock().expect("cache slot lock");
-        let evaluator_bytes = guard.as_ref().map_or(0, Evaluator::approx_bytes);
+        let evaluator = self.evaluator.get();
+        let arena_bytes = self.original.flat_len() * std::mem::size_of::<Code>();
         CacheEntryStats {
             rows: self.original.n_rows(),
             attrs: self.original.n_attrs(),
             hits: self.hits.load(Ordering::Relaxed),
-            approx_bytes: self.arena_bytes() + evaluator_bytes,
-            prepared: guard.is_some(),
+            approx_bytes: arena_bytes + evaluator.map_or(0, Evaluator::approx_bytes),
+            prepared: evaluator.is_some(),
         }
     }
 }
@@ -199,19 +116,13 @@ impl CacheSlot {
 #[derive(Default)]
 struct SharedCache {
     slots: Mutex<Vec<Arc<CacheSlot>>>,
-    snapshot: Mutex<Option<SnapshotCacheConfig>>,
     preparations: AtomicUsize,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    snapshot_hits: AtomicUsize,
-    snapshot_misses: AtomicUsize,
-    evictions: AtomicUsize,
-    /// Monotonic request counter feeding the slots' LRU stamps.
-    clock: AtomicUsize,
 }
 
-/// A cloneable, thread-safe job execution context: the evaluator cache of
-/// [`Session`], shareable across threads.
+/// A cloneable, thread-safe job execution context that caches prepared
+/// originals (see the module docs).
 ///
 /// Clones are shallow — every clone sees (and feeds) the same cache and
 /// the same [`SessionStats`] counters. All methods take `&self`, so one
@@ -236,210 +147,96 @@ struct SharedCache {
 ///         scope.spawn(move || session.run(job).unwrap());
 ///     }
 /// });
+/// session.run(&job).unwrap(); // same original: no further preparation
 /// let stats = session.stats();
-/// assert_eq!(stats.preparations, 1); // the second job waited, then hit
-/// assert_eq!(stats.hits, 1);
+/// assert_eq!(stats.preparations, 1); // the racing job waited, then hit
+/// assert_eq!(stats.hits, 2);
 /// ```
-///
-/// [`Session`]: super::Session
 #[derive(Clone, Default)]
 pub struct SharedSession {
     cache: Arc<SharedCache>,
 }
 
 impl SharedSession {
-    /// An empty shared session.
+    /// An empty session.
     pub fn new() -> Self {
         SharedSession::default()
     }
 
-    /// Current cache counters. Cheap (lock acquisitions only, no
-    /// preparation work); safe to poll per request.
+    fn registry(&self) -> MutexGuard<'_, Vec<Arc<CacheSlot>>> {
+        self.cache.slots.lock().expect("cache registry lock")
+    }
+
+    /// Current cache counters. Cheap (one lock acquisition, no
+    /// preparation work, never waits for a preparation); safe to poll per
+    /// request.
     pub fn stats(&self) -> SessionStats {
-        let slots = self.cache.slots.lock().expect("cache registry lock");
+        let slots = self.registry();
         let entries: Vec<CacheEntryStats> = slots.iter().map(|s| s.entry_stats()).collect();
         SessionStats {
             preparations: self.cache.preparations.load(Ordering::Relaxed),
             hits: self.cache.hits.load(Ordering::Relaxed),
             misses: self.cache.misses.load(Ordering::Relaxed),
-            snapshot_hits: self.cache.snapshot_hits.load(Ordering::Relaxed),
-            snapshot_misses: self.cache.snapshot_misses.load(Ordering::Relaxed),
-            evictions: self.cache.evictions.load(Ordering::Relaxed),
             cached: slots.len(),
             approx_bytes: entries.iter().map(|e| e.approx_bytes).sum(),
             entries,
         }
     }
 
-    /// Attach (or with `None` detach) the persistent snapshot tier: see
-    /// the module docs. Takes effect for every subsequent request on any
-    /// clone of this session; if the new config carries a lower byte cap
-    /// than the current residency, the excess is evicted immediately.
-    pub fn set_snapshot_cache(&self, config: Option<SnapshotCacheConfig>) {
-        let cap = config.as_ref().and_then(SnapshotCacheConfig::cap_bytes);
-        *self.cache.snapshot.lock().expect("snapshot config lock") = config;
-        if let Some(cap) = cap {
-            self.enforce_cap(cap);
-        }
-    }
-
-    /// The currently attached snapshot-tier configuration, if any.
-    pub fn snapshot_cache(&self) -> Option<SnapshotCacheConfig> {
-        self.cache
-            .snapshot
-            .lock()
-            .expect("snapshot config lock")
-            .clone()
-    }
-
     /// Drop every cached preparation. Counters are cumulative and survive
     /// the clear (they describe session history, not cache contents).
     pub fn clear(&self) {
-        self.cache
-            .slots
-            .lock()
-            .expect("cache registry lock")
-            .clear();
+        self.registry().clear();
     }
 
     /// The evaluator for an original, preparing it on first sight.
     /// Returns the evaluator and whether it came from the cache.
     ///
-    /// Concurrent calls for the *same* `(original, cfg)` key serialize on
-    /// that key's slot: exactly one caller prepares, the rest block and
-    /// receive the cached clone (`reused = true`). Calls for distinct
-    /// keys prepare in parallel.
-    ///
-    /// With a snapshot cache attached, an in-memory miss (a fresh slot,
-    /// or one the LRU demoted) first tries the snapshot directory; a
-    /// rehydrated evaluator also counts as `reused = true` — the caller
-    /// got a cached preparation, just from disk.
+    /// Concurrent calls for the *same* `(original, cfg)` key prepare
+    /// once: the rest wait for that preparation and receive a clone
+    /// (`reused = true`). Calls for distinct keys prepare in parallel.
     ///
     /// # Errors
     /// [`cdp_metrics::MetricError`] for an invalid metric configuration;
-    /// the failed slot is evicted, so a later corrected call re-prepares.
+    /// such a call leaves the cache untouched.
     pub fn evaluator_for(
         &self,
         original: &SubTable,
         cfg: MetricConfig,
     ) -> Result<(Evaluator, bool)> {
-        let (slot, registered) = {
-            let mut slots = self.cache.slots.lock().expect("cache registry lock");
-            match slots
-                .iter()
-                .find(|s| s.cfg == cfg && s.original == *original)
-            {
-                Some(slot) => {
-                    slot.hits.fetch_add(1, Ordering::Relaxed);
-                    (Arc::clone(slot), false)
-                }
-                None => {
-                    let slot = Arc::new(CacheSlot {
-                        original: original.clone(),
-                        cfg,
-                        hits: AtomicUsize::new(0),
-                        last_used: AtomicUsize::new(0),
-                        evaluator: Mutex::new(None),
-                    });
-                    slots.push(Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
-        if registered {
-            self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        slot.last_used.store(
-            self.cache.clock.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-        let snap = self.snapshot_cache();
-        let mut guard = slot.evaluator.lock().expect("cache slot lock");
-        if let Some(evaluator) = guard.as_ref() {
-            return Ok((evaluator.clone(), true));
-        }
-        if let Some(snap) = &snap {
-            let path = snapshot::snapshot_path(snap.dir(), &slot.original, &cfg);
-            if let Some(evaluator) = snapshot::load(&path, &slot.original, &cfg) {
-                self.cache.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                *guard = Some(evaluator.clone());
-                drop(guard);
-                if let Some(cap) = snap.cap_bytes() {
-                    self.enforce_cap(cap);
-                }
-                return Ok((evaluator, true));
-            }
-            self.cache.snapshot_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        match Evaluator::new(&slot.original, cfg) {
-            Ok(evaluator) => {
-                self.cache.preparations.fetch_add(1, Ordering::Relaxed);
-                *guard = Some(evaluator.clone());
-                drop(guard);
-                if let Some(snap) = &snap {
-                    // write-back is an optimization: a full disk or
-                    // unwritable directory must not fail the job
-                    let _ = snapshot::write(&evaluator, snap.dir());
-                    if let Some(cap) = snap.cap_bytes() {
-                        self.enforce_cap(cap);
-                    }
-                }
-                // a racing caller that found the slot mid-preparation
-                // still reused the preparation — only the registrant paid
-                Ok((evaluator, !registered))
-            }
-            Err(e) => {
-                drop(guard);
-                // failed preparations must not poison the cache
-                let mut slots = self.cache.slots.lock().expect("cache registry lock");
-                if let Some(i) = slots.iter().position(|s| Arc::ptr_eq(s, &slot)) {
-                    slots.remove(i);
-                }
-                Err(e.into())
-            }
-        }
+        cfg.validate()?;
+        let (slot, registered) = self.slot_for(original, cfg);
+        let evaluator = slot.evaluator.get_or_init(|| {
+            let evaluator =
+                Evaluator::new(&slot.original, cfg).expect("a validated config always prepares");
+            self.cache.preparations.fetch_add(1, Ordering::Relaxed);
+            evaluator
+        });
+        Ok((evaluator.clone(), !registered))
     }
 
-    /// Demote least-recently-used prepared slots until the resident
-    /// evictable bytes (the in-memory prepared state; retained arenas
-    /// are the cache keys and never count) fit under `cap`.
-    ///
-    /// Slots whose evaluator lock is held by a concurrent request are
-    /// skipped — under contention the cap is enforced best-effort and
-    /// re-checked on the next insert; with no concurrent holders (every
-    /// single-threaded caller) the bound is exact after every insert.
-    fn enforce_cap(&self, cap: usize) {
-        let slots = self.cache.slots.lock().expect("cache registry lock");
-        loop {
-            let mut resident = 0usize;
-            let mut lru: Option<(usize, usize)> = None; // (stamp, index)
-            for (i, slot) in slots.iter().enumerate() {
-                let Ok(guard) = slot.evaluator.try_lock() else {
-                    continue;
-                };
-                if let Some(evaluator) = guard.as_ref() {
-                    resident += evaluator.approx_bytes();
-                    let stamp = slot.last_used.load(Ordering::Relaxed);
-                    if lru.is_none_or(|(s, _)| stamp < s) {
-                        lru = Some((stamp, i));
-                    }
-                }
-            }
-            if resident <= cap {
-                return;
-            }
-            let Some((_, victim)) = lru else { return };
-            if let Ok(mut guard) = slots[victim].evaluator.try_lock() {
-                if guard.take().is_some() {
-                    self.cache.evictions.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            }
-            // the victim got busy between the two passes; don't spin
-            return;
+    /// Find the slot of `(original, cfg)`, or register a new one, and
+    /// count the request as a hit or a miss. Returns the slot and whether
+    /// this call registered it.
+    fn slot_for(&self, original: &SubTable, cfg: MetricConfig) -> (Arc<CacheSlot>, bool) {
+        let mut slots = self.registry();
+        if let Some(slot) = slots
+            .iter()
+            .find(|s| s.cfg == cfg && s.original == *original)
+        {
+            slot.hits.fetch_add(1, Ordering::Relaxed);
+            self.cache.hits.fetch_add(1, Ordering::Relaxed);
+            return (Arc::clone(slot), false);
         }
+        let slot = Arc::new(CacheSlot {
+            original: original.clone(),
+            cfg,
+            hits: AtomicUsize::new(0),
+            evaluator: OnceLock::new(),
+        });
+        slots.push(Arc::clone(&slot));
+        self.cache.misses.fetch_add(1, Ordering::Relaxed);
+        (slot, true)
     }
 
     /// Execute a job.
@@ -466,7 +263,9 @@ impl SharedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_dataset::generators::DatasetKind;
+    use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn tiny_job(kind: DatasetKind, seed: u64, iterations: usize) -> ProtectionJob {
         ProtectionJob::builder()
@@ -476,6 +275,65 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap()
+    }
+
+    fn original(kind: DatasetKind, n: usize) -> SubTable {
+        kind.generate(&GeneratorConfig::seeded(9).with_records(n))
+            .protected_subtable()
+    }
+
+    fn invalid_config() -> MetricConfig {
+        MetricConfig {
+            prl_em_iters: 0, // rejected by `MetricConfig::validate`
+            ..MetricConfig::default()
+        }
+    }
+
+    #[test]
+    fn second_job_reuses_the_preparation() {
+        let session = SharedSession::new();
+        let a = tiny_job(DatasetKind::Adult, 7, 5);
+        let b = tiny_job(DatasetKind::Adult, 7, 8); // same original, new budget
+        let ra = session.run(&a).unwrap();
+        let rb = session.run(&b).unwrap();
+        assert!(!ra.evaluator_reused);
+        assert!(rb.evaluator_reused);
+        let stats = session.stats();
+        assert_eq!(stats.preparations, 1);
+        assert_eq!(stats.cached, 1);
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn different_original_prepares_again() {
+        let session = SharedSession::new();
+        session.run(&tiny_job(DatasetKind::Adult, 7, 5)).unwrap();
+        session.run(&tiny_job(DatasetKind::German, 7, 5)).unwrap();
+        // same dataset, different generator seed -> different original
+        session.run(&tiny_job(DatasetKind::Adult, 8, 5)).unwrap();
+        assert_eq!(session.stats().preparations, 3);
+    }
+
+    #[test]
+    fn clear_forgets_preparations() {
+        let session = SharedSession::new();
+        let job = tiny_job(DatasetKind::Flare, 3, 5);
+        session.run(&job).unwrap();
+        session.clear();
+        let r = session.run(&job).unwrap();
+        assert!(!r.evaluator_reused);
+        assert_eq!(session.stats().preparations, 2);
+    }
+
+    #[test]
+    fn shared_clone_feeds_the_same_cache() {
+        let session = SharedSession::new();
+        let job = tiny_job(DatasetKind::Adult, 9, 3);
+        session.run(&job).unwrap();
+        let report = session.clone().run(&job).unwrap();
+        assert!(report.evaluator_reused, "clone sees the session's cache");
+        assert_eq!(session.stats().preparations, 1);
+        assert_eq!(session.stats().hits, 1);
     }
 
     #[test]
@@ -519,17 +377,157 @@ mod tests {
     }
 
     #[test]
-    fn shared_run_matches_owned_session_bit_for_bit() {
-        let job = tiny_job(DatasetKind::German, 11, 6);
-        let shared = SharedSession::new().run(&job).unwrap();
-        let owned = super::super::Session::new().run(&job).unwrap();
-        assert_eq!(shared.best.assessment, owned.best.assessment);
-        assert_eq!(shared.best.name, owned.best.name);
-        assert_eq!(shared.best.data, owned.best.data);
-        assert_eq!(shared.points.len(), owned.points.len());
-        for (a, b) in shared.points.iter().zip(&owned.points) {
-            assert_eq!(a, b);
+    fn racing_requests_on_one_key_register_it_once() {
+        let session = SharedSession::new();
+        let cfg = MetricConfig::default();
+        let original = original(DatasetKind::German, 40);
+        let fresh = Evaluator::new(&original, cfg).unwrap();
+        let barrier = std::sync::Barrier::new(4);
+        let results: Vec<(Evaluator, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let session = session.clone();
+                    let (original, barrier) = (&original, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        session.evaluator_for(original, cfg).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let registrations = results.iter().filter(|(_, reused)| !reused).count();
+        assert_eq!(registrations, 1, "exactly one caller registers the key");
+        // the callers that waited received the registrant's preparation
+        for (evaluator, _) in &results {
+            assert_eq!(evaluator.evaluate(&original), fresh.evaluate(&original));
         }
+        let stats = session.stats();
+        assert_eq!((stats.preparations, stats.hits, stats.misses), (1, 3, 1));
+        assert_eq!(stats.entries.len(), 1);
+        assert_eq!(stats.entries[0].hits, 3);
+    }
+
+    #[test]
+    fn concurrent_runs_match_a_serial_run_bit_for_bit() {
+        let job = tiny_job(DatasetKind::German, 11, 6);
+        let serial = SharedSession::new().run(&job).unwrap();
+        let session = SharedSession::new();
+        let reports: Vec<JobReport> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| {
+                    let session = session.clone();
+                    let job = &job;
+                    scope.spawn(move || session.run(job).unwrap())
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(session.stats().preparations, 1);
+        assert_eq!(
+            reports.iter().filter(|r| !r.evaluator_reused).count(),
+            1,
+            "one run prepared, the others hit"
+        );
+        for report in &reports {
+            assert_eq!(report.best.assessment, serial.best.assessment);
+            assert_eq!(report.best.name, serial.best.name);
+            assert_eq!(report.best.data, serial.best.data);
+            assert_eq!(report.points, serial.points);
+        }
+    }
+
+    #[test]
+    fn distinct_configs_on_one_original_prepare_separately() {
+        let session = SharedSession::new();
+        let original = original(DatasetKind::Adult, 40);
+        let default = MetricConfig::default();
+        let wide = MetricConfig {
+            interval_fraction: 0.3,
+            ..default
+        };
+        let (_, reused) = session.evaluator_for(&original, default).unwrap();
+        assert!(!reused);
+        let (wide_evaluator, reused) = session.evaluator_for(&original, wide).unwrap();
+        assert!(!reused, "the config is part of the key");
+        let (_, reused) = session.evaluator_for(&original, default).unwrap();
+        assert!(reused);
+        // the slot prepared under `wide` really uses `wide`
+        assert_eq!(
+            wide_evaluator.evaluate(&original),
+            Evaluator::new(&original, wide).unwrap().evaluate(&original)
+        );
+        let stats = session.stats();
+        assert_eq!(stats.cached, 2);
+        assert_eq!((stats.preparations, stats.hits, stats.misses), (2, 1, 2));
+        assert_eq!((stats.entries[0].hits, stats.entries[1].hits), (1, 0));
+    }
+
+    #[test]
+    fn a_fresh_session_reports_no_hit_rate() {
+        let session = SharedSession::new();
+        let stats = session.stats();
+        assert_eq!(stats, SessionStats::default());
+        assert_eq!(stats.hit_rate(), None);
+        // a rejected request is not a request the cache served or missed
+        let original = original(DatasetKind::Flare, 30);
+        assert!(session.evaluator_for(&original, invalid_config()).is_err());
+        assert_eq!(session.stats().hit_rate(), None);
+    }
+
+    /// A slot held mid-preparation must stall neither `stats()` nor a
+    /// request for another, already-prepared original: every job calls
+    /// both right after its evaluator stage, so either wait would freeze
+    /// all concurrent server jobs behind one cold original.
+    #[test]
+    fn a_preparing_slot_stalls_neither_stats_nor_hot_originals() {
+        let session = SharedSession::new();
+        let cfg = MetricConfig::default();
+        let hot = original(DatasetKind::German, 40);
+        let cold = original(DatasetKind::Adult, 40);
+        session.evaluator_for(&hot, cfg).unwrap();
+
+        let (slot, registered) = session.slot_for(&cold, cfg);
+        assert!(registered);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let preparing = Arc::clone(&slot);
+            scope.spawn(move || {
+                preparing.evaluator.get_or_init(|| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Evaluator::new(&preparing.original, cfg).unwrap()
+                });
+            });
+            entered_rx.recv().unwrap();
+
+            let (done_tx, done_rx) = mpsc::channel();
+            let probe = session.clone();
+            let hot = &hot;
+            scope.spawn(move || {
+                let stats = probe.stats();
+                done_tx.send(("stats", stats.entries[1].prepared)).unwrap();
+                let (_, reused) = probe.evaluator_for(hot, cfg).unwrap();
+                done_tx.send(("hot evaluator_for", reused)).unwrap();
+            });
+            let wait = Duration::from_secs(3);
+            let stats = done_rx.recv_timeout(wait);
+            let hot_call = done_rx.recv_timeout(wait);
+            release_tx.send(()).unwrap();
+            assert_eq!(
+                stats,
+                Ok(("stats", false)),
+                "stats() waited on a preparation"
+            );
+            assert_eq!(
+                hot_call,
+                Ok(("hot evaluator_for", true)),
+                "a hot original waited on another original's preparation"
+            );
+        });
+        let stats = session.stats();
+        assert!(stats.entries.iter().all(|e| e.prepared));
     }
 
     #[test]
@@ -548,20 +546,29 @@ mod tests {
     }
 
     #[test]
-    fn failed_preparation_is_evicted_not_cached() {
+    fn clear_leaves_handed_out_evaluators_intact() {
         let session = SharedSession::new();
-        let ds = DatasetKind::Adult
-            .generate(&cdp_dataset::generators::GeneratorConfig::seeded(1).with_records(30));
-        let original = ds.protected_subtable();
-        let bad = MetricConfig {
-            prl_em_iters: 0, // rejected by the evaluator
-            ..MetricConfig::default()
-        };
-        if session.evaluator_for(&original, bad).is_err() {
-            let stats = session.stats();
-            assert_eq!(stats.cached, 0, "failed slot must be evicted");
-            assert_eq!(stats.preparations, 0);
-        }
+        let cfg = MetricConfig::default();
+        let original = original(DatasetKind::German, 40);
+        let (held, _) = session.evaluator_for(&original, cfg).unwrap();
+        session.clear();
+        // a job that already holds its evaluator keeps scoring correctly
+        let fresh = Evaluator::new(&original, cfg).unwrap();
+        assert_eq!(held.evaluate(&original), fresh.evaluate(&original));
+        // and the next request registers the original again
+        let (_, reused) = session.evaluator_for(&original, cfg).unwrap();
+        assert!(!reused);
+        assert_eq!(session.stats().preparations, 2);
+    }
+
+    #[test]
+    fn invalid_config_registers_no_slot() {
+        let session = SharedSession::new();
+        let original = original(DatasetKind::Adult, 30);
+        assert!(session.evaluator_for(&original, invalid_config()).is_err());
+        let stats = session.stats();
+        assert_eq!(stats.cached, 0, "a rejected config must not occupy a slot");
+        assert_eq!((stats.preparations, stats.hits, stats.misses), (0, 0, 0));
         // a corrected call on the same original works
         let (_, reused) = session
             .evaluator_for(&original, MetricConfig::default())
@@ -608,156 +615,305 @@ mod tests {
             stats.hits,
             stats.entries.iter().map(|e| e.hits).sum::<usize>()
         );
-        // no snapshot cache attached: the disk-tier counters stay zero
-        assert_eq!(
-            (stats.snapshot_hits, stats.snapshot_misses, stats.evictions),
-            (0, 0, 0)
-        );
     }
 
-    fn snap_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join("cdp_shared_snapshot_tests")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn original(kind: DatasetKind, n: usize) -> SubTable {
-        kind.generate(&cdp_dataset::generators::GeneratorConfig::seeded(9).with_records(n))
-            .protected_subtable()
-    }
-
-    #[test]
-    fn snapshot_tier_warms_a_new_session() {
-        let dir = snap_dir("warm");
-        let orig = original(DatasetKind::Adult, 60);
-        let cfg = MetricConfig::default();
-        let cold = SharedSession::new();
-        cold.set_snapshot_cache(Some(SnapshotCacheConfig::new(&dir)));
-        let (ev_cold, reused) = cold.evaluator_for(&orig, cfg).unwrap();
-        assert!(!reused);
-        let s = cold.stats();
-        assert_eq!(
-            (s.preparations, s.snapshot_hits, s.snapshot_misses),
-            (1, 0, 1),
-            "first sight: empty directory, cold prepare, write-back"
-        );
-        // a brand-new session — a new process, in effect — starts warm
-        let warm = SharedSession::new();
-        warm.set_snapshot_cache(Some(SnapshotCacheConfig::new(&dir)));
-        let (ev_warm, reused) = warm.evaluator_for(&orig, cfg).unwrap();
-        assert!(reused, "a snapshot load is a reuse, not a preparation");
-        let s = warm.stats();
-        assert_eq!(
-            (s.preparations, s.snapshot_hits, s.snapshot_misses),
-            (0, 1, 0)
-        );
-        // the rehydrated evaluator assesses bit-identically
-        let mut masked = orig.clone();
-        for r in 0..masked.n_rows() {
-            let c = masked.attr(1).n_categories() as Code;
-            masked.set(r, 1, (masked.get(r, 1) + 1) % c);
-        }
-        assert_eq!(ev_cold.evaluate(&orig), ev_warm.evaluate(&orig));
-        assert_eq!(ev_cold.evaluate(&masked), ev_warm.evaluate(&masked));
-    }
-
-    #[test]
-    fn eviction_faults_back_from_disk_without_repreparing() {
-        let dir = snap_dir("faultback");
-        let orig = original(DatasetKind::German, 60);
-        let cfg = MetricConfig::default();
-        let session = SharedSession::new();
-        session.set_snapshot_cache(Some(SnapshotCacheConfig::new(&dir).with_cap(0)));
-        let (first, _) = session.evaluator_for(&orig, cfg).unwrap();
-        let s = session.stats();
-        assert_eq!(s.preparations, 1);
-        assert_eq!(s.evictions, 1, "cap 0 demotes the slot immediately");
-        assert!(!s.entries[0].prepared);
-        // the next request faults back from disk: a registry hit plus a
-        // snapshot load — never a second preparation
-        let (second, reused) = session.evaluator_for(&orig, cfg).unwrap();
-        assert!(reused);
-        let s = session.stats();
-        assert_eq!(s.preparations, 1, "eviction must not cause re-preparation");
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.snapshot_hits, 1);
-        assert_eq!(s.evictions, 2);
-        assert_eq!(first.evaluate(&orig), second.evaluate(&orig));
-    }
-
-    #[test]
-    fn lru_evicts_the_least_recently_used_slot_first() {
-        let dir = snap_dir("lru");
-        let cfg = MetricConfig::default();
-        let a = original(DatasetKind::Adult, 60);
-        let b = original(DatasetKind::German, 60);
-        let c = original(DatasetKind::Flare, 60);
-        let session = SharedSession::new();
-        session.set_snapshot_cache(Some(SnapshotCacheConfig::new(&dir)));
-        let (ea, _) = session.evaluator_for(&a, cfg).unwrap();
-        let (eb, _) = session.evaluator_for(&b, cfg).unwrap();
-        let (ec, _) = session.evaluator_for(&c, cfg).unwrap();
-        let total = ea.approx_bytes() + eb.approx_bytes() + ec.approx_bytes();
-        // one byte short of everything: exactly one eviction, LRU first
-        session.set_snapshot_cache(Some(SnapshotCacheConfig::new(&dir).with_cap(total - 1)));
-        let s = session.stats();
-        assert_eq!(s.evictions, 1);
-        assert!(!s.entries[0].prepared, "A was the least recently used");
-        assert!(s.entries[1].prepared && s.entries[2].prepared);
-        // touching A faults it back and pushes out B, the new LRU
-        session.evaluator_for(&a, cfg).unwrap();
-        let s = session.stats();
-        assert_eq!(s.snapshot_hits, 1);
-        assert_eq!(s.preparations, 3, "no re-preparation anywhere");
-        assert_eq!(s.evictions, 2);
-        assert!(s.entries[0].prepared);
-        assert!(!s.entries[1].prepared, "B became the LRU after A's touch");
-        assert!(s.entries[2].prepared);
-    }
-
-    mod lru_property {
+    mod counter_property {
         use super::*;
         use proptest::prelude::*;
+
+        /// One step of a random session history.
+        #[derive(Debug, Clone, Copy)]
+        enum Step {
+            /// `evaluator_for` on original `i`, with a valid config or not.
+            Request {
+                original: usize,
+                valid: bool,
+            },
+            Clear,
+        }
+
+        /// Decode a drawn `(original, op)` pair: six in eight ops are
+        /// valid requests, one an invalid request, one a clear.
+        fn step((original, op): (usize, usize)) -> Step {
+            match op {
+                0..=5 => Step::Request {
+                    original,
+                    valid: true,
+                },
+                6 => Step::Request {
+                    original,
+                    valid: false,
+                },
+                _ => Step::Clear,
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 16 })]
             #[test]
-            fn resident_bytes_never_exceed_the_cap(
-                seq in proptest::collection::vec(0usize..3, 1..10),
-                cap_kib in 0usize..260,
+            fn counters_agree_with_the_request_history(
+                ops in proptest::collection::vec((0usize..3, 0usize..8), 1..16),
             ) {
-                let dir = snap_dir("prop");
                 let pool = [
                     original(DatasetKind::Adult, 40),
                     original(DatasetKind::German, 40),
                     original(DatasetKind::Flare, 40),
                 ];
-                let cap = cap_kib * 1024;
+                let fresh: Vec<Evaluator> = pool
+                    .iter()
+                    .map(|o| Evaluator::new(o, MetricConfig::default()).unwrap())
+                    .collect();
                 let session = SharedSession::new();
-                session
-                    .set_snapshot_cache(Some(SnapshotCacheConfig::new(&dir).with_cap(cap)));
-                for &i in &seq {
-                    session
-                        .evaluator_for(&pool[i], MetricConfig::default())
-                        .unwrap();
-                    // the evictable residency (prepared state minus the
-                    // irreducible key arenas) honors the cap after every
-                    // single insert
+                let mut successes = 0usize;
+                let mut hits_at_clear = 0usize;
+                let mut keys: Vec<usize> = Vec::new(); // distinct since the last clear
+                for op in ops {
+                    match step(op) {
+                        Step::Request { original, valid } => {
+                            let cfg = if valid { MetricConfig::default() } else { invalid_config() };
+                            match session.evaluator_for(&pool[original], cfg) {
+                                Ok((evaluator, reused)) => {
+                                    prop_assert!(valid);
+                                    successes += 1;
+                                    prop_assert_eq!(reused, keys.contains(&original));
+                                    if !reused {
+                                        keys.push(original);
+                                    }
+                                    prop_assert_eq!(
+                                        evaluator.evaluate(&pool[original]),
+                                        fresh[original].evaluate(&pool[original])
+                                    );
+                                }
+                                Err(_) => prop_assert!(!valid),
+                            }
+                        }
+                        Step::Clear => {
+                            session.clear();
+                            hits_at_clear = session.stats().hits;
+                            keys.clear();
+                        }
+                    }
                     let stats = session.stats();
-                    let resident: usize = stats
-                        .entries
-                        .iter()
-                        .filter(|e| e.prepared)
-                        .map(|e| {
-                            e.approx_bytes - e.rows * e.attrs * std::mem::size_of::<Code>()
-                        })
-                        .sum();
-                    prop_assert!(resident <= cap, "resident {resident} > cap {cap}");
+                    prop_assert_eq!(stats.misses, stats.preparations);
+                    prop_assert_eq!(stats.hits + stats.misses, successes);
+                    prop_assert_eq!(
+                        stats.hits - hits_at_clear,
+                        stats.entries.iter().map(|e| e.hits).sum::<usize>()
+                    );
+                    prop_assert_eq!(stats.cached, keys.len());
+                    prop_assert!(stats.entries.iter().all(|e| e.prepared));
                 }
             }
         }
+    }
+
+    fn tag_of(e: &JobEvent) -> &'static str {
+        match e {
+            JobEvent::SourceReady { .. } => "source",
+            JobEvent::EvaluatorReady { .. } => "evaluator",
+            JobEvent::CacheStats(_) => "cache",
+            JobEvent::PopulationReady { .. } => "population",
+            JobEvent::Generation(_) => "generation",
+            JobEvent::FrontAdvanced { .. } => "front",
+            JobEvent::IslandGeneration { .. } => "island-generation",
+            JobEvent::IslandFront { .. } => "island-front",
+            JobEvent::Migration { .. } => "migration",
+            JobEvent::EvolutionFinished { .. } => "finished",
+            JobEvent::AuditReady => "audit",
+        }
+    }
+
+    #[test]
+    fn events_stream_in_stage_order() {
+        let session = SharedSession::new();
+        let job = tiny_job(DatasetKind::German, 5, 6);
+        let mut tags = Vec::new();
+        session.run_with(&job, |e| tags.push(tag_of(e))).unwrap();
+        assert_eq!(tags[..4], ["source", "evaluator", "cache", "population"]);
+        assert_eq!(tags.iter().filter(|t| **t == "generation").count(), 6);
+        assert!(!tags.contains(&"front"), "scalar jobs emit no front events");
+        assert_eq!(*tags.last().unwrap(), "finished");
+    }
+
+    #[test]
+    fn cache_stats_event_reports_the_session_counters() {
+        let session = SharedSession::new();
+        let job = tiny_job(DatasetKind::Adult, 6, 2);
+        let mut snapshots = Vec::new();
+        for _ in 0..2 {
+            session
+                .run_with(&job, |e| {
+                    if let JobEvent::CacheStats(s) = e {
+                        snapshots.push(s.clone());
+                    }
+                })
+                .unwrap();
+        }
+        assert_eq!(snapshots.len(), 2);
+        // first job: fresh miss, one preparation; second: pure hit
+        assert_eq!((snapshots[0].misses, snapshots[0].hits), (1, 0));
+        assert_eq!(snapshots[0].preparations, 1);
+        assert_eq!((snapshots[1].misses, snapshots[1].hits), (1, 1));
+        assert_eq!(snapshots[1].preparations, 1);
+        assert_eq!(snapshots[1].hit_rate(), Some(0.5));
+        assert_eq!(snapshots[1], session.stats(), "final snapshot is current");
+    }
+
+    #[test]
+    fn cache_stats_event_after_clear_reports_a_new_miss() {
+        let session = SharedSession::new();
+        let job = tiny_job(DatasetKind::German, 4, 2);
+        session.run(&job).unwrap();
+        session.clear();
+        let mut reused = None;
+        let mut snapshot = None;
+        session
+            .run_with(&job, |e| match e {
+                JobEvent::EvaluatorReady { reused: r } => reused = Some(*r),
+                JobEvent::CacheStats(s) => snapshot = Some(s.clone()),
+                _ => {}
+            })
+            .unwrap();
+        assert_eq!(reused, Some(false), "the cleared slot is prepared again");
+        let snapshot = snapshot.expect("every job streams its cache counters");
+        assert_eq!(
+            (snapshot.preparations, snapshot.hits, snapshot.misses),
+            (2, 0, 2)
+        );
+        assert_eq!(snapshot.cached, 1);
+        assert_eq!(snapshot.entries.len(), 1);
+        assert_eq!(snapshot.entries[0].hits, 0);
+        assert!(snapshot.entries[0].prepared);
+    }
+
+    #[test]
+    fn nsga_job_streams_front_events_on_the_same_channel() {
+        let session = SharedSession::new();
+        let job = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .nsga()
+            .iterations(4)
+            .seed(5)
+            .build()
+            .unwrap();
+        let mut tags = Vec::new();
+        let mut fronts = Vec::new();
+        session
+            .run_with(&job, |e| {
+                tags.push(tag_of(e));
+                if let JobEvent::FrontAdvanced {
+                    generation,
+                    front_size,
+                    hypervolume,
+                    ideal,
+                } = e
+                {
+                    // the ideal point leads with the canonical pair and
+                    // is a per-objective lower bound of the front
+                    assert_eq!(ideal.len(), 2, "default jobs keep the pair");
+                    fronts.push((*generation, *front_size, *hypervolume));
+                }
+            })
+            .unwrap();
+        assert_eq!(tags[..4], ["source", "evaluator", "cache", "population"]);
+        assert_eq!(tags.iter().filter(|t| **t == "front").count(), 4);
+        assert!(!tags.contains(&"generation"), "nsga emits front events");
+        assert_eq!(*tags.last().unwrap(), "finished");
+        let report = session.run(&job).unwrap();
+        let front = report.front().expect("nsga outcome");
+        // event stream and report trajectory agree
+        for (generation, front_size, hv) in fronts {
+            assert_eq!(front.hypervolume[generation], hv);
+            assert!(front_size >= 1);
+        }
+        assert_eq!(front.generations_run(), 4);
+    }
+
+    #[test]
+    fn island_job_streams_per_island_events_deterministically() {
+        let job = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .iterations(24)
+            .islands(3)
+            .migration_interval(4)
+            .seed(5)
+            .build()
+            .unwrap();
+        let run = || {
+            let session = SharedSession::new();
+            let mut tags = Vec::new();
+            let mut events = Vec::new();
+            let report = session
+                .run_with(&job, |e| {
+                    tags.push(tag_of(e));
+                    events.push(e.clone());
+                })
+                .unwrap();
+            (tags, events, report)
+        };
+        let (tags, events, report) = run();
+        assert_eq!(tags[..4], ["source", "evaluator", "cache", "population"]);
+        assert!(
+            !tags.contains(&"generation"),
+            "island jobs emit per-island events instead of the legacy kind"
+        );
+        assert_eq!(
+            tags.iter().filter(|t| **t == "island-generation").count(),
+            24,
+            "the iteration budget is split across islands, not multiplied"
+        );
+        assert!(tags.contains(&"migration"));
+        assert_eq!(*tags.last().unwrap(), "finished");
+
+        // same job, fresh session: bit-identical events and winner
+        let (_, events2, report2) = run();
+        assert_eq!(events, events2);
+        assert_eq!(report.best.data, report2.best.data);
+    }
+
+    #[test]
+    fn island_nsga_job_streams_island_front_events() {
+        let session = SharedSession::new();
+        let job = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .nsga()
+            .iterations(4)
+            .islands(2)
+            .migration_interval(2)
+            .seed(5)
+            .build()
+            .unwrap();
+        let mut tags = Vec::new();
+        session.run_with(&job, |e| tags.push(tag_of(e))).unwrap();
+        // each island runs the full generation count on its subpopulation
+        assert_eq!(tags.iter().filter(|t| **t == "island-front").count(), 8);
+        assert!(!tags.contains(&"front"), "island jobs use per-island kinds");
+        assert!(tags.contains(&"migration"));
+        assert_eq!(*tags.last().unwrap(), "finished");
+    }
+
+    #[test]
+    fn mask_only_job_scores_without_evolving() {
+        let session = SharedSession::new();
+        let job = ProtectionJob::builder()
+            .dataset(DatasetKind::Adult)
+            .records(60)
+            .iterations(0)
+            .seed(4)
+            .build()
+            .unwrap();
+        let report = session.run(&job).unwrap();
+        assert!(report.outcome.is_scored_only());
+        assert_eq!(report.points.len(), report.population_size);
+        let best_score = report
+            .points
+            .iter()
+            .map(|p| p.score)
+            .fold(f64::INFINITY, f64::min);
+        let agg = job.evo_config().aggregator;
+        assert!((report.best.assessment.score(agg) - best_score).abs() < 1e-12);
     }
 }

@@ -1,4 +1,4 @@
-//! Job execution: the staged engine behind [`Session::run_with`], and the
+//! Job execution: the staged engine behind [`SharedSession::run_with`], and the
 //! event stream it emits.
 
 use cdp_core::{
@@ -119,12 +119,6 @@ pub(crate) fn run_job<F: FnMut(&JobEvent)>(
     });
     let original = src.original();
 
-    // a job-level snapshot cache attaches to the session (and stays for
-    // its later jobs); a job without one never detaches a session-level
-    // config the caller installed directly
-    if let Some(snap) = job.snapshot_cache() {
-        session.set_snapshot_cache(Some(snap.clone()));
-    }
     let (evaluator, reused) = session.evaluator_for(&original, job.metrics)?;
     observer(&JobEvent::EvaluatorReady { reused });
     observer(&JobEvent::CacheStats(session.stats()));

@@ -226,7 +226,7 @@ fn session_shares_one_preparation_across_optimizer_modes() {
         .seed(3)
         .build()
         .unwrap();
-    let mut session = Session::new();
+    let session = Session::new();
     let a = session.run(&scalar).unwrap();
     let b = session.run(&nsga).unwrap();
     assert!(!a.evaluator_reused);
@@ -234,7 +234,11 @@ fn session_shares_one_preparation_across_optimizer_modes() {
         b.evaluator_reused,
         "nsga job must hit the scalar job's cache"
     );
-    assert_eq!(session.preparations(), 1, "one original, one preparation");
+    assert_eq!(
+        session.stats().preparations,
+        1,
+        "one original, one preparation"
+    );
 
     // and the cached preparation changes nothing: a fresh session produces
     // the identical front
@@ -260,7 +264,7 @@ fn session_skips_evaluator_re_preparation_across_jobs() {
             .build()
             .unwrap()
     };
-    let mut session = Session::new();
+    let session = Session::new();
     let mut reused_flags = Vec::new();
     let observe = |flags: &mut Vec<bool>, e: &JobEvent| {
         if let JobEvent::EvaluatorReady { reused } = e {
@@ -276,7 +280,11 @@ fn session_skips_evaluator_re_preparation_across_jobs() {
     assert_eq!(reused_flags, [false, true]);
     assert!(!first.evaluator_reused);
     assert!(second.evaluator_reused);
-    assert_eq!(session.preparations(), 1, "one original, one preparation");
+    assert_eq!(
+        session.stats().preparations,
+        1,
+        "one original, one preparation"
+    );
 
     // and the cached preparation changes nothing about the results: a
     // fresh session produces the identical outcome

@@ -42,7 +42,7 @@ fn pipeline_types_are_usable_from_the_prelude() {
     let _: &DataSource = job.source();
     let _: &PopulationSpec = job.population();
 
-    let mut session: Session = Session::new();
+    let session: Session = Session::new();
     let mut events: Vec<JobEvent> = Vec::new();
     let report: JobReport = session
         .run_with(&job, |e| events.push(e.clone()))
@@ -67,13 +67,17 @@ fn pipeline_types_are_usable_from_the_prelude() {
         .build()
         .expect("valid nsga job");
     let nsga_report = session.run(&nsga_job).expect("nsga job runs");
-    assert_eq!(session.preparations(), 1, "modes share the evaluator cache");
+    assert_eq!(
+        session.stats().preparations,
+        1,
+        "modes share the evaluator cache"
+    );
     let front: &Front = nsga_report.front().expect("front");
     assert!(!front.members.is_empty());
 
-    // the concurrency-safe surface: SharedSession shares the same cache,
-    // SessionStats reports it (both on the prelude since `cdp serve`)
-    let shared: SharedSession = session.shared();
+    // the concurrency-safe surface: `Session` is `SharedSession`, a clone
+    // shares the same cache, SessionStats reports it
+    let shared: SharedSession = session.clone();
     let stats: SessionStats = shared.stats();
     assert_eq!(stats.preparations, 1);
     assert_eq!(stats, session.stats());
