@@ -8,9 +8,11 @@
 //! 1. Selection weighting: inverse / complement / rank / literal Eq. 3.
 //! 2. Crowding pairing: index-paired (paper) vs distance-paired (classic).
 //! 3. Aggregators: mean (Eq. 1), max (Eq. 2), weighted, distance-to-ideal.
-//! 4. Incremental vs full mutation — and crossover — evaluation (the
-//!    future-work item; the patch-based crossover path is new).
-//! 5. Parallel vs serial initial-population evaluation.
+//! 4. Parallel vs serial initial-population evaluation.
+//!
+//! Patched vs full offspring scoring is not an ablation: offspring are
+//! always patched, and the `micro` section of `BENCH_evaluator.json` times
+//! `Evaluator::reassess` against `Evaluator::assess`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -103,42 +105,6 @@ fn bench_ablation(c: &mut Criterion) {
                 std::hint::black_box(run(&ev, &pop, cfg))
             })
         });
-    }
-
-    for (name, incremental) in [("full", false), ("incremental", true)] {
-        group.bench_with_input(
-            BenchmarkId::new("mutation_eval", name),
-            &incremental,
-            |b, &inc| {
-                b.iter(|| {
-                    let cfg = EvoConfig::builder()
-                        .iterations(ITERS)
-                        .mutation_rate(1.0)
-                        .incremental_mutation(inc)
-                        .seed(4)
-                        .build();
-                    std::hint::black_box(run(&ev, &pop, cfg))
-                })
-            },
-        );
-    }
-
-    for (name, incremental) in [("full", false), ("incremental", true)] {
-        group.bench_with_input(
-            BenchmarkId::new("crossover_eval", name),
-            &incremental,
-            |b, &inc| {
-                b.iter(|| {
-                    let cfg = EvoConfig::builder()
-                        .iterations(ITERS)
-                        .mutation_rate(0.0)
-                        .incremental_crossover(inc)
-                        .seed(6)
-                        .build();
-                    std::hint::black_box(run(&ev, &pop, cfg))
-                })
-            },
-        );
     }
 
     let items: Vec<(String, SubTable)> = pop

@@ -17,9 +17,7 @@ use crate::args::Args;
 use crate::commands::generate::dataset_kind;
 use crate::data::{load_table_with, resolve_attrs};
 use crate::error::{CliError, Result};
-use crate::spec::{
-    parse_fitness, parse_method, parse_mode, parse_suite, IncMode, JobSpec, SpecMode,
-};
+use crate::spec::{parse_fitness, parse_method, parse_mode, parse_suite, JobSpec, SpecMode};
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -133,8 +131,6 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
             let mut spec = JobSpec {
                 dataset: dataset_kind(name)?,
                 mode,
-                // incremental evaluation defaults are mode-dependent
-                inc: IncMode::default_for(mode),
                 ..JobSpec::default()
             };
             spec.records = args.get_parse("records")?;

@@ -45,7 +45,7 @@ Line-delimited protocol (UTF-8, one request per line):
                          (one per JobEvent) and ends with one `DONE
                          <winner IL/DR breakdown, eval counts, cache_hit>`
                          or `ERR <message>` line
-  STATS                  one `STATS <preparations/hits/misses/cached/
+  STATS                  one `STATS <preparations/hits/cached/
                          approx_bytes>` line for the shared cache, plus
                          one `entry=rows:attrs:hits:bytes:prepared` field
                          of per-slot detail per cached original
@@ -108,7 +108,7 @@ fn default_workers() -> usize {
 /// entry ([`cdp::pipeline::CacheEntryStats`]).
 fn stats_headline(stats: &SessionStats) -> String {
     let mut out = format!(
-        "cache hit rate {} (preparations={}, hits={}, misses={}, cached={}, \
+        "cache hit rate {} (preparations={}, hits={}, cached={}, \
          ~{} KiB resident)",
         match stats.hit_rate() {
             Some(rate) => format!("{:.0}%", rate * 100.0),
@@ -116,7 +116,6 @@ fn stats_headline(stats: &SessionStats) -> String {
         },
         stats.preparations,
         stats.hits,
-        stats.misses,
         stats.cached,
         stats.approx_bytes / 1024,
     );
@@ -446,7 +445,7 @@ mod tests {
             let stats = request(addr, &Request::Stats).unwrap();
             match stats.as_slice() {
                 [Response::Stats(s)] => {
-                    assert_eq!((s.preparations, s.hits, s.misses), (1, 1, 1));
+                    assert_eq!((s.preparations, s.hits), (1, 1));
                     assert_eq!(s.hit_rate(), Some(0.5));
                     // per-slot detail crosses the wire too
                     assert_eq!(s.entries.len(), 1);

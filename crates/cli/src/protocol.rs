@@ -321,8 +321,8 @@ impl<'a> Fields<'a> {
 
 fn encode_stats(s: &SessionStats) -> String {
     let mut out = format!(
-        "preparations={} hits={} misses={} cached={} approx_bytes={}",
-        s.preparations, s.hits, s.misses, s.cached, s.approx_bytes
+        "preparations={} hits={} cached={} approx_bytes={}",
+        s.preparations, s.hits, s.cached, s.approx_bytes
     );
     for e in &s.entries {
         out.push_str(&format!(
@@ -352,7 +352,6 @@ fn decode_stats(f: &Fields<'_>) -> Result<SessionStats> {
     Ok(SessionStats {
         preparations: f.num("preparations")?,
         hits: f.num("hits")?,
-        misses: f.num("misses")?,
         cached: f.num("cached")?,
         approx_bytes: f.num("approx_bytes")?,
         entries: f
@@ -586,7 +585,6 @@ mod tests {
             JobEvent::CacheStats(SessionStats {
                 preparations: 1,
                 hits: 3,
-                misses: 1,
                 cached: 1,
                 approx_bytes: 32_768,
                 entries: vec![CacheEntryStats {
@@ -704,7 +702,6 @@ mod tests {
         roundtrip_response(&Response::Stats(SessionStats {
             preparations: 2,
             hits: 40,
-            misses: 2,
             cached: 2,
             approx_bytes: 1 << 20,
             entries: Vec::new(),
@@ -713,7 +710,6 @@ mod tests {
         roundtrip_response(&Response::Stats(SessionStats {
             preparations: 2,
             hits: 40,
-            misses: 2,
             cached: 2,
             approx_bytes: 1 << 20,
             entries: vec![
@@ -752,9 +748,9 @@ mod tests {
             "EVENT front generation=1 front_size=2 hypervolume=3 ideal=1:x",
             "EVENT front generation=1 front_size=2 hypervolume=3 ideal=1:2:3:4:5",
             // short entry list
-            "STATS preparations=1 hits=0 misses=1 cached=1 approx_bytes=8 entry=1:2:3",
+            "STATS preparations=1 hits=0 cached=1 approx_bytes=8 entry=1:2:3",
             // a mandatory counter missing
-            "STATS preparations=1 hits=0 misses=1 approx_bytes=8",
+            "STATS preparations=1 hits=0 approx_bytes=8",
             "DONE name=x", // breakdown missing
         ] {
             assert!(Response::parse(line).is_err(), "`{line}` must be rejected");
@@ -826,7 +822,6 @@ mod tests {
         #[test]
         fn session_stats_round_trip_losslessly(
             preparations in 0usize..1_000, hits in 0usize..1_000_000,
-            misses in 0usize..1_000,
             approx_bytes in proptest::prelude::any::<usize>(),
             entry_rows in proptest::collection::vec(0usize..1_000_000, 0..4),
             entry_hits in 0usize..1_000,
@@ -843,7 +838,7 @@ mod tests {
                 })
                 .collect();
             let stats = Response::Stats(SessionStats {
-                preparations, hits, misses, cached: entries.len(), approx_bytes, entries,
+                preparations, hits, cached: entries.len(), approx_bytes, entries,
             });
             let line = stats.to_line();
             proptest::prop_assert_eq!(line.lines().count(), 1);
@@ -853,7 +848,7 @@ mod tests {
             // never NaN, on either side of the wire
             if let Response::Stats(s) = &parsed {
                 match s.hit_rate() {
-                    None => proptest::prop_assert_eq!(s.hits + s.misses, 0),
+                    None => proptest::prop_assert_eq!(s.hits + s.preparations, 0),
                     Some(r) => proptest::prop_assert!(r.is_finite() && (0.0..=1.0).contains(&r)),
                 }
             }
@@ -884,7 +879,6 @@ mod tests {
             };
             if nsga {
                 spec.mode = crate::spec::SpecMode::Nsga;
-                spec.inc = crate::spec::IncMode::Crossover;
             }
             let req = Request::Job(spec);
             let line = req.to_line();

@@ -10,7 +10,7 @@
 use cdp::pipeline::{DataSource, OptimizerMode, PopulationSpec, ProtectionJob, SuiteKind};
 use cdp_core::NsgaConfig;
 use cdp_dataset::generators::DatasetKind;
-use cdp_metrics::{LinkageMode, ScoreAggregator};
+use cdp_metrics::ScoreAggregator;
 use cdp_sdc::{
     Aggregate, BottomCoding, GlobalRecoding, Grouping, LocalSuppression, MicroVariant,
     Microaggregation, Pram, PramMode, ProtectionMethod, RandomSwap, RankSwapping, TopCoding,
@@ -29,14 +29,6 @@ pub const JOB_GRAMMAR: &str = "\
   mode=<scalar|nsga>                     optimizer (default scalar)
   seed=<u64>                             master seed
   audit=<true|false>                     privacy-audit the winner
-  inc=<off|mut|xover|all>                incremental offspring evaluation
-                                         (default: all; under mode=nsga the
-                                         default — and only on-value — is
-                                         xover; mut/all: scalar mode only)
-  link=<pairs|blocked>                   DBRL/RSRL scan backend (default
-                                         blocked: distinct-pattern index
-                                         scans, identical credits to the
-                                         all-pairs reference)
   islands=<k>                            island-model parallel run with k
                                          islands (default 1 = the legacy
                                          single-population streams)
@@ -56,71 +48,6 @@ pub const JOB_GRAMMAR: &str = "\
                                          task-utility gap)
   eps=<budget>                           add an ε-calibrated invariant-PRAM
                                          member to the initial population";
-
-/// The incremental-evaluation selector of the job grammar (`inc=` key).
-///
-/// Incremental evaluation is exact (bit-identical to full assessments) and
-/// on by default: `all` in scalar mode, `xover` under `mode=nsga` (where
-/// one knob covers both operators). `xover` is valid in both modes (it
-/// maps onto `EvoConfig::incremental_crossover` in scalar mode and
-/// `NsgaConfig::incremental` under `mode=nsga`); `mut` and `all` name the
-/// mutation path and are scalar-only. `inc=off` opts back into full O(n²)
-/// scoring of every offspring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IncMode {
-    /// Every offspring pays a full assessment.
-    Off,
-    /// Incremental mutation offspring only.
-    Mutation,
-    /// Incremental crossover offspring only.
-    Crossover,
-    /// Both operators evaluate incrementally.
-    All,
-}
-
-impl IncMode {
-    /// The default selector of a [`SpecMode`]: `all` in scalar mode,
-    /// `xover` under `mode=nsga` (one knob covers both operators there).
-    pub fn default_for(mode: SpecMode) -> IncMode {
-        match mode {
-            SpecMode::Scalar => IncMode::All,
-            SpecMode::Nsga => IncMode::Crossover,
-        }
-    }
-
-    /// The CLI spelling (`off` / `mut` / `xover` / `all`).
-    pub fn name(self) -> &'static str {
-        match self {
-            IncMode::Off => "off",
-            IncMode::Mutation => "mut",
-            IncMode::Crossover => "xover",
-            IncMode::All => "all",
-        }
-    }
-
-    /// Whether the mutation path evaluates incrementally.
-    pub fn mutation(self) -> bool {
-        matches!(self, IncMode::Mutation | IncMode::All)
-    }
-
-    /// Whether the crossover path evaluates incrementally.
-    pub fn crossover(self) -> bool {
-        matches!(self, IncMode::Crossover | IncMode::All)
-    }
-}
-
-/// Parse an `inc=` value.
-pub fn parse_inc(value: &str) -> Result<IncMode> {
-    match value {
-        "off" => Ok(IncMode::Off),
-        "mut" => Ok(IncMode::Mutation),
-        "xover" => Ok(IncMode::Crossover),
-        "all" => Ok(IncMode::All),
-        other => Err(CliError::Usage(format!(
-            "unknown inc `{other}` (off, mut, xover, all)"
-        ))),
-    }
-}
 
 /// The optimizer selector of the job grammar (`mode=` key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,12 +97,6 @@ pub struct JobSpec {
     pub drop: f64,
     /// Whether to privacy-audit the winner.
     pub audit: bool,
-    /// Incremental offspring evaluation (`inc=` key; defaults to
-    /// [`IncMode::default_for`] the spec's mode).
-    pub inc: IncMode,
-    /// DBRL/RSRL scan backend (`link=` key; defaults to
-    /// [`LinkageMode::Blocked`]).
-    pub link: LinkageMode,
     /// Island count (`islands=` key; default 1 = the legacy
     /// single-population run). Shared between the two modes.
     pub islands: usize,
@@ -208,8 +129,6 @@ impl Default for JobSpec {
             seed: 42,
             drop: 0.0,
             audit: false,
-            inc: IncMode::default_for(SpecMode::Scalar),
-            link: LinkageMode::default(),
             islands: 1,
             mig: cdp_core::IslandConfig::default().migration_interval,
             obj: Vec::new(),
@@ -299,13 +218,6 @@ impl JobSpec {
                         .parse()
                         .map_err(|_| bad(format!("audit: expected true/false, got `{value}`")))?;
                 }
-                "inc" => {
-                    spec.inc = parse_inc(value)?;
-                    seen.push("inc");
-                }
-                "link" => {
-                    spec.link = parse_link(value)?;
-                }
                 "islands" => {
                     spec.islands = value
                         .parse()
@@ -347,19 +259,6 @@ impl JobSpec {
                 "`{key}` applies to {right_mode} (this spec runs {})",
                 spec.mode.name()
             )));
-        }
-        if spec.mode == SpecMode::Nsga {
-            if !seen.contains(&"inc") {
-                // the default is mode-dependent: one nsga knob covers both
-                // operators, so default-on spells `xover` there
-                spec.inc = IncMode::default_for(SpecMode::Nsga);
-            } else if spec.inc.mutation() {
-                return Err(bad(format!(
-                    "`inc={}` names the mutation path and applies to the \
-                     (default) scalar mode; under mode=nsga use inc=xover",
-                    spec.inc.name()
-                )));
-            }
         }
         Ok(spec)
     }
@@ -409,12 +308,6 @@ impl JobSpec {
                 }
             }
         }
-        if self.inc != IncMode::default_for(self.mode) {
-            out.push_str(&format!(" inc={}", self.inc.name()));
-        }
-        if self.link != LinkageMode::default() {
-            out.push_str(&format!(" link={}", link_name(self.link)));
-        }
         if self.islands != defaults.islands {
             out.push_str(&format!(" islands={}", self.islands));
         }
@@ -436,22 +329,18 @@ impl JobSpec {
             .dataset(self.dataset)
             .suite_kind(self.suite)
             .seed(self.seed)
-            .linkage(self.link)
             .islands(self.islands)
             .migration_interval(self.mig);
         builder = match self.mode {
             SpecMode::Scalar => builder
                 .aggregator(self.fitness)
                 .iterations(self.iters)
-                .drop_best_fraction(self.drop)
-                .incremental_mutation(self.inc.mutation())
-                .incremental_crossover(self.inc.crossover()),
+                .drop_best_fraction(self.drop),
             SpecMode::Nsga => builder
                 .nsga()
                 .iterations(self.gens)
                 .offspring(self.offspring)
-                .crossover_prob(self.xprob)
-                .incremental_crossover(self.inc.crossover()),
+                .crossover_prob(self.xprob),
         };
         for key in &self.obj {
             builder = builder.objective(key.clone());
@@ -509,13 +398,8 @@ impl JobSpec {
         {
             return Err(unrepresentable("a named sensitive audit attribute"));
         }
-        // the linkage backend is the one metric knob the grammar carries
-        // (`link=`); everything else must sit at its default
-        let expected_metrics = cdp_metrics::MetricConfig {
-            linkage: job.metrics().linkage,
-            ..cdp_metrics::MetricConfig::default()
-        };
-        if job.metrics() != expected_metrics {
+        // the grammar carries no metric knob
+        if job.metrics() != cdp_metrics::MetricConfig::default() {
             return Err(unrepresentable("a non-default metric configuration"));
         }
         let mut spec = JobSpec {
@@ -524,7 +408,6 @@ impl JobSpec {
             suite,
             seed: job.seed(),
             audit: job.audit_spec().is_some(),
-            link: job.metrics().linkage,
             ..JobSpec::default()
         };
         match job.optimizer() {
@@ -537,14 +420,12 @@ impl JobSpec {
                         "an ε-PRAM member under the scalar optimizer",
                     ));
                 }
-                // the grammar carries fitness/iters/drop/seed/inc plus the
+                // the grammar carries fitness/iters/drop/seed plus the
                 // islands/mig pair; every other evolution knob must sit at
                 // its default
                 let mut expected = cdp_core::EvoConfig {
                     aggregator: evo.aggregator,
                     seed: job.seed(),
-                    incremental_mutation: evo.incremental_mutation,
-                    incremental_crossover: evo.incremental_crossover,
                     islands: cdp_core::IslandConfig {
                         count: evo.islands.count,
                         migration_interval: evo.islands.migration_interval,
@@ -562,19 +443,10 @@ impl JobSpec {
                 spec.drop = job.drop_fraction();
                 spec.islands = evo.islands.count;
                 spec.mig = evo.islands.migration_interval;
-                spec.inc = match (evo.incremental_mutation, evo.incremental_crossover) {
-                    (false, false) => IncMode::Off,
-                    (true, false) => IncMode::Mutation,
-                    (false, true) => IncMode::Crossover,
-                    (true, true) => IncMode::All,
-                };
             }
             OptimizerMode::Nsga(cfg) => {
                 if !cfg.parallel_init {
                     return Err(unrepresentable("a parallel_init override"));
-                }
-                if cfg.incremental_refresh != NsgaConfig::default().incremental_refresh {
-                    return Err(unrepresentable("an incremental_refresh override"));
                 }
                 let expected_islands = cdp_core::IslandConfig {
                     count: cfg.islands.count,
@@ -590,11 +462,6 @@ impl JobSpec {
                 spec.xprob = cfg.crossover_prob;
                 spec.islands = cfg.islands.count;
                 spec.mig = cfg.islands.migration_interval;
-                spec.inc = if cfg.incremental {
-                    IncMode::Crossover
-                } else {
-                    IncMode::Off
-                };
                 spec.obj = job.objectives().keys()[2..]
                     .iter()
                     .map(|k| (*k).to_string())
@@ -603,25 +470,6 @@ impl JobSpec {
             }
         }
         Ok(spec)
-    }
-}
-
-/// Parse a `link=` value.
-pub fn parse_link(value: &str) -> Result<LinkageMode> {
-    match value {
-        "pairs" => Ok(LinkageMode::Pairs),
-        "blocked" => Ok(LinkageMode::Blocked),
-        other => Err(CliError::Usage(format!(
-            "unknown link `{other}` (pairs, blocked)"
-        ))),
-    }
-}
-
-/// The CLI spelling of a [`LinkageMode`] (`pairs` / `blocked`).
-pub fn link_name(mode: LinkageMode) -> &'static str {
-    match mode {
-        LinkageMode::Pairs => "pairs",
-        LinkageMode::Blocked => "blocked",
     }
 }
 
@@ -807,15 +655,6 @@ mod tests {
             "dataset=adult suite=small mode=nsga gens=100 seed=42",
             "dataset=german suite=paper mode=nsga gens=25 seed=9 records=100 offspring=6",
             "dataset=flare suite=small mode=nsga gens=12 seed=3 xprob=0.8 audit=true",
-            "dataset=adult suite=small fitness=max iters=250 seed=4 inc=all",
-            "dataset=flare suite=paper fitness=mean iters=100 seed=5 inc=mut",
-            "dataset=german suite=small fitness=max iters=90 seed=6 inc=xover",
-            "dataset=housing suite=small mode=nsga gens=15 seed=7 inc=xover",
-            "dataset=adult suite=small fitness=max iters=250 seed=8 inc=off",
-            "dataset=housing suite=small mode=nsga gens=15 seed=9 inc=off",
-            "dataset=adult suite=small fitness=max iters=100 seed=10 link=pairs",
-            "dataset=german suite=small mode=nsga gens=15 seed=11 link=pairs",
-            "dataset=flare suite=paper fitness=mean iters=50 seed=12 link=blocked",
             "dataset=adult suite=small fitness=max iters=200 seed=13 islands=4",
             "dataset=german suite=small fitness=mean iters=120 seed=14 islands=2 mig=5",
             "dataset=housing suite=small mode=nsga gens=20 seed=15 islands=3",
@@ -865,52 +704,28 @@ mod tests {
             assert!(err.contains(&format!("`{key}`")), "{text}: {err}");
             assert!(err.contains("mode=nsga"), "{text}: {err}");
         }
-        // inc values naming the mutation path are scalar-only, wherever
-        // mode= appears in the token stream
-        for text in [
-            "dataset=adult mode=nsga inc=mut",
-            "dataset=adult inc=all mode=nsga",
-        ] {
-            let err = JobSpec::parse(text).unwrap_err().to_string();
-            assert!(err.contains("inc="), "{text}: {err}");
-            assert!(err.contains("scalar"), "{text}: {err}");
-        }
-        // … while inc=xover is valid in both modes
-        assert!(JobSpec::parse("dataset=adult mode=nsga inc=xover").is_ok());
-        assert!(JobSpec::parse("dataset=adult inc=xover").is_ok());
     }
 
     #[test]
-    fn incremental_defaults_are_mode_dependent_and_off_is_explicit() {
-        // exact delta evaluation is the default: both operators in scalar
-        // mode, the one shared knob under mode=nsga
-        let scalar = JobSpec::parse("dataset=adult").unwrap();
-        assert_eq!(scalar.inc, IncMode::All);
-        let nsga = JobSpec::parse("dataset=adult mode=nsga").unwrap();
-        assert_eq!(nsga.inc, IncMode::Crossover);
-        // the default never renders; opting out does
-        assert!(!scalar.to_spec_string().contains("inc="));
-        assert!(!nsga.to_spec_string().contains("inc="));
-        let off = JobSpec::parse("dataset=adult inc=off").unwrap();
-        assert_eq!(off.inc, IncMode::Off);
-        assert!(off.to_spec_string().contains("inc=off"));
-        assert_eq!(JobSpec::parse(&off.to_spec_string()).unwrap(), off);
-        // and the built jobs carry the right optimizer knobs
-        match scalar.to_job().unwrap().optimizer() {
-            OptimizerMode::Scalar(evo) => {
-                assert!(evo.incremental_mutation && evo.incremental_crossover);
+    fn removed_evaluation_mode_keys_are_rejected_by_name() {
+        // offspring scoring and the linkage scans have one implementation
+        // each, so their former selectors are unknown keys now: a usage
+        // error naming the key, never a panic or a silently ignored token
+        for (text, key) in [
+            ("dataset=german inc=off", "inc"),
+            ("dataset=german link=pairs", "link"),
+            ("dataset=german mode=nsga inc=xover", "inc"),
+            ("dataset=german link=blocked mode=nsga", "link"),
+        ] {
+            match JobSpec::parse(text) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(
+                        msg.contains(&format!("unknown key `{key}`")),
+                        "{text}: {msg}"
+                    )
+                }
+                other => panic!("{text}: expected a usage error, got {other:?}"),
             }
-            _ => panic!("scalar job expected"),
-        }
-        match nsga.to_job().unwrap().optimizer() {
-            OptimizerMode::Nsga(cfg) => assert!(cfg.incremental),
-            _ => panic!("nsga job expected"),
-        }
-        match off.to_job().unwrap().optimizer() {
-            OptimizerMode::Scalar(evo) => {
-                assert!(!evo.incremental_mutation && !evo.incremental_crossover);
-            }
-            _ => panic!("scalar job expected"),
         }
     }
 
@@ -950,8 +765,6 @@ mod tests {
             "dataset=adult mode=nsga gens=x",                 // bad count
             "dataset=adult mode=nsga gens=0",                 // builder rejects 0 generations
             "dataset=adult mode=nsga xprob=2",                // builder rejects the probability
-            "dataset=adult inc=fast",                         // unknown inc value
-            "dataset=adult link=sorted",                      // unknown link value
             "dataset=adult islands=many",                     // bad count
             "dataset=adult islands=0",                        // builder rejects 0 islands
             "dataset=adult mig=0",                            // builder rejects 0 interval
@@ -989,8 +802,6 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
             drop_20th in 0u8..20,
             audit in proptest::prelude::any::<bool>(),
-            inc_i in 0usize..4,
-            pairs_link in proptest::prelude::any::<bool>(),
             islands in 1usize..=8,
             mig in 1usize..=50,
             obj_i in 0usize..4,
@@ -1008,7 +819,6 @@ mod tests {
                 suite: if paper_suite { SuiteKind::Paper } else { SuiteKind::Small },
                 seed,
                 audit,
-                link: if pairs_link { LinkageMode::Pairs } else { LinkageMode::Blocked },
                 islands,
                 mig,
                 ..JobSpec::default()
@@ -1018,8 +828,6 @@ mod tests {
                 spec.gens = gens;
                 spec.offspring = offspring;
                 spec.xprob = f64::from(xprob_pct) / 100.0;
-                // only the crossover path exists as an nsga inc value
-                spec.inc = [IncMode::Off, IncMode::Crossover][inc_i % 2];
                 // every legal extension of the canonical pair, plus the
                 // ε-PRAM member knob (exact 20ths survive the float trip)
                 const EXTENSIONS: [&[&str]; 4] = [&[], &["eps"], &["util"], &["eps", "util"]];
@@ -1033,8 +841,6 @@ mod tests {
                 };
                 spec.iters = iters;
                 spec.drop = f64::from(drop_20th) / 20.0;
-                spec.inc = [IncMode::Off, IncMode::Mutation, IncMode::Crossover, IncMode::All]
-                    [inc_i];
             }
             let text = spec.to_spec_string();
             let reparsed = JobSpec::parse(&text)

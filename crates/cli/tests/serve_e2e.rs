@@ -106,7 +106,7 @@ fn concurrent_clients_share_one_preparation_and_match_in_process() {
     };
     assert_eq!(stats.preparations, 1, "one hot original, one preparation");
     assert!(stats.hits >= 1, "the racing client must hit: {stats:?}");
-    assert_eq!(stats.hits + stats.misses, 2, "two requests seen");
+    assert_eq!(stats.hits + stats.preparations, 2, "two requests seen");
     assert_eq!(stats.cached, 1);
     assert!(
         u8::from(done_a.cache_hit) + u8::from(done_b.cache_hit) == 1,
@@ -138,7 +138,7 @@ fn event_stream_arrives_in_stage_order_with_cache_stats() {
             Response::Event(event) => {
                 if let cdp::pipeline::JobEvent::CacheStats(stats) = event {
                     saw_cache_stats = true;
-                    assert_eq!(stats.misses, 1, "this job's own request is counted");
+                    assert_eq!(stats.preparations, 1, "this job's own request is counted");
                 }
                 if first_kinds.len() < 4 {
                     first_kinds.push(cdp_cli::protocol::encode_event(event));

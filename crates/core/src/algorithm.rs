@@ -10,7 +10,9 @@ use crate::archive::ParetoArchive;
 use crate::config::EvoConfig;
 use crate::individual::Individual;
 use crate::operators::{crossover, mutate, OperatorKind};
-use crate::parallel::{evaluate_all, evaluate_tasks, EvalTask, MIN_PARALLEL_EVAL_ROWS};
+use crate::parallel::{
+    cross_check, evaluate_all, evaluate_tasks, EvalTask, MIN_PARALLEL_EVAL_ROWS,
+};
 use crate::population::Population;
 use crate::replacement::offspring_wins;
 use crate::selection::select_leader;
@@ -18,12 +20,11 @@ use crate::telemetry::{EvalCounts, ScatterPoint, Trace};
 use crate::{EvoError, Result};
 
 /// Mutable per-run evaluation bookkeeping threaded through the generation
-/// steps: the full/incremental call counters, the reusable scratch state of
-/// the mutation path, and the cross-check counter.
+/// steps: the full/incremental call counters and the reusable scratch state
+/// of the mutation path.
 struct StepCtx {
     evals: EvalCounts,
     scratch: Option<EvalState>,
-    accepted_incremental: usize,
 }
 
 impl StepCtx {
@@ -31,19 +32,7 @@ impl StepCtx {
         StepCtx {
             evals: EvalCounts::default(),
             scratch: None,
-            accepted_incremental: 0,
         }
-    }
-
-    /// Whether the verification policy demands a full-assessment
-    /// cross-check now ([`EvoConfig::incremental_refresh`]).
-    fn verify_due(&self, cfg: &EvoConfig) -> bool {
-        cfg.incremental_refresh > 0 && self.accepted_incremental >= cfg.incremental_refresh
-    }
-
-    /// A cross-check ran: restart the interval.
-    fn note_verified(&mut self) {
-        self.accepted_incremental = 0;
     }
 }
 
@@ -167,13 +156,12 @@ impl Evolution {
     /// mutation, parent/offspring elitism. Returns whether the offspring
     /// survived.
     ///
-    /// With [`EvoConfig::incremental_mutation`] the child is scored by
-    /// patching the parent's cached state into the run's scratch buffer —
-    /// rejected offspring pay no state-sized allocations (only the rank
-    /// rebuild's O(c) scratch inside the evaluator), accepted ones pay one
-    /// state clone. The patched assessment is bit-identical to a full one;
-    /// [`EvoConfig::incremental_refresh`] optionally asserts exactly that,
-    /// every K accepted offspring.
+    /// The child is scored by patching the parent's cached state into the
+    /// run's scratch buffer — rejected offspring pay no state-sized
+    /// allocations (only the rank rebuild's O(c) scratch inside the
+    /// evaluator), accepted ones pay one state clone. The patched
+    /// assessment is bit-identical to a full one; debug builds assert
+    /// exactly that at a fixed cadence ([`cross_check`]).
     fn mutation_step(
         &self,
         pop: &mut Population,
@@ -188,59 +176,41 @@ impl Evolution {
             return false;
         };
         let agg = self.config.aggregator;
-        if self.config.incremental_mutation {
-            let patch = Patch::cell(mu.row, mu.attr, mu.old);
-            let parent_score = parent.score();
-            let name = parent.name.clone();
-            let assessment = match ctx.scratch.as_mut() {
-                Some(s) => {
-                    self.evaluator
-                        .reassess_into(parent.state(), &child_data, &patch, s);
-                    s.assessment
-                }
-                None => {
-                    ctx.scratch =
-                        Some(self.evaluator.reassess(parent.state(), &child_data, &patch));
-                    ctx.scratch.as_ref().expect("just set").assessment
-                }
-            };
-            ctx.evals.incremental += 1;
-            if ctx.verify_due(&self.config) {
-                let full = self.evaluator.assess(&child_data);
-                ctx.evals.full += 1;
-                assert_eq!(
-                    assessment, full.assessment,
-                    "incremental mutation state diverged from the full assessment"
-                );
-                ctx.note_verified();
+        let patch = Patch::cell(mu.row, mu.attr, mu.old);
+        let parent_score = parent.score();
+        let name = parent.name.clone();
+        let assessment = match ctx.scratch.as_mut() {
+            Some(s) => {
+                self.evaluator
+                    .reassess_into(parent.state(), &child_data, &patch, s);
+                s.assessment
             }
-            let score = assessment.score(agg);
-            archive.offer(ScatterPoint::from_pair(
-                name.clone(),
-                assessment.il(),
-                assessment.dr(),
-                score,
-            ));
-            if offspring_wins(parent_score, score) {
-                ctx.accepted_incremental += 1;
-                let state = ctx.scratch.as_ref().expect("scratch just filled");
-                let child = Individual::from_scratch(name, child_data, state, agg);
-                pop.replace(i, child);
-                true
-            } else {
-                false
+            None => {
+                ctx.scratch = Some(self.evaluator.reassess(parent.state(), &child_data, &patch));
+                ctx.scratch.as_ref().expect("just set").assessment
             }
+        };
+        ctx.evals.incremental += 1;
+        cross_check(
+            &self.evaluator,
+            ctx.evals.incremental,
+            &child_data,
+            &assessment,
+        );
+        let score = assessment.score(agg);
+        archive.offer(ScatterPoint::from_pair(
+            name.clone(),
+            assessment.il(),
+            assessment.dr(),
+            score,
+        ));
+        if offspring_wins(parent_score, score) {
+            let state = ctx.scratch.as_ref().expect("scratch just filled");
+            let child = Individual::from_scratch(name, child_data, state, agg);
+            pop.replace(i, child);
+            true
         } else {
-            let child_state = self.evaluator.assess(&child_data);
-            ctx.evals.full += 1;
-            let child = Individual::new(parent.name.clone(), child_data, child_state, agg);
-            archive.offer(ScatterPoint::of(&child));
-            if offspring_wins(parent.score(), child.score()) {
-                pop.replace(i, child);
-                true
-            } else {
-                false
-            }
+            false
         }
     }
 
@@ -248,17 +218,17 @@ impl Evolution {
     /// crossover, Deterministic Crowding duels. Returns whether any
     /// offspring survived.
     ///
-    /// The two offspring evaluate concurrently on scoped threads when
-    /// [`EvoConfig::parallel_offspring`] is on and the file is large enough
-    /// to amortize the spawns; with [`EvoConfig::incremental_crossover`]
-    /// each child is re-assessed from its frame parent's cached state via a
+    /// Each child is re-assessed from its frame parent's cached state via a
     /// flat-range [`Patch`] instead of a full O(n²) pass — bit-identical to
-    /// the full pass ([`EvoConfig::incremental_refresh`] optionally asserts
-    /// it). Unlike the mutation path, each child pays one O(n) state clone
-    /// inside [`cdp_metrics::Evaluator::reassess`]: both children may enter
-    /// the population, so owned states are required either way, and the
-    /// clone is <1% of the segment-relink work it rides along with
-    /// (measured in `BENCH_evaluator.json`).
+    /// the full pass (debug builds assert it at a fixed cadence,
+    /// [`cross_check`]). The two offspring evaluate concurrently on scoped
+    /// threads when [`EvoConfig::parallel_offspring`] is on and the file is
+    /// large enough to amortize the spawns. Unlike the mutation path, each
+    /// child pays one O(n) state clone inside
+    /// [`cdp_metrics::Evaluator::reassess`]: both children may enter the
+    /// population, so owned states are required either way, and the clone
+    /// is <1% of the segment-relink work it rides along with (measured in
+    /// `BENCH_evaluator.json`).
     fn crossover_step(
         &self,
         pop: &mut Population,
@@ -272,51 +242,31 @@ impl Evolution {
 
         let (z1_data, z2_data, (s, r)) = crossover(&pop.get(i1).data, &pop.get(i2).data, rng);
         let parallel = self.config.parallel_offspring && z1_data.n_rows() >= MIN_PARALLEL_EVAL_ROWS;
-        let incremental = self.config.incremental_crossover;
-        let (z1_state, z2_state) = if incremental {
-            // each child shares its frame parent's file outside [s, r]:
-            // patch the parent's cached state with the swapped-in segment
-            let old1: Vec<_> = (s..=r).map(|p| pop.get(i1).data.get_flat(p)).collect();
-            let old2: Vec<_> = (s..=r).map(|p| pop.get(i2).data.get_flat(p)).collect();
-            let patch1 = Patch::flat_range(s, r, old1);
-            let patch2 = Patch::flat_range(s, r, old2);
-            let tasks = [
-                EvalTask::Patch {
-                    prev: pop.get(i1).state(),
-                    masked: &z1_data,
-                    patch: &patch1,
-                },
-                EvalTask::Patch {
-                    prev: pop.get(i2).state(),
-                    masked: &z2_data,
-                    patch: &patch2,
-                },
-            ];
-            let mut states = evaluate_tasks(&self.evaluator, &tasks, parallel);
-            ctx.evals.incremental += 2;
-            if ctx.verify_due(&self.config) {
-                let full_tasks = [EvalTask::Full(&z1_data), EvalTask::Full(&z2_data)];
-                let fulls = evaluate_tasks(&self.evaluator, &full_tasks, parallel);
-                ctx.evals.full += 2;
-                assert_eq!(
-                    states[0].assessment, fulls[0].assessment,
-                    "incremental crossover state diverged from the full assessment"
-                );
-                assert_eq!(
-                    states[1].assessment, fulls[1].assessment,
-                    "incremental crossover state diverged from the full assessment"
-                );
-                ctx.note_verified();
-            }
-            let z2_state = states.pop().expect("two states");
-            (states.pop().expect("two states"), z2_state)
-        } else {
-            let tasks = [EvalTask::Full(&z1_data), EvalTask::Full(&z2_data)];
-            let mut states = evaluate_tasks(&self.evaluator, &tasks, parallel);
-            ctx.evals.full += 2;
-            let z2_state = states.pop().expect("two states");
-            (states.pop().expect("two states"), z2_state)
-        };
+        // each child shares its frame parent's file outside [s, r]: patch
+        // the parent's cached state with the swapped-in segment
+        let old1: Vec<_> = (s..=r).map(|p| pop.get(i1).data.get_flat(p)).collect();
+        let old2: Vec<_> = (s..=r).map(|p| pop.get(i2).data.get_flat(p)).collect();
+        let patch1 = Patch::flat_range(s, r, old1);
+        let patch2 = Patch::flat_range(s, r, old2);
+        let tasks = [
+            EvalTask::Patch {
+                prev: pop.get(i1).state(),
+                masked: &z1_data,
+                patch: &patch1,
+            },
+            EvalTask::Patch {
+                prev: pop.get(i2).state(),
+                masked: &z2_data,
+                patch: &patch2,
+            },
+        ];
+        let mut states = evaluate_tasks(&self.evaluator, &tasks, parallel);
+        ctx.evals.incremental += 2;
+        let n = ctx.evals.incremental;
+        cross_check(&self.evaluator, n - 1, &z1_data, &states[0].assessment);
+        cross_check(&self.evaluator, n, &z2_data, &states[1].assessment);
+        let z2_state = states.pop().expect("two states");
+        let z1_state = states.pop().expect("two states");
         let z1 = Individual::new(
             pop.get(i1).name.clone(),
             z1_data,
@@ -348,9 +298,6 @@ impl Evolution {
             // better offspring gets the single slot if it wins
             let best_child = if c1.score() <= c2.score() { c1 } else { c2 };
             if offspring_wins(pop.get(i1).score(), best_child.score()) {
-                if incremental {
-                    ctx.accepted_incremental += 1;
-                }
                 pop.replace(i1, best_child);
                 return true;
             }
@@ -359,9 +306,6 @@ impl Evolution {
 
         let win1 = offspring_wins(pop.get(i1).score(), c1.score());
         let win2 = offspring_wins(pop.get(i2).score(), c2.score());
-        if incremental {
-            ctx.accepted_incremental += usize::from(win1) + usize::from(win2);
-        }
         if win1 {
             pop.replace_unsorted(i1, c1);
         }

@@ -86,25 +86,6 @@ pub struct EvoConfig {
     pub replacement: ReplacementPolicy,
     /// Termination.
     pub stop: StopCondition,
-    /// Use the incremental evaluator for mutation offspring (on by
-    /// default): the child is scored by patching the parent's cached
-    /// state, which is bit-identical to a full assessment — every measure
-    /// derives from exactly-updated integer sufficient statistics (see
-    /// `cdp-metrics`). Turning it off changes nothing but wall time.
-    pub incremental_mutation: bool,
-    /// Use the patch-based incremental evaluator for crossover offspring
-    /// (on by default): each child is re-assessed from its frame parent's
-    /// cached state via a flat-range patch instead of a full O(n²) pass,
-    /// with the same bit-exactness guarantee as
-    /// [`EvoConfig::incremental_mutation`].
-    pub incremental_crossover: bool,
-    /// Debug-verification knob for the incremental paths: after this many
-    /// *accepted* incrementally-evaluated offspring, the next offspring is
-    /// additionally scored with a full assessment and the two results are
-    /// asserted identical (a cross-check of the exact delta engine, not a
-    /// drift bound — there is no drift). `0` (the default) disables the
-    /// cross-check. Ignored while both incremental knobs are off.
-    pub incremental_refresh: usize,
     /// Evaluate the initial population on all cores.
     pub parallel_init: bool,
     /// Evaluate the two crossover offspring concurrently on scoped threads
@@ -127,9 +108,6 @@ impl Default for EvoConfig {
             selection: SelectionWeighting::InverseScore,
             replacement: ReplacementPolicy::IndexPairedCrowding,
             stop: StopCondition::default(),
-            incremental_mutation: true,
-            incremental_crossover: true,
-            incremental_refresh: 0,
             parallel_init: true,
             parallel_offspring: true,
             islands: IslandConfig::default(),
@@ -235,25 +213,6 @@ impl EvoConfigBuilder {
         self
     }
 
-    /// Toggle incremental mutation evaluation.
-    pub fn incremental_mutation(mut self, on: bool) -> Self {
-        self.cfg.incremental_mutation = on;
-        self
-    }
-
-    /// Toggle incremental (patch-based) crossover evaluation.
-    pub fn incremental_crossover(mut self, on: bool) -> Self {
-        self.cfg.incremental_crossover = on;
-        self
-    }
-
-    /// Accepted-offspring interval between full-assessment cross-checks of
-    /// the incremental paths (`0`, the default, = never verify).
-    pub fn incremental_refresh(mut self, every: usize) -> Self {
-        self.cfg.incremental_refresh = every;
-        self
-    }
-
     /// Toggle parallel initial evaluation.
     pub fn parallel_init(mut self, on: bool) -> Self {
         self.cfg.parallel_init = on;
@@ -300,9 +259,6 @@ mod tests {
 
     #[test]
     fn builder_round_trip() {
-        assert!(EvoConfig::default().incremental_mutation);
-        assert!(EvoConfig::default().incremental_crossover);
-        assert_eq!(EvoConfig::default().incremental_refresh, 0);
         assert_eq!(EvoConfig::default().islands, IslandConfig::default());
         assert_eq!(IslandConfig::default().count, 1);
         let cfg = EvoConfig::builder()
@@ -314,9 +270,6 @@ mod tests {
             .leader_fraction(0.2)
             .selection(SelectionWeighting::Rank)
             .replacement(ReplacementPolicy::DistancePairedCrowding)
-            .incremental_mutation(false)
-            .incremental_crossover(false)
-            .incremental_refresh(9)
             .parallel_init(false)
             .parallel_offspring(false)
             .islands(4)
@@ -326,9 +279,6 @@ mod tests {
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.stop.max_iterations, 123);
         assert_eq!(cfg.stop.stagnation, Some(17));
-        assert!(!cfg.incremental_mutation);
-        assert!(!cfg.incremental_crossover);
-        assert_eq!(cfg.incremental_refresh, 9);
         assert!(!cfg.parallel_init);
         assert!(!cfg.parallel_offspring);
         assert_eq!(cfg.islands.count, 4);

@@ -13,7 +13,10 @@
 //! mutation and 2-point crossover at the value level, chosen per offspring
 //! with the same 0.5 rate. Only the selection/replacement scheme differs,
 //! which makes the scalar-vs-Pareto comparison in the `multi_objective`
-//! example and the extension bench a clean ablation.
+//! example and the extension bench a clean ablation. Each offspring is
+//! scored by patching its primary parent's cached state (mutation: one
+//! cell; crossover: the swapped flat segment), which equals a full
+//! assessment bit for bit.
 //!
 //! Since the objective-vector refactor, selection is generic over an
 //! [`ObjectiveSet`]: dominance, crowding, and hypervolume all run over
@@ -33,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use crate::archive::ParetoArchive;
 use crate::individual::Individual;
 use crate::operators::{crossover, mutate};
-use crate::parallel::{evaluate_all, evaluate_tasks, EvalTask};
+use crate::parallel::{cross_check, evaluate_all, evaluate_tasks, EvalTask};
 use crate::telemetry::{EvalCounts, ScatterPoint};
 use crate::{EvoError, Result};
 
@@ -52,19 +55,6 @@ pub struct NsgaConfig {
     /// Evaluate the initial population (and each generation's offspring
     /// batch) on all cores.
     pub parallel_init: bool,
-    /// Score offspring by patching their primary parent's cached state
-    /// (mutation: one cell; crossover: the swapped flat segment) instead of
-    /// a full O(n²) assessment — on by default, and bit-identical to the
-    /// full pass: every measure derives from exactly-updated integer
-    /// sufficient statistics (the same guarantee as
-    /// `EvoConfig::incremental_mutation`).
-    pub incremental: bool,
-    /// Debug-verification interval for [`NsgaConfig::incremental`]: every
-    /// this many generations the *whole surviving population* is fully
-    /// re-assessed and each cached patched state asserted identical to the
-    /// recompute — a cross-check of the exact delta engine, not a drift
-    /// bound. `0` (the default) disables the cross-check.
-    pub incremental_refresh: usize,
     /// Island-model split (see [`crate::islands`]); the default single
     /// island runs the legacy loop untouched.
     pub islands: crate::config::IslandConfig,
@@ -78,8 +68,6 @@ impl Default for NsgaConfig {
             crossover_prob: 0.5,
             seed: 0,
             parallel_init: true,
-            incremental: true,
-            incremental_refresh: 0,
             islands: crate::config::IslandConfig::default(),
         }
     }
@@ -591,28 +579,6 @@ impl NsgaRunner {
         let cfg = self.nsga.config;
         let gen = self.gen;
         let pop = &mut self.pop;
-        // debug verification: periodically recompute every survivor's
-        // state from scratch and assert the cached patched state is
-        // identical — patches-of-patches must reproduce the full
-        // assessment bit for bit
-        if cfg.incremental
-            && cfg.incremental_refresh > 0
-            && gen > 0
-            && gen.is_multiple_of(cfg.incremental_refresh)
-        {
-            let tasks: Vec<EvalTask<'_>> =
-                pop.iter().map(|ind| EvalTask::Full(&ind.data)).collect();
-            let states = evaluate_tasks(&self.nsga.evaluator, &tasks, cfg.parallel_init);
-            drop(tasks);
-            self.eval_counts.full += pop.len();
-            for (ind, state) in pop.iter().zip(states) {
-                assert_eq!(
-                    *ind.assessment(),
-                    state.assessment,
-                    "incremental nsga state diverged from the full assessment"
-                );
-            }
-        }
         let (rank_of, crowd_of) = rank_and_crowd(pop);
         let rng = &mut self.rng;
         let tournament = |rng: &mut StdRng, pop: &[Individual]| -> usize {
@@ -621,9 +587,9 @@ impl NsgaRunner {
             pick(a, b, &rank_of, &crowd_of, rng)
         };
 
-        // each pending child remembers its primary parent and, when the
-        // incremental path is on, the patch relating it to that parent
-        let mut children: Vec<(String, SubTable, Option<Patch>, usize)> =
+        // each pending child remembers its primary parent and the patch
+        // relating it to that parent
+        let mut children: Vec<(String, SubTable, Patch, usize)> =
             Vec::with_capacity(self.lambda + 1);
         while children.len() < self.lambda {
             let use_crossover = pop.len() >= 2 && rng.gen::<f64>() < cfg.crossover_prob;
@@ -634,25 +600,17 @@ impl NsgaRunner {
                     p2 = (p1 + 1) % pop.len();
                 }
                 let (z1, z2, (s, r)) = crossover(&pop[p1].data, &pop[p2].data, rng);
-                let (patch1, patch2) = if cfg.incremental {
-                    let old1: Vec<_> = (s..=r).map(|p| pop[p1].data.get_flat(p)).collect();
-                    let old2: Vec<_> = (s..=r).map(|p| pop[p2].data.get_flat(p)).collect();
-                    (
-                        Some(Patch::flat_range(s, r, old1)),
-                        Some(Patch::flat_range(s, r, old2)),
-                    )
-                } else {
-                    (None, None)
-                };
+                let old1: Vec<_> = (s..=r).map(|p| pop[p1].data.get_flat(p)).collect();
+                let old2: Vec<_> = (s..=r).map(|p| pop[p2].data.get_flat(p)).collect();
+                let patch1 = Patch::flat_range(s, r, old1);
+                let patch2 = Patch::flat_range(s, r, old2);
                 children.push((format!("nsga-x{gen}"), z1, patch1, p1));
                 children.push((format!("nsga-x{gen}"), z2, patch2, p2));
             } else {
                 let p = tournament(rng, pop);
                 let mut data = pop[p].data.clone();
                 if let Some(mu) = mutate(&mut data, rng) {
-                    let patch = cfg
-                        .incremental
-                        .then(|| Patch::cell(mu.row, mu.attr, mu.old));
+                    let patch = Patch::cell(mu.row, mu.attr, mu.old);
                     children.push((format!("nsga-m{gen}"), data, patch, p));
                 } else {
                     // degenerate schema (all attributes single-category):
@@ -669,23 +627,22 @@ impl NsgaRunner {
 
         let tasks: Vec<EvalTask<'_>> = children
             .iter()
-            .map(|(_, data, patch, parent)| match patch {
-                Some(patch) => EvalTask::Patch {
-                    prev: pop[*parent].state(),
-                    masked: data,
-                    patch,
-                },
-                None => EvalTask::Full(data),
+            .map(|(_, data, patch, parent)| EvalTask::Patch {
+                prev: pop[*parent].state(),
+                masked: data,
+                patch,
             })
             .collect();
         let states = evaluate_tasks(&self.nsga.evaluator, &tasks, cfg.parallel_init);
         drop(tasks);
-        for (_, _, patch, _) in &children {
-            match patch {
-                Some(_) => self.eval_counts.incremental += 1,
-                None => self.eval_counts.full += 1,
-            }
+        for (((_, data, _, _), state), ordinal) in children
+            .iter()
+            .zip(&states)
+            .zip(self.eval_counts.incremental + 1..)
+        {
+            cross_check(&self.nsga.evaluator, ordinal, data, &state.assessment);
         }
+        self.eval_counts.incremental += children.len();
         for ((name, data, _, _), state) in children.into_iter().zip(states) {
             let mut ind = Individual::new(name, data, state, ScoreAggregator::Max);
             assign_objectives(&self.nsga.objectives, &self.nsga.evaluator, &mut ind);
@@ -1114,78 +1071,34 @@ mod tests {
     }
 
     #[test]
-    fn incremental_offspring_match_the_full_run_exactly() {
-        let run = |incremental: bool| {
-            let ds = DatasetKind::German.generate(&GeneratorConfig::seeded(15).with_records(60));
-            let pop = build_population(&ds, &SuiteConfig::small(), 15).unwrap();
-            let ev = Evaluator::new(&ds.protected_subtable(), MetricConfig::default()).unwrap();
-            let cfg = NsgaConfig {
-                generations: 6,
-                seed: 15,
-                incremental,
-                ..NsgaConfig::default()
-            };
-            Nsga2::new(ev, cfg)
-                .with_named_population(pop)
-                .unwrap()
-                .run()
+    fn patched_offspring_keep_the_front_exact_and_the_split_exact() {
+        let ds = DatasetKind::German.generate(&GeneratorConfig::seeded(15).with_records(60));
+        let pop = build_population(&ds, &SuiteConfig::small(), 15).unwrap();
+        let n = pop.len();
+        let ev = Evaluator::new(&ds.protected_subtable(), MetricConfig::default()).unwrap();
+        let generations = 6;
+        let cfg = NsgaConfig {
+            generations,
+            seed: 15,
+            ..NsgaConfig::default()
         };
-        let full = run(false);
-        let inc = run(true);
-        assert_eq!(full.eval_counts.incremental, 0);
-        assert_eq!(full.eval_counts.total(), full.evaluations);
-        // only the initial population pays a full assessment
-        assert!(inc.eval_counts.incremental > 0);
-        assert!(inc.eval_counts.full * 2 <= full.eval_counts.full);
-        assert_eq!(inc.eval_counts.total(), inc.evaluations);
-        // patched assessments are bit-identical to full ones, so the two
-        // runs make identical decisions all the way down
-        assert_eq!(full.hypervolume_series, inc.hypervolume_series);
-        assert_eq!(full.front.len(), inc.front.len());
-        for (a, b) in full.front.iter().zip(&inc.front) {
-            assert_eq!(a.il, b.il);
-            assert_eq!(a.dr, b.dr);
+        let out = Nsga2::new(ev.clone(), cfg)
+            .with_named_population(pop)
+            .unwrap()
+            .run();
+        // only the initial population pays a full assessment; every
+        // offspring (λ = n per generation) is patched
+        assert_eq!(out.eval_counts.full, n);
+        assert_eq!(out.eval_counts.incremental, generations * n);
+        assert_eq!(out.eval_counts.total(), out.evaluations);
+        // patches of patches reproduce a fresh assessment bit for bit
+        assert!(!out.front_members.is_empty());
+        for (member, point) in out.front_members.iter().zip(&out.front) {
+            let fresh = ev.assess(&member.data).assessment;
+            assert_eq!(*member.assessment(), fresh);
+            assert_eq!(point.il.to_bits(), fresh.il().to_bits());
+            assert_eq!(point.dr.to_bits(), fresh.dr().to_bits());
         }
-        for (a, b) in full.front_members.iter().zip(&inc.front_members) {
-            assert_eq!(a.data, b.data);
-        }
-    }
-
-    #[test]
-    fn incremental_refresh_cross_checks_the_population() {
-        // the refresh knob is a debug verification: every K generations the
-        // whole population is fully re-assessed and each cached state
-        // asserted identical (the run aborts on divergence)
-        let run = |refresh: usize| {
-            let ds = DatasetKind::German.generate(&GeneratorConfig::seeded(16).with_records(50));
-            let pop = build_population(&ds, &SuiteConfig::small(), 16).unwrap();
-            let n = pop.len();
-            let ev = Evaluator::new(&ds.protected_subtable(), MetricConfig::default()).unwrap();
-            let cfg = NsgaConfig {
-                generations: 8,
-                seed: 16,
-                incremental: true,
-                incremental_refresh: refresh,
-                ..NsgaConfig::default()
-            };
-            let out = Nsga2::new(ev, cfg)
-                .with_named_population(pop)
-                .unwrap()
-                .run();
-            (n, out)
-        };
-        let (n, never) = run(0);
-        assert_eq!(
-            never.eval_counts.full, n,
-            "refresh=0 must only pay the initial assessments"
-        );
-        let (n, every3) = run(3);
-        // cross-checks at generations 3 and 6 fully re-assess the whole
-        // population (and passed, or the run would have panicked)
-        assert_eq!(every3.eval_counts.full, n + 2 * n);
-        assert_eq!(every3.eval_counts.total(), every3.evaluations);
-        // verification never changes the outcome
-        assert_eq!(never.hypervolume_series, every3.hypervolume_series);
     }
 
     #[test]

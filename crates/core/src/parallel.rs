@@ -10,14 +10,46 @@
 //! crossover offspring of a scalar generation and the λ offspring of an
 //! NSGA-II generation run concurrently. Evaluation draws no RNG, so a
 //! parallel run is bit-identical to a serial one.
+//!
+//! Offspring are always scored by patching a parent's cached state; the
+//! patched assessment equals a full one bit for bit. Debug builds check
+//! that on every 16th patched offspring of a run.
 
 use cdp_dataset::SubTable;
-use cdp_metrics::{EvalState, Evaluator, Patch};
+use cdp_metrics::{Assessment, EvalState, Evaluator, Patch};
 
 /// Row count under which spawning threads for an offspring pair costs more
 /// than it saves (thread startup is ~tens of µs; an assessment of a file
 /// this small is of the same order).
 pub const MIN_PARALLEL_EVAL_ROWS: usize = 256;
+
+/// Debug builds re-score every this-many-th patched offspring of a run
+/// with a full assessment and assert the two agree bit for bit.
+pub(crate) const CROSS_CHECK_EVERY: usize = 16;
+
+/// Debug builds only: when `ordinal` (the 1-based count of patched
+/// offspring so far in this run) is a multiple of [`CROSS_CHECK_EVERY`],
+/// assert that the patched `assessment` of `masked` equals a full
+/// assessment bit for bit. The extra assessment is not counted in
+/// [`crate::EvalCounts`], so debug and release runs report the same
+/// counts; release builds compile the check away.
+///
+/// # Panics
+/// Panics when the patched assessment diverged from the full one.
+pub(crate) fn cross_check(
+    evaluator: &Evaluator,
+    ordinal: usize,
+    masked: &SubTable,
+    assessment: &Assessment,
+) {
+    if cfg!(debug_assertions) && ordinal.is_multiple_of(CROSS_CHECK_EVERY) {
+        assert_eq!(
+            *assessment,
+            evaluator.assess(masked).assessment,
+            "patched offspring {ordinal} diverged from the full assessment"
+        );
+    }
+}
 
 /// One fitness evaluation to perform.
 pub enum EvalTask<'a> {

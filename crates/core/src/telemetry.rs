@@ -55,9 +55,9 @@ impl ScatterPoint {
 /// `full` counts complete [`cdp_metrics::Evaluator::assess`] passes
 /// (initial population included); `incremental` counts patch-based
 /// re-assessments ([`cdp_metrics::Evaluator::reassess`] /
-/// `reassess_into`). The split is the observable behind the delta-vs-full
-/// benchmarks: flipping the incremental knobs must move work from `full`
-/// to `incremental` without changing the RNG stream.
+/// `reassess_into`). Only the initial population is fully assessed; every
+/// offspring is a patch of its parent's state, so `full` is the initial
+/// population size and `incremental` the number of offspring scored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCounts {
     /// Full O(n²) assessments.

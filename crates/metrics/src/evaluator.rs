@@ -32,14 +32,17 @@
 //!    recycled (`clone_from` is allocation-free once shapes match), so the
 //!    per-offspring cost is a handful of `memcpy`s plus the delta work —
 //!    not five fresh n-sized vectors per iteration.
-//! 4. **Blocked linkage** — with [`LinkageMode::Blocked`] (the default),
-//!    DBRL and RSRL scan the *distinct patterns* of a [`PatternIndex`]
-//!    instead of all `n²` record pairs, and the PRL census is built the
-//!    same way; the state carries a masked-side index that every patch
-//!    moves rows through ([`PatternIndex::move_row`]), so the delta path
-//!    and the full path stay on the same sufficient statistics. Credits
-//!    are `assert_eq!`-identical to [`LinkageMode::Pairs`] — see
-//!    [`crate::linkage`] for the exactness argument.
+//! 4. **Blocked linkage** — DBRL and RSRL scan the *distinct patterns*
+//!    of a [`PatternIndex`] instead of all `n²` record pairs,
+//!    `O(n·a + p_m·p_o·a)` with `p ≤ Π_k c_k` independent of the row
+//!    count, and the PRL census is built the same way; the state carries a
+//!    masked-side index that every patch moves rows through
+//!    ([`PatternIndex::move_row`]), so the delta path and the full path
+//!    stay on the same sufficient statistics. Credits are
+//!    `assert_eq!`-identical to the all-pairs reference scans
+//!    ([`crate::linkage::dbrl_credits`], [`crate::linkage::rsrl_credits`]),
+//!    which remain as the test and bench oracle — see [`crate::linkage`]
+//!    for the exactness argument.
 //! 5. **Per-original link table** — a masked pattern's DBRL link depends
 //!    only on the pattern and the original, so [`PreparedOriginal`] holds
 //!    one write-once slot per point of the masked pattern space (up to
@@ -64,38 +67,14 @@ use crate::il::{
     update_confusion,
 };
 use crate::linkage::{
-    compatible_categories, count_candidates, credits_value, dbrl_credit, dbrl_credits,
-    dbrl_credits_blocked, pattern_link, pattern_to_row_distance, rsrl_credit, rsrl_credits,
-    rsrl_credits_blocked, self_compatible, PatternCensus, PrlModel, DIST_EPS,
+    compatible_categories, count_candidates, credits_value, dbrl_credits_blocked, pattern_link,
+    pattern_to_row_distance, rsrl_credits_blocked, self_compatible, PatternCensus, PrlModel,
+    DIST_EPS,
 };
 use crate::patch::{Patch, PatchCell};
 use crate::prepared::{MaskedStats, MovedCategory, PreparedOriginal};
 use crate::score::ScoreAggregator;
 use crate::{MetricError, Result};
-
-/// Which implementation computes the DBRL and RSRL credits.
-///
-/// Both produce `assert_eq!`-identical credits (the blocked scans are
-/// property-tested against the all-pairs references, patch path included);
-/// the choice only trades scan shape:
-///
-/// * [`LinkageMode::Pairs`] — the textbook `O(n²·a)` scans over all
-///   original–masked record pairs;
-/// * [`LinkageMode::Blocked`] — the [`PatternIndex`]-based scans over
-///   *distinct* patterns, `O(n·a + p_m·p_o·a)` with `p ≤ Π_k c_k`
-///   independent of the row count.
-///
-/// PRL always derives from the pattern census (itself index-built — the
-/// census is identical integers either way), so this knob does not affect
-/// it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum LinkageMode {
-    /// All-pairs reference scans.
-    Pairs,
-    /// Pattern-index (blocked) scans — the default.
-    #[default]
-    Blocked,
-}
 
 /// Tunable measure parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,8 +85,6 @@ pub struct MetricConfig {
     pub rsrl_window_fraction: f64,
     /// EM iterations for the Fellegi–Sunter fit.
     pub prl_em_iters: usize,
-    /// DBRL/RSRL scan implementation (identical results either way).
-    pub linkage: LinkageMode,
 }
 
 impl Default for MetricConfig {
@@ -116,7 +93,6 @@ impl Default for MetricConfig {
             interval_fraction: 0.1,
             rsrl_window_fraction: 0.05,
             prl_em_iters: 15,
-            linkage: LinkageMode::default(),
         }
     }
 }
@@ -220,7 +196,7 @@ impl Assessment {
 /// (`a` = protected attributes; 32 KB per state at the paper's 1000×3
 /// shape). The histograms also serve the *full* assessment — credits sweep
 /// them in O(n·2^a) instead of re-scanning all n² pairs — so the footprint
-/// buys speed even in `inc=off` runs that never patch.
+/// buys speed even for a file that is assessed once and never patched.
 #[derive(Debug)]
 pub struct EvalState {
     /// The headline numbers.
@@ -231,8 +207,8 @@ pub struct EvalState {
     id_counts: Vec<u32>,
     masked_stats: MaskedStats,
     /// Distinct-pattern index of the masked file, patched row-by-row as
-    /// cells change. Maintained in both linkage modes: the PRL census is
-    /// keyed by its pattern ids.
+    /// cells change. The blocked DBRL/RSRL scans read it, and the PRL
+    /// census is keyed by its pattern ids.
     masked_index: PatternIndex,
     pattern_census: PatternCensus,
     prl_model: PrlModel,
@@ -364,17 +340,9 @@ impl Evaluator {
         let prl_model =
             PrlModel::fit_from_counts(prep, pattern_census.counts(), self.cfg.prl_em_iters);
 
-        let dbrl_cr = match self.cfg.linkage {
-            LinkageMode::Pairs => dbrl_credits(prep, masked),
-            LinkageMode::Blocked => dbrl_credits_blocked(prep, masked, &masked_index),
-        };
+        let dbrl_cr = dbrl_credits_blocked(prep, masked, &masked_index);
         let prl_cr = pattern_census.credits(&prl_model, &masked_index);
-        let rsrl_cr = match self.cfg.linkage {
-            LinkageMode::Pairs => rsrl_credits(prep, &masked_stats, masked, self.rsrl_window()),
-            LinkageMode::Blocked => {
-                rsrl_credits_blocked(prep, &masked_stats, &masked_index, self.rsrl_window())
-            }
-        };
+        let rsrl_cr = rsrl_credits_blocked(prep, &masked_stats, &masked_index, self.rsrl_window());
 
         let assessment = Assessment {
             il_parts: IlBreakdown {
@@ -508,9 +476,9 @@ impl Evaluator {
     /// moved: PRL refits from the census and re-credits every record from
     /// integer pattern data, DBRL relinks the touched rows, and RSRL
     /// re-credits the touched rows plus every record holding a category
-    /// whose rank window changed. DBRL/RSRL re-credits go through the
-    /// configured [`LinkageMode`] backend; in blocked mode, touched rows
-    /// sharing a masked pattern share one pattern-level link.
+    /// whose rank window changed. Re-credited rows sharing a masked
+    /// pattern share one pattern-level DBRL link and one RSRL candidate
+    /// pool.
     fn relink(
         &self,
         masked: &SubTable,
@@ -536,27 +504,18 @@ impl Evaluator {
         );
 
         // DBRL: per-masked-record independent, touched rows only
-        match self.cfg.linkage {
-            LinkageMode::Pairs => {
-                for &row in touched_rows {
-                    state.dbrl_credits[row] = dbrl_credit(prep, masked, row);
-                }
-            }
-            LinkageMode::Blocked => {
-                let mut links: HashMap<PatternId, (f64, u64)> = HashMap::new();
-                let mut q = vec![0 as Code; prep.n_attrs()];
-                for &row in touched_rows {
-                    masked.read_row(row, &mut q);
-                    let pid = state.masked_index.pattern_of(row);
-                    let (best, ties) = *links.entry(pid).or_insert_with(|| pattern_link(prep, &q));
-                    let d_self = pattern_to_row_distance(prep, &q, row);
-                    state.dbrl_credits[row] = if (d_self - best).abs() <= DIST_EPS && ties > 0 {
-                        1.0 / ties as f64
-                    } else {
-                        0.0
-                    };
-                }
-            }
+        let mut links: HashMap<PatternId, (f64, u64)> = HashMap::new();
+        let mut q = vec![0 as Code; prep.n_attrs()];
+        for &row in touched_rows {
+            masked.read_row(row, &mut q);
+            let pid = state.masked_index.pattern_of(row);
+            let (best, ties) = *links.entry(pid).or_insert_with(|| pattern_link(prep, &q));
+            let d_self = pattern_to_row_distance(prep, &q, row);
+            state.dbrl_credits[row] = if (d_self - best).abs() <= DIST_EPS && ties > 0 {
+                1.0 / ties as f64
+            } else {
+                0.0
+            };
         }
 
         // RSRL: a midrank move only matters when it changes the window's
@@ -584,50 +543,33 @@ impl Evaluator {
                 }
             }
         }
-        match self.cfg.linkage {
-            LinkageMode::Pairs => {
-                for (i, &due) in recredit.iter().enumerate() {
-                    if due {
-                        state.rsrl_credits[i] =
-                            rsrl_credit(prep, &state.masked_stats, masked, i, window);
-                    }
-                }
+        let mut pools: HashMap<PatternId, (u64, Vec<Vec<bool>>)> = HashMap::new();
+        for (i, &due) in recredit.iter().enumerate() {
+            if !due {
+                continue;
             }
-            LinkageMode::Blocked => {
-                let mut pools: HashMap<PatternId, (u64, Vec<Vec<bool>>)> = HashMap::new();
-                for (i, &due) in recredit.iter().enumerate() {
-                    if !due {
-                        continue;
-                    }
-                    let pid = state.masked_index.pattern_of(i);
-                    let (candidates, compat) = pools.entry(pid).or_insert_with(|| {
-                        let q = state.masked_index.codes_of(pid);
-                        let compat: Vec<Vec<bool>> = (0..prep.n_attrs())
-                            .map(|k| {
-                                compatible_categories(
-                                    prep,
-                                    k,
-                                    state.masked_stats.midrank(k, q[k]),
-                                    window,
-                                )
-                            })
-                            .collect();
-                        (count_candidates(prep, &compat), compat)
-                    });
-                    state.rsrl_credits[i] = if *candidates > 0 && self_compatible(prep, compat, i) {
-                        1.0 / *candidates as f64
-                    } else {
-                        0.0
-                    };
-                }
-            }
+            let pid = state.masked_index.pattern_of(i);
+            let (candidates, compat) = pools.entry(pid).or_insert_with(|| {
+                let q = state.masked_index.codes_of(pid);
+                let compat: Vec<Vec<bool>> = (0..prep.n_attrs())
+                    .map(|k| {
+                        compatible_categories(prep, k, state.masked_stats.midrank(k, q[k]), window)
+                    })
+                    .collect();
+                (count_candidates(prep, &compat), compat)
+            });
+            state.rsrl_credits[i] = if *candidates > 0 && self_compatible(prep, compat, i) {
+                1.0 / *candidates as f64
+            } else {
+                0.0
+            };
         }
 
         self.refresh_assessment(state);
     }
 
     /// Single-cell fast path: the mutation operator's shape, taken every
-    /// iteration of an `incremental_mutation` run, so it skips the general
+    /// mutation offspring of a scalar run, so it skips the general
     /// engine's resolve/sort/group bookkeeping entirely.
     fn apply_single_cell(&self, masked: &SubTable, cell: PatchCell, state: &mut EvalState) {
         let prep = &self.prep;

@@ -66,9 +66,7 @@ pub mod linkage;
 
 pub use contingency::ContingencyTables;
 pub use error::{MetricError, Result};
-pub use evaluator::{
-    Assessment, DrBreakdown, EvalState, Evaluator, IlBreakdown, LinkageMode, MetricConfig,
-};
+pub use evaluator::{Assessment, DrBreakdown, EvalState, Evaluator, IlBreakdown, MetricConfig};
 pub use objective::{
     objective_by_key, Objective, ObjectiveContext, ObjectiveSet, ObjectiveVector, MAX_OBJECTIVES,
 };

@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use cdp_dataset::{AttrKind, Attribute, PatternIndex, Schema, SubTable};
-use cdp_metrics::linkage::{dbrl_credit, dbrl_credit_blocked, dbrl_credits_blocked};
-use cdp_metrics::{Evaluator, LinkageMode, MetricConfig, PreparedOriginal};
+use cdp_metrics::linkage::{dbrl, dbrl_credit, dbrl_credit_blocked, dbrl_credits_blocked, rsrl};
+use cdp_metrics::{Evaluator, MetricConfig, PreparedOriginal};
 
 fn schema() -> Arc<Schema> {
     Arc::new(
@@ -187,21 +187,18 @@ fn aggregates_follow_from_components() {
 
 #[test]
 fn blocked_backend_reproduces_the_hand_checked_numbers() {
-    // the same file under both linkage backends: assessments must be
-    // assert_eq!-identical, so every hand-derived number above holds for
-    // the blocked scans verbatim
-    let orig = original();
-    let pairs = Evaluator::new(
-        &orig,
-        MetricConfig {
-            linkage: LinkageMode::Pairs,
-            ..MetricConfig::default()
-        },
-    )
-    .unwrap();
-    let blocked = evaluator(); // LinkageMode::Blocked is the default
+    // the evaluator's blocked DBRL and RSRL parts equal the all-pairs
+    // reference scans bit for bit, so every hand-derived number above
+    // holds for both scan shapes verbatim
+    let ev = evaluator();
+    let window = MetricConfig::default().rsrl_window_fraction;
     for m in [original(), masked()] {
-        assert_eq!(pairs.evaluate(&m), blocked.evaluate(&m));
+        let a = ev.evaluate(&m);
+        assert_eq!(a.dr_parts.dbrl.to_bits(), dbrl(ev.prepared(), &m).to_bits());
+        assert_eq!(
+            a.dr_parts.rsrl.to_bits(),
+            rsrl(ev.prepared(), &m, window).to_bits()
+        );
     }
 }
 

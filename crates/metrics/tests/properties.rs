@@ -1,8 +1,8 @@
 //! Property tests of the blocked-linkage exactness contract: the
 //! pattern-index (blocked) scans produce credits and assessments that are
 //! `assert_eq!`-identical — not merely close — to the all-pairs reference
-//! scans, on random tables *and* after random patch sequences through the
-//! incremental evaluator.
+//! scans (the oracle kept in `cdp_metrics::linkage`), on random tables
+//! *and* after random patch sequences through the incremental evaluator.
 //!
 //! Random instances are generated from `(shape, seed)` tuples via seeded
 //! RNGs, so proptest shrinks over compact parameters while the instances
@@ -13,11 +13,11 @@ use std::sync::Arc;
 
 use cdp_dataset::{Attribute, Code, PatternIndex, Schema, SubTable};
 use cdp_metrics::linkage::{
-    dbrl_credits, dbrl_credits_blocked, dbrl_topk, dbrl_topk_blocked, rsrl_credits,
+    dbrl, dbrl_credits, dbrl_credits_blocked, dbrl_topk, dbrl_topk_blocked, rsrl, rsrl_credits,
     rsrl_credits_blocked,
 };
 use cdp_metrics::{
-    Evaluator, LinkageMode, MaskedStats, MetricConfig, Patch, PatchCell, PreparedOriginal,
+    Assessment, Evaluator, MaskedStats, MetricConfig, Patch, PatchCell, PreparedOriginal,
     LINK_TABLE_MAX_SLOTS,
 };
 use proptest::prelude::*;
@@ -68,15 +68,25 @@ fn random_masking(sub: &SubTable, seed: u64) -> SubTable {
     m
 }
 
-fn evaluator(original: &SubTable, linkage: LinkageMode) -> Evaluator {
-    Evaluator::new(
-        original,
-        MetricConfig {
-            linkage,
-            ..MetricConfig::default()
-        },
-    )
-    .unwrap()
+fn evaluator(original: &SubTable) -> Evaluator {
+    Evaluator::new(original, MetricConfig::default()).unwrap()
+}
+
+/// The DBRL and RSRL parts of `assessment` (an assessment of `masked`)
+/// equal the all-pairs reference scans of `masked`, bit for bit.
+fn assert_linkage_matches_pairs_oracle(ev: &Evaluator, masked: &SubTable, assessment: &Assessment) {
+    let prep = ev.prepared();
+    let window = MetricConfig::default().rsrl_window_fraction;
+    assert_eq!(
+        assessment.dr_parts.dbrl.to_bits(),
+        dbrl(prep, masked).to_bits(),
+        "DBRL vs all-pairs"
+    );
+    assert_eq!(
+        assessment.dr_parts.rsrl.to_bits(),
+        rsrl(prep, masked, window).to_bits(),
+        "RSRL vs all-pairs"
+    );
 }
 
 proptest! {
@@ -123,35 +133,33 @@ proptest! {
         }
     }
 
-    /// Whole-evaluator equality: a Pairs-mode and a Blocked-mode evaluator
-    /// assess the same masked file to the identical `Assessment`.
+    /// Whole-evaluator equality: the evaluator's DBRL and RSRL parts of
+    /// a masked file equal the all-pairs reference scans of that file.
     #[test]
-    fn blocked_assessment_equals_pairs_assessment(
+    fn blocked_assessment_equals_pairs_reference(
         a in 2usize..=4, n in 10usize..=50, seed in any::<u64>()
     ) {
         let original = random_subtable(a, n, seed);
         let masked = random_masking(&original, seed ^ 2);
-        let pairs = evaluator(&original, LinkageMode::Pairs);
-        let blocked = evaluator(&original, LinkageMode::Blocked);
-        prop_assert_eq!(pairs.evaluate(&masked), blocked.evaluate(&masked));
+        let ev = evaluator(&original);
+        assert_linkage_matches_pairs_oracle(&ev, &masked, &ev.evaluate(&masked));
     }
 
-    /// The patch path: drive both evaluators through the same random
-    /// mutation/patch sequence. After every step the two incremental
-    /// states must agree with each other AND with a from-scratch blocked
-    /// assessment — the PR's exactness contract extended to the index-
-    /// patching (`PatternIndex::move_row`) code path.
+    /// The patch path: drive the evaluator through a random mutation/patch
+    /// sequence. After every step the patched state's DBRL and RSRL parts
+    /// must equal the all-pairs reference scans of the patched file, and
+    /// the whole assessment must equal a from-scratch assessment — the
+    /// exactness contract extended to the index-patching
+    /// (`PatternIndex::move_row`) code path.
     #[test]
     fn blocked_patch_path_stays_identical_to_pairs_and_full(
         a in 2usize..=3, n in 10usize..=40, seed in any::<u64>()
     ) {
         let original = random_subtable(a, n, seed);
         let mut masked = random_masking(&original, seed ^ 3);
-        let pairs = evaluator(&original, LinkageMode::Pairs);
-        let blocked = evaluator(&original, LinkageMode::Blocked);
-        let mut state_p = pairs.assess(&masked);
-        let mut state_b = blocked.assess(&masked);
-        prop_assert_eq!(state_p.assessment, state_b.assessment);
+        let ev = evaluator(&original);
+        let mut state = ev.assess(&masked);
+        assert_linkage_matches_pairs_oracle(&ev, &masked, &state.assessment);
         let mut rng = StdRng::seed_from_u64(seed ^ 4);
         for step in 0..6 {
             // alternate single-cell mutations and multi-cell patches
@@ -178,12 +186,11 @@ proptest! {
                 }
                 Patch::from_cells(cells)
             };
-            state_p = pairs.reassess(&state_p, &masked, &patch);
-            state_b = blocked.reassess(&state_b, &masked, &patch);
-            prop_assert_eq!(state_p.assessment, state_b.assessment, "step {}", step);
+            state = ev.reassess(&state, &masked, &patch);
+            assert_linkage_matches_pairs_oracle(&ev, &masked, &state.assessment);
             prop_assert_eq!(
-                state_b.assessment,
-                blocked.assess(&masked).assessment,
+                state.assessment,
+                ev.assess(&masked).assessment,
                 "step {} vs full",
                 step
             );

@@ -36,14 +36,10 @@
 //!
 //! The paper's whole workflow — mask the original with an SDC suite, score
 //! IL/DR, evolve the population, audit the winner — is one builder chain.
-//! Offspring are delta-evaluated by default (patch-based re-assessment,
-//! bit-identical to full scoring — opt out with
-//! `.incremental_mutation(false).incremental_crossover(false)` if you want
-//! to pay the full O(n²) per offspring), and the linkage measures run on
-//! the blocked distinct-pattern scans by default (`link=blocked` in the
-//! CLI job grammar; `.linkage(LinkageMode::Pairs)` or `link=pairs` opts
-//! back into the all-pairs reference scans — the credits, and hence every
-//! published number, are identical either way):
+//! Offspring are delta-evaluated (patch-based re-assessment, bit-identical
+//! to full scoring), and the linkage measures run on blocked
+//! distinct-pattern scans (credits bit-identical to the all-pairs
+//! reference scans in [`metrics::linkage`]):
 //!
 //! ```
 //! use cdp::prelude::*;
@@ -150,7 +146,7 @@
 //! trigger exactly **one** preparation; the rest block briefly on that
 //! key and then hit the cache. [`pipeline::SessionStats`] reports the counters (also
 //! streamed per job as [`pipeline::JobEvent::CacheStats`]); the hit rate
-//! `hits / (hits + misses)` is the service's headline metric.
+//! `hits / (hits + preparations)` is the service's headline metric.
 //!
 //! ```
 //! use cdp::prelude::*;
@@ -226,7 +222,7 @@ pub mod prelude {
     pub use cdp_dataset::generators::{Dataset, DatasetKind, GeneratorConfig};
     pub use cdp_dataset::{AttrKind, Attribute, Code, Hierarchy, Schema, SubTable, Table};
     pub use cdp_metrics::{
-        Assessment, DrBreakdown, Evaluator, IlBreakdown, LinkageMode, MetricConfig, ObjectiveSet,
+        Assessment, DrBreakdown, Evaluator, IlBreakdown, MetricConfig, ObjectiveSet,
         ObjectiveVector, ScoreAggregator,
     };
     pub use cdp_privacy::{CostKind, LatticeSearch, PrivacyReport, Recoder};

@@ -5,7 +5,7 @@ use std::fmt;
 use cdp_core::{EvoConfig, NsgaConfig, OperatorSchedule, ReplacementPolicy, SelectionWeighting};
 use cdp_dataset::generators::{Dataset, DatasetKind, GeneratorConfig};
 use cdp_dataset::{stats, AttrKind, Hierarchy, SubTable, Table};
-use cdp_metrics::{LinkageMode, MetricConfig, ObjectiveSet, ScoreAggregator};
+use cdp_metrics::{MetricConfig, ObjectiveSet, ScoreAggregator};
 use cdp_sdc::{build_population_from, MethodContext, Pram, ProtectionMethod, SuiteConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -529,8 +529,6 @@ pub struct ProtectionJobBuilder {
     multi_objective: bool,
     objectives: Vec<String>,
     pram_epsilon: Option<f64>,
-    incremental_crossover: bool,
-    nsga_refresh: usize,
     offspring: Option<usize>,
     crossover_prob: Option<f64>,
     iterations: usize,
@@ -555,8 +553,6 @@ impl Default for ProtectionJobBuilder {
             multi_objective: false,
             objectives: Vec::new(),
             pram_epsilon: None,
-            incremental_crossover: EvoConfig::default().incremental_crossover,
-            nsga_refresh: NsgaConfig::default().incremental_refresh,
             offspring: None,
             crossover_prob: None,
             iterations: 300,
@@ -682,15 +678,6 @@ impl ProtectionJobBuilder {
         self
     }
 
-    /// DBRL/RSRL scan backend: the default [`LinkageMode::Blocked`]
-    /// pattern-index scans, or the all-pairs [`LinkageMode::Pairs`]
-    /// reference. Credits — and hence every published result — are
-    /// identical either way; the CLI spells this `link=<pairs|blocked>`.
-    pub fn linkage(mut self, mode: LinkageMode) -> Self {
-        self.metrics.linkage = mode;
-        self
-    }
-
     /// Fitness aggregator (the paper's Eq. 1 `Mean` or Eq. 2 `Max`).
     /// Scalar mode only: NSGA-II selection works on Pareto dominance and
     /// never aggregates.
@@ -759,7 +746,6 @@ impl ProtectionJobBuilder {
                 self.objectives.clear();
                 self.iterations = cfg.stop.max_iterations;
                 self.stagnation = cfg.stop.stagnation;
-                self.incremental_crossover = cfg.incremental_crossover;
                 self.evo = cfg;
             }
             OptimizerMode::Nsga(cfg) => {
@@ -767,8 +753,6 @@ impl ProtectionJobBuilder {
                 self.iterations = cfg.generations;
                 self.offspring = Some(cfg.offspring);
                 self.crossover_prob = Some(cfg.crossover_prob);
-                self.incremental_crossover = cfg.incremental;
-                self.nsga_refresh = cfg.incremental_refresh;
                 self.evo = EvoConfig {
                     parallel_init: cfg.parallel_init,
                     islands: cfg.islands,
@@ -820,24 +804,6 @@ impl ProtectionJobBuilder {
     /// Leader-group fraction for crossover selection.
     pub fn leader_fraction(mut self, fraction: f64) -> Self {
         self.evo.leader_fraction = fraction;
-        self
-    }
-
-    /// Toggle the incremental evaluator for mutation offspring (on by
-    /// default; bit-identical to full assessment, so turning it off only
-    /// changes wall time).
-    pub fn incremental_mutation(mut self, on: bool) -> Self {
-        self.evo.incremental_mutation = on;
-        self
-    }
-
-    /// Toggle patch-based incremental evaluation of crossover offspring
-    /// (on by default; bit-identical to full assessment). A shared knob:
-    /// in scalar mode it maps to `EvoConfig::incremental_crossover`, in
-    /// NSGA-II mode to `NsgaConfig::incremental` (which covers both
-    /// operators there).
-    pub fn incremental_crossover(mut self, on: bool) -> Self {
-        self.incremental_crossover = on;
         self
     }
 
@@ -965,11 +931,8 @@ impl ProtectionJobBuilder {
         let mode = if self.multi_objective {
             // scalar-only knobs have no effect under Pareto selection;
             // reject them instead of silently dropping them
-            // (incremental_crossover is shared — it maps onto
-            // NsgaConfig::incremental — so it is not part of the check)
             let scalar_view = EvoConfig {
                 parallel_init: self.evo.parallel_init,
-                incremental_crossover: self.evo.incremental_crossover,
                 islands: self.evo.islands,
                 ..EvoConfig::default()
             };
@@ -977,7 +940,7 @@ impl ProtectionJobBuilder {
                 return Err(PipelineError::InvalidJob(
                     "scalar-only evolution knobs (aggregator(), mutation_rate(), \
                      operator_schedule(), selection(), replacement(), \
-                     leader_fraction(), incremental_mutation()) do not apply \
+                     leader_fraction()) do not apply \
                      to the NSGA-II mode"
                         .into(),
                 ));
@@ -1001,8 +964,6 @@ impl ProtectionJobBuilder {
                 crossover_prob: self.crossover_prob.unwrap_or(defaults.crossover_prob),
                 seed: self.seed,
                 parallel_init: self.evo.parallel_init,
-                incremental: self.incremental_crossover,
-                incremental_refresh: self.nsga_refresh,
                 islands: self.evo.islands,
             };
             cfg.validate()?;
@@ -1022,7 +983,6 @@ impl ProtectionJobBuilder {
             evo.seed = self.seed;
             evo.stop.max_iterations = self.iterations.max(1);
             evo.stop.stagnation = self.stagnation;
-            evo.incremental_crossover = self.incremental_crossover;
             evo.validate()?;
             OptimizerMode::Scalar(evo)
         };
@@ -1127,8 +1087,6 @@ mod tests {
             crossover_prob: 0.25,
             seed: 2,
             parallel_init: true,
-            incremental: true,
-            incremental_refresh: 5,
             islands: cdp_core::IslandConfig::default(),
         };
         let job = ProtectionJob::builder()
@@ -1235,28 +1193,6 @@ mod tests {
             let err = result.unwrap_err();
             assert!(err.to_string().contains("NSGA-II mode"), "{what}: {err}");
         }
-    }
-
-    #[test]
-    fn incremental_crossover_is_a_shared_knob() {
-        // scalar mode: maps onto EvoConfig::incremental_crossover
-        let job = ProtectionJob::builder()
-            .dataset(DatasetKind::Adult)
-            .incremental_crossover(true)
-            .build()
-            .unwrap();
-        assert!(job.evo_config().incremental_crossover);
-
-        // nsga mode: maps onto NsgaConfig::incremental instead of being
-        // rejected as a scalar-only knob
-        let job = ProtectionJob::builder()
-            .dataset(DatasetKind::Adult)
-            .nsga()
-            .iterations(5)
-            .incremental_crossover(true)
-            .build()
-            .unwrap();
-        assert!(job.nsga_config().expect("nsga mode").incremental);
     }
 
     #[test]

@@ -44,9 +44,8 @@ pub struct Front {
     pub hypervolume: Vec<f64>,
     /// Total fitness evaluations performed (initial population included).
     pub evaluations: usize,
-    /// The same evaluations split into full assessments and patch-based
-    /// re-assessments (`NsgaConfig::incremental` moves offspring from the
-    /// first bucket to the second).
+    /// The same evaluations split into full assessments (the initial
+    /// population) and patch-based re-assessments (every offspring).
     pub eval_counts: EvalCounts,
     /// The grammar keys of the objectives the run minimized, in vector
     /// order (always leads with `il, dr`).

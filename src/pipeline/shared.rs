@@ -32,21 +32,18 @@ use super::Result;
 
 /// Cache observability counters of a session ([`SharedSession::stats`]):
 /// how much preparation work the evaluator cache amortized. Under server
-/// load, `hits / (hits + misses)` — the cache hit rate — is the headline
-/// metric.
+/// load, `hits / (hits + preparations)` — the cache hit rate — is the
+/// headline metric.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Evaluator preparations actually performed (the expensive cold
-    /// path: ranks, marginals, contingency tables, PRL census, pattern
-    /// index).
+    /// Evaluator preparations started (the expensive cold path: ranks,
+    /// marginals, contingency tables, PRL census, pattern index): one per
+    /// request that registered a new slot, i.e. one per cache miss.
     pub preparations: usize,
     /// Requests served from an already-registered slot. A request that
     /// arrives while the first one is still preparing counts as a hit —
     /// it waits for that preparation instead of repeating it.
     pub hits: usize,
-    /// Requests that registered a new slot. Every slot is prepared once,
-    /// so this equals `preparations`.
-    pub misses: usize,
     /// Distinct `(original, MetricConfig)` slots currently cached.
     pub cached: usize,
     /// Approximate resident size of the cache, in bytes: the retained
@@ -82,7 +79,7 @@ pub struct CacheEntryStats {
 impl SessionStats {
     /// Cache hit rate in `[0, 1]`; `None` before the first request.
     pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
+        let total = self.hits + self.preparations;
         (total > 0).then(|| self.hits as f64 / total as f64)
     }
 }
@@ -118,7 +115,6 @@ struct SharedCache {
     slots: Mutex<Vec<Arc<CacheSlot>>>,
     preparations: AtomicUsize,
     hits: AtomicUsize,
-    misses: AtomicUsize,
 }
 
 /// A cloneable, thread-safe job execution context that caches prepared
@@ -176,7 +172,6 @@ impl SharedSession {
         SessionStats {
             preparations: self.cache.preparations.load(Ordering::Relaxed),
             hits: self.cache.hits.load(Ordering::Relaxed),
-            misses: self.cache.misses.load(Ordering::Relaxed),
             cached: slots.len(),
             approx_bytes: entries.iter().map(|e| e.approx_bytes).sum(),
             entries,
@@ -207,17 +202,14 @@ impl SharedSession {
         cfg.validate()?;
         let (slot, registered) = self.slot_for(original, cfg);
         let evaluator = slot.evaluator.get_or_init(|| {
-            let evaluator =
-                Evaluator::new(&slot.original, cfg).expect("a validated config always prepares");
-            self.cache.preparations.fetch_add(1, Ordering::Relaxed);
-            evaluator
+            Evaluator::new(&slot.original, cfg).expect("a validated config always prepares")
         });
         Ok((evaluator.clone(), !registered))
     }
 
     /// Find the slot of `(original, cfg)`, or register a new one, and
-    /// count the request as a hit or a miss. Returns the slot and whether
-    /// this call registered it.
+    /// count the request as a hit or as a preparation. Returns the slot
+    /// and whether this call registered it.
     fn slot_for(&self, original: &SubTable, cfg: MetricConfig) -> (Arc<CacheSlot>, bool) {
         let mut slots = self.registry();
         if let Some(slot) = slots
@@ -235,7 +227,7 @@ impl SharedSession {
             evaluator: OnceLock::new(),
         });
         slots.push(Arc::clone(&slot));
-        self.cache.misses.fetch_add(1, Ordering::Relaxed);
+        self.cache.preparations.fetch_add(1, Ordering::Relaxed);
         (slot, true)
     }
 
@@ -301,7 +293,7 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.preparations, 1);
         assert_eq!(stats.cached, 1);
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(stats.hits, 1);
     }
 
     #[test]
@@ -353,7 +345,6 @@ mod tests {
         });
         let stats = session.stats();
         assert_eq!(stats.preparations, 1, "one hot original, one preparation");
-        assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 3);
         assert_eq!(stats.cached, 1);
         assert_eq!(stats.hit_rate(), Some(0.75));
@@ -371,7 +362,6 @@ mod tests {
         });
         let stats = session.stats();
         assert_eq!(stats.preparations, 3);
-        assert_eq!(stats.misses, 3);
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.cached, 3);
     }
@@ -403,7 +393,7 @@ mod tests {
             assert_eq!(evaluator.evaluate(&original), fresh.evaluate(&original));
         }
         let stats = session.stats();
-        assert_eq!((stats.preparations, stats.hits, stats.misses), (1, 3, 1));
+        assert_eq!((stats.preparations, stats.hits), (1, 3));
         assert_eq!(stats.entries.len(), 1);
         assert_eq!(stats.entries[0].hits, 3);
     }
@@ -459,7 +449,7 @@ mod tests {
         );
         let stats = session.stats();
         assert_eq!(stats.cached, 2);
-        assert_eq!((stats.preparations, stats.hits, stats.misses), (2, 1, 2));
+        assert_eq!((stats.preparations, stats.hits), (2, 1));
         assert_eq!((stats.entries[0].hits, stats.entries[1].hits), (1, 0));
     }
 
@@ -568,7 +558,7 @@ mod tests {
         assert!(session.evaluator_for(&original, invalid_config()).is_err());
         let stats = session.stats();
         assert_eq!(stats.cached, 0, "a rejected config must not occupy a slot");
-        assert_eq!((stats.preparations, stats.hits, stats.misses), (0, 0, 0));
+        assert_eq!((stats.preparations, stats.hits), (0, 0));
         // a corrected call on the same original works
         let (_, reused) = session
             .evaluator_for(&original, MetricConfig::default())
@@ -665,6 +655,7 @@ mod tests {
                     .collect();
                 let session = SharedSession::new();
                 let mut successes = 0usize;
+                let mut registrations = 0usize;
                 let mut hits_at_clear = 0usize;
                 let mut keys: Vec<usize> = Vec::new(); // distinct since the last clear
                 for op in ops {
@@ -678,6 +669,7 @@ mod tests {
                                     prop_assert_eq!(reused, keys.contains(&original));
                                     if !reused {
                                         keys.push(original);
+                                        registrations += 1;
                                     }
                                     prop_assert_eq!(
                                         evaluator.evaluate(&pool[original]),
@@ -694,8 +686,8 @@ mod tests {
                         }
                     }
                     let stats = session.stats();
-                    prop_assert_eq!(stats.misses, stats.preparations);
-                    prop_assert_eq!(stats.hits + stats.misses, successes);
+                    prop_assert_eq!(stats.preparations, registrations);
+                    prop_assert_eq!(stats.hits + stats.preparations, successes);
                     prop_assert_eq!(
                         stats.hits - hits_at_clear,
                         stats.entries.iter().map(|e| e.hits).sum::<usize>()
@@ -751,10 +743,8 @@ mod tests {
         }
         assert_eq!(snapshots.len(), 2);
         // first job: fresh miss, one preparation; second: pure hit
-        assert_eq!((snapshots[0].misses, snapshots[0].hits), (1, 0));
-        assert_eq!(snapshots[0].preparations, 1);
-        assert_eq!((snapshots[1].misses, snapshots[1].hits), (1, 1));
-        assert_eq!(snapshots[1].preparations, 1);
+        assert_eq!((snapshots[0].preparations, snapshots[0].hits), (1, 0));
+        assert_eq!((snapshots[1].preparations, snapshots[1].hits), (1, 1));
         assert_eq!(snapshots[1].hit_rate(), Some(0.5));
         assert_eq!(snapshots[1], session.stats(), "final snapshot is current");
     }
@@ -776,10 +766,7 @@ mod tests {
             .unwrap();
         assert_eq!(reused, Some(false), "the cleared slot is prepared again");
         let snapshot = snapshot.expect("every job streams its cache counters");
-        assert_eq!(
-            (snapshot.preparations, snapshot.hits, snapshot.misses),
-            (2, 0, 2)
-        );
+        assert_eq!((snapshot.preparations, snapshot.hits), (2, 0));
         assert_eq!(snapshot.cached, 1);
         assert_eq!(snapshot.entries.len(), 1);
         assert_eq!(snapshot.entries[0].hits, 0);

@@ -36,8 +36,8 @@ pub enum JobEvent {
         reused: bool,
     },
     /// Snapshot of the session's cache counters, taken right after the
-    /// evaluator stage resolved (so `hits + misses` already includes this
-    /// job's request).
+    /// evaluator stage resolved (so `hits + preparations` already includes
+    /// this job's request).
     CacheStats(SessionStats),
     /// The initial population of protections is masked and ready.
     PopulationReady {
@@ -98,8 +98,9 @@ pub enum JobEvent {
     EvolutionFinished {
         /// Iterations (scalar) or generations (NSGA-II) actually executed.
         iterations: usize,
-        /// Fitness evaluations performed, split into full assessments and
-        /// patch-based re-assessments (the incremental knobs' observable).
+        /// Fitness evaluations performed, split into full assessments (the
+        /// initial population) and patch-based re-assessments (every
+        /// offspring).
         evaluations: EvalCounts,
     },
     /// The privacy audit of the winner completed.

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use cdp::core::OperatorKind;
 use cdp::dataset::io::{read_table, write_table, SchemaSource};
 use cdp::prelude::*;
 
@@ -101,10 +102,7 @@ fn unbalanced_protections_penalized_only_by_max() {
 #[test]
 fn protection_job_reproduces_the_hand_wired_run_exactly() {
     // the pipeline is a re-packaging, not a re-implementation: same seeds
-    // -> same RNG streams -> bit-identical outcome. Incremental evaluation
-    // is pinned off on *both* sides, so this stays a pure re-packaging
-    // check whatever the delta-engine defaults are (the default-on path is
-    // covered by default_incremental_run_publishes_the_same_winner).
+    // -> same RNG streams -> bit-identical outcome.
     let hand = {
         let ds = DatasetKind::German.generate(&GeneratorConfig::seeded(6).with_records(80));
         let population = build_population(&ds, &SuiteConfig::small(), 6).unwrap();
@@ -112,8 +110,6 @@ fn protection_job_reproduces_the_hand_wired_run_exactly() {
         let config = EvoConfig::builder()
             .iterations(30)
             .aggregator(ScoreAggregator::Max)
-            .incremental_mutation(false)
-            .incremental_crossover(false)
             .seed(6)
             .build();
         Evolution::new(evaluator, config)
@@ -127,8 +123,6 @@ fn protection_job_reproduces_the_hand_wired_run_exactly() {
         .suite_small()
         .aggregator(ScoreAggregator::Max)
         .iterations(30)
-        .incremental_mutation(false)
-        .incremental_crossover(false)
         .seed(6)
         .build()
         .unwrap();
@@ -158,8 +152,6 @@ fn nsga_job_reproduces_the_hand_wired_run_exactly() {
         NsgaConfig {
             generations: 12,
             seed: 6,
-            // pinned off on both sides — see the scalar mirror above
-            incremental: false,
             ..NsgaConfig::default()
         },
     )
@@ -173,7 +165,6 @@ fn nsga_job_reproduces_the_hand_wired_run_exactly() {
         .suite_small()
         .nsga()
         .iterations(12)
-        .incremental_crossover(false)
         .seed(6)
         .build()
         .unwrap();
@@ -338,110 +329,134 @@ fn facade_prelude_covers_the_whole_pipeline() {
 }
 
 #[test]
-fn incremental_job_reports_the_eval_split_and_matches_the_full_run() {
-    // the incremental knob's observable flows through the whole pipeline:
-    // EvolutionFinished carries the full/incremental assessment split, and
-    // the winner is bit-identical to the all-full run's
-    let job = |inc: bool| {
-        ProtectionJob::builder()
-            .dataset(DatasetKind::Adult)
-            .records(80)
-            .suite_small()
-            .iterations(40)
-            .incremental_mutation(inc)
-            .incremental_crossover(inc)
-            .seed(6)
-            .build()
-            .unwrap()
-    };
-    let counts_of = |job: &ProtectionJob| {
-        let mut counts = None;
-        let report = Session::new()
-            .run_with(job, |e| {
-                if let JobEvent::EvolutionFinished { evaluations, .. } = e {
-                    counts = Some(*evaluations);
-                }
-            })
-            .unwrap();
-        (counts.expect("evolution ran"), report)
-    };
-    let (full_counts, full_report) = counts_of(&job(false));
-    let (inc_counts, inc_report) = counts_of(&job(true));
-    assert_eq!(full_counts.incremental, 0);
-    assert!(inc_counts.incremental > 0);
-    assert!(
-        inc_counts.full * 2 <= full_counts.full,
-        "incremental job must at least halve the full assessments: {} vs {}",
-        inc_counts.full,
-        full_counts.full
+fn scalar_job_reports_an_exact_eval_split_and_an_exact_winner() {
+    // the evaluation split flows through the whole pipeline:
+    // EvolutionFinished carries it and the report mirrors it. Only the
+    // initial population pays a full assessment; every offspring (one per
+    // mutation, two per crossover) is a patch of its parent's state. The
+    // published winner's assessment equals a fresh full assessment of its
+    // file, bit for bit.
+    let job = ProtectionJob::builder()
+        .dataset(DatasetKind::Adult)
+        .records(80)
+        .suite_small()
+        .iterations(40)
+        .seed(6)
+        .build()
+        .unwrap();
+    let mut counts = None;
+    let mut population = None;
+    let report = Session::new()
+        .run_with(&job, |e| match e {
+            JobEvent::PopulationReady { size } => population = Some(*size),
+            JobEvent::EvolutionFinished { evaluations, .. } => counts = Some(*evaluations),
+            _ => {}
+        })
+        .unwrap();
+    let counts = counts.expect("evolution ran");
+    let outcome = report.scalar_outcome().unwrap();
+    assert_eq!(
+        outcome.eval_counts, counts,
+        "the report mirrors the event stream"
     );
-    // the report mirrors the event stream
-    assert_eq!(inc_report.scalar_outcome().unwrap().eval_counts, inc_counts);
-    // exact delta evaluation: zero winner drift, bit for bit
-    let (a, b) = (&full_report.best.assessment, &inc_report.best.assessment);
-    assert_eq!(a, b);
-    assert_eq!(full_report.best.data, inc_report.best.data);
+    let ops: Vec<OperatorKind> = outcome
+        .trace
+        .generations
+        .iter()
+        .filter_map(|g| g.operator)
+        .collect();
+    let mutations = ops.iter().filter(|&&o| o == OperatorKind::Mutation).count();
+    assert_eq!(counts.full, population.expect("population masked"));
+    assert_eq!(counts.incremental, mutations + 2 * (ops.len() - mutations));
+
+    let fresh = Evaluator::new(&report.original(), MetricConfig::default())
+        .unwrap()
+        .assess(&report.best.data)
+        .assessment;
+    assert_eq!(report.best.assessment, fresh);
+    assert_eq!(report.best.assessment.il().to_bits(), fresh.il().to_bits());
+    assert_eq!(report.best.assessment.dr().to_bits(), fresh.dr().to_bits());
 }
 
 #[test]
-fn default_incremental_run_publishes_the_same_winner_as_inc_off() {
-    // the defaults equivalence behind the flip: an untouched builder now
-    // runs the exact delta engine, and must publish the identical winner
-    // (same protected file, same assessment) as an explicit inc=off run —
-    // in both optimizer modes
-    let scalar = |inc_off: bool| {
-        let mut b = ProtectionJob::builder()
-            .dataset(DatasetKind::German)
-            .records(80)
-            .suite_small()
-            .iterations(35)
-            .seed(11);
-        if inc_off {
-            b = b.incremental_mutation(false).incremental_crossover(false);
-        }
-        b.build().unwrap().run().unwrap()
-    };
-    let default_run = scalar(false);
-    let off_run = scalar(true);
-    // the default really is the incremental path …
-    let default_counts = default_run.scalar_outcome().unwrap().eval_counts;
-    assert!(default_counts.incremental > 0, "defaults must be on");
-    assert_eq!(off_run.scalar_outcome().unwrap().eval_counts.incremental, 0);
-    // … and it changes nothing observable
-    assert_eq!(default_run.best.assessment, off_run.best.assessment);
+fn nsga_job_reports_an_exact_eval_split_and_an_exact_winner() {
+    // the NSGA-II mirror: λ = population size offspring per generation,
+    // all patched; the knee-point winner's assessment equals a fresh full
+    // assessment of its file, bit for bit
+    let generations = 10;
+    let job = ProtectionJob::builder()
+        .dataset(DatasetKind::German)
+        .records(80)
+        .suite_small()
+        .nsga()
+        .iterations(generations)
+        .seed(11)
+        .build()
+        .unwrap();
+    let mut population = None;
+    let report = Session::new()
+        .run_with(&job, |e| {
+            if let JobEvent::PopulationReady { size } = e {
+                population = Some(*size);
+            }
+        })
+        .unwrap();
+    let front = report.front().unwrap();
+    let n = population.expect("population masked");
     assert_eq!(
-        default_run.best.data, off_run.best.data,
-        "published winner must be identical"
+        front.eval_counts.full, n,
+        "only the initial population is fully assessed"
     );
-    assert_eq!(
-        default_run.scalar_outcome().unwrap().summary(),
-        off_run.scalar_outcome().unwrap().summary()
-    );
+    assert_eq!(front.eval_counts.incremental, generations * n);
+    assert_eq!(front.eval_counts.total(), front.evaluations);
 
-    let nsga = |inc_off: bool| {
-        let mut b = ProtectionJob::builder()
-            .dataset(DatasetKind::German)
-            .records(80)
-            .suite_small()
-            .nsga()
-            .iterations(10)
-            .seed(11);
-        if inc_off {
-            b = b.incremental_crossover(false);
-        }
-        b.build().unwrap().run().unwrap()
-    };
-    let default_front = nsga(false);
-    let off_front = nsga(true);
-    assert!(
-        default_front.front().unwrap().eval_counts.incremental > 0,
-        "nsga defaults must be on"
-    );
-    assert_eq!(off_front.front().unwrap().eval_counts.incremental, 0);
-    assert_eq!(default_front.best.assessment, off_front.best.assessment);
-    assert_eq!(default_front.best.data, off_front.best.data);
-    assert_eq!(
-        default_front.front().unwrap().hypervolume,
-        off_front.front().unwrap().hypervolume
-    );
+    let fresh = Evaluator::new(&report.original(), MetricConfig::default())
+        .unwrap()
+        .assess(&report.best.data)
+        .assessment;
+    assert_eq!(report.best.assessment, fresh);
+    assert_eq!(report.best.assessment.il().to_bits(), fresh.il().to_bits());
+    assert_eq!(report.best.assessment.dr().to_bits(), fresh.dr().to_bits());
+}
+
+#[test]
+fn island_nsga_job_keeps_the_eval_split_and_every_front_member_exact() {
+    // two islands with migration: each island patches its own offspring
+    // (λ = its subpopulation size), so the merged split equals the
+    // single-island one, and every member of the merged front — migrants
+    // included — carries the exact full assessment of its file
+    let generations = 8;
+    let job = ProtectionJob::builder()
+        .dataset(DatasetKind::German)
+        .records(80)
+        .suite_small()
+        .nsga()
+        .iterations(generations)
+        .islands(2)
+        .migration_interval(3)
+        .seed(13)
+        .build()
+        .unwrap();
+    let mut population = None;
+    let report = Session::new()
+        .run_with(&job, |e| {
+            if let JobEvent::PopulationReady { size } = e {
+                population = Some(*size);
+            }
+        })
+        .unwrap();
+    let front = report.front().unwrap();
+    let n = population.expect("population masked");
+    assert_eq!(front.eval_counts.full, n);
+    assert_eq!(front.eval_counts.incremental, generations * n);
+    assert_eq!(front.eval_counts.total(), front.evaluations);
+
+    let evaluator = Evaluator::new(&report.original(), MetricConfig::default()).unwrap();
+    assert!(!front.members.is_empty());
+    for (k, member) in front.members.iter().enumerate() {
+        let fresh = evaluator.assess(&member.data).assessment;
+        assert_eq!(member.assessment, fresh, "front member {k}");
+        assert_eq!(member.assessment.il().to_bits(), fresh.il().to_bits());
+        assert_eq!(member.assessment.dr().to_bits(), fresh.dr().to_bits());
+    }
 }

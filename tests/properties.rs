@@ -237,8 +237,9 @@ proptest! {
         a in 2usize..=3, n in 10usize..=25, seed in any::<u64>()
     ) {
         // evaluate a real crossover offspring via its flat-range patch and
-        // compare against the full recompute (the incremental_crossover
-        // path): bit-identical across all seven measures
+        // compare against the full recompute (the path every crossover
+        // child of an evolution takes): bit-identical across all seven
+        // measures
         let x = random_subtable(a, n, seed);
         let y = random_masking(&x, seed ^ 9);
         let ev = Evaluator::new(&x, MetricConfig::default()).unwrap();
