@@ -1,8 +1,13 @@
-//! Per-measure cost across record counts.
+//! Per-measure cost across record counts, through the stand-alone measure
+//! functions.
 //!
 //! The paper names fitness cost its major drawback; this bench shows where
-//! it goes: the three O(n²) linkage measures dwarf the O(n) information-
-//! loss measures, and the gap widens quadratically with the file size.
+//! it went in a direct implementation: the stand-alone linkage functions
+//! (`dbrl`, `prl`, `rsrl`) are the all-pairs reference scans, O(n²·a),
+//! and dwarf the O(n·a) information-loss measures by a gap that widens
+//! quadratically with the file size. The evaluator does not run them: it
+//! links distinct patterns through per-original tables, and
+//! `evaluator_bench`'s `measures` section times those building blocks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

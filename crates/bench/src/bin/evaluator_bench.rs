@@ -1,7 +1,7 @@
 //! Delta-vs-full evaluation benchmark: the perf baseline for the
 //! `Evaluator::assess` / `Evaluator::reassess` hot path.
 //!
-//! Five sections, written as `BENCH_evaluator.json`:
+//! Six sections, written as `BENCH_evaluator.json`:
 //!
 //! 1. **micro** — per-dataset-size cost of a full assessment vs a
 //!    single-cell and a quarter-segment patch re-assessment (ns/op and the
@@ -17,7 +17,8 @@
 //!    blocked scan is timed cold (fresh preparations) and warm.
 //!    The all-pairs scan (and the credit-equality cross-check over DBRL
 //!    *and* RSRL) runs only up to 20k rows — beyond that O(n²·a) is the
-//!    wall this section exists to document.
+//!    wall this section exists to document. The pattern-table check
+//!    (`tables_equal`) runs at every size.
 //! 3. **evolution** — a 250-iteration paper-suite evolution run: wall
 //!    time, the full/incremental assessment split, and whether the
 //!    published best point equals a fresh full assessment of the winner.
@@ -33,6 +34,14 @@
 //!    recodings, 11 rank swaps, 9 PRAMs) and one privacy audit of a masked
 //!    variant against the original, at 1k/20k/100k rows (best of a few
 //!    repetitions).
+//! 6. **measures** — the public building blocks of one assessment, timed
+//!    one by one on a masked Adult file at 1k/20k/100k rows: the masked
+//!    `PatternIndex::build`, `PatternCensus::build`,
+//!    `PrlModel::fit_from_counts`, the PRL credits, `dbrl_credits_blocked`
+//!    and `rsrl_credits_blocked`. Each is timed *cold* (every repetition
+//!    against its own fresh preparation, so its per-original table starts
+//!    empty) and *warm* (the table already holds every pattern of the
+//!    file); each figure is the best of a few repetitions.
 //!
 //! ```text
 //! cargo run --release -p cdp_bench --bin evaluator_bench -- \
@@ -48,8 +57,11 @@
 //! bit (every offspring of the run was patched, so this is the
 //! evolution-level patched ≡ full contract, checked in release builds),
 //! (b) the patch-vs-full exactness delta is exactly zero, (c) every
-//! blocked-vs-all-pairs credit comparison is `==`-equal — all three are
-//! bit-exactness contracts, so any difference at all is a regression.
+//! blocked-vs-all-pairs credit comparison is `==`-equal, and (d) at every
+//! size, every live masked pattern's PRL histogram served from the
+//! per-original link table equals a fresh scan and its RSRL box count
+//! equals the posting-list count — all four are bit-exactness contracts,
+//! so any difference at all is a regression.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -59,7 +71,8 @@ use cdp_core::{EvoConfig, Evolution, EvolutionOutcome, Nsga2, NsgaConfig};
 use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
 use cdp_dataset::{Code, PatternIndex, SubTable};
 use cdp_metrics::linkage::{
-    dbrl_credits, dbrl_credits_blocked, rsrl_credits, rsrl_credits_blocked,
+    dbrl_credits, dbrl_credits_blocked, pattern_table_mismatches, rsrl_credits,
+    rsrl_credits_blocked, PatternCensus, PrlModel,
 };
 use cdp_metrics::{Evaluator, MaskedStats, MetricConfig, ObjectiveSet, Patch, PreparedOriginal};
 use cdp_sdc::{build_population, build_population_from, SuiteConfig};
@@ -209,6 +222,10 @@ struct LinkageRow {
     /// DBRL *and* RSRL credit vectors `==`-equal across backends
     /// (`None` when the all-pairs reference was skipped).
     credits_equal: Option<bool>,
+    /// Every live masked pattern's PRL histogram served from the link
+    /// table equals a fresh scan, and its RSRL box count equals the
+    /// posting-list count (checked at every size).
+    tables_equal: bool,
 }
 
 /// Time the blocked DBRL credit scan against the all-pairs reference on the
@@ -238,13 +255,14 @@ fn linkage_row(rows: usize, seed: u64) -> LinkageRow {
     }
     let ns_blocked_warm = t0.elapsed().as_nanos() as f64 / blocked_reps as f64;
 
+    let stats = MaskedStats::build(&prep, &masked);
+    let window = (MetricConfig::default().rsrl_window_fraction * rows as f64).max(1.0);
+    let tables_equal = pattern_table_mismatches(&prep, &stats, &index, window) == 0;
     let (ns_pairs, credits_equal) = if rows <= PAIRS_CEILING {
         let t0 = Instant::now();
         let pairs_dbrl = dbrl_credits(&prep, &masked);
         let ns_pairs = t0.elapsed().as_nanos() as f64;
         let blocked_dbrl = dbrl_credits_blocked(&prep, &masked, &index);
-        let stats = MaskedStats::build(&prep, &masked);
-        let window = (MetricConfig::default().rsrl_window_fraction * rows as f64).max(1.0);
         let equal = blocked_dbrl == pairs_dbrl
             && rsrl_credits_blocked(&prep, &stats, &index, window)
                 == rsrl_credits(&prep, &stats, &masked, window);
@@ -261,6 +279,7 @@ fn linkage_row(rows: usize, seed: u64) -> LinkageRow {
         ns_blocked_warm,
         ns_pairs,
         credits_equal,
+        tables_equal,
     }
 }
 
@@ -516,6 +535,96 @@ fn mask_audit_row(rows: usize, reps: usize, seed: u64) -> MaskAuditRow {
     }
 }
 
+/// The per-measure timings of one masked file: `(key, ns cold, ns warm)`
+/// per building block, in assessment order.
+struct MeasureRow {
+    rows: usize,
+    ns: Vec<(&'static str, f64, f64)>,
+}
+
+/// Time each building block of an assessment on its own. Cold: each of the
+/// `reps` repetitions gets a fresh preparation (built untimed), so every
+/// per-original table starts empty. Warm: one preparation that already ran
+/// every block, `4 * reps` repetitions. Each figure is the best repetition.
+fn measures_row(rows: usize, reps: usize, seed: u64) -> MeasureRow {
+    let original = DatasetKind::Adult
+        .generate(&GeneratorConfig::seeded(seed).with_records(rows))
+        .protected_subtable();
+    let masked = masked_variant(&original, seed);
+    let cfg = MetricConfig::default();
+    let window = (cfg.rsrl_window_fraction * rows as f64).max(1.0);
+    let index = PatternIndex::build(&masked);
+    let warm = PreparedOriginal::new(&original);
+    let stats = MaskedStats::build(&warm, &masked);
+    let census = PatternCensus::build(&warm, &masked, &index);
+    let model = PrlModel::fit_from_counts(&warm, census.counts(), cfg.prl_em_iters);
+
+    type Block<'a> = Box<dyn Fn(&PreparedOriginal) + 'a>;
+    let blocks: Vec<(&'static str, Block)> = vec![
+        (
+            "pattern_index",
+            Box::new(|_| {
+                std::hint::black_box(PatternIndex::build(&masked));
+            }),
+        ),
+        (
+            "census",
+            Box::new(|p| {
+                std::hint::black_box(PatternCensus::build(p, &masked, &index));
+            }),
+        ),
+        (
+            "prl_fit",
+            Box::new(|p| {
+                std::hint::black_box(PrlModel::fit_from_counts(
+                    p,
+                    census.counts(),
+                    cfg.prl_em_iters,
+                ));
+            }),
+        ),
+        (
+            "prl_credits",
+            Box::new(|_| {
+                std::hint::black_box(census.credits(&model, &index));
+            }),
+        ),
+        (
+            "dbrl_credits_blocked",
+            Box::new(|p| {
+                std::hint::black_box(dbrl_credits_blocked(p, &masked, &index));
+            }),
+        ),
+        (
+            "rsrl_credits_blocked",
+            Box::new(|p| {
+                std::hint::black_box(rsrl_credits_blocked(p, &stats, &index, window));
+            }),
+        ),
+    ];
+    let time = |f: &Block, p: &PreparedOriginal| {
+        let t0 = Instant::now();
+        f(p);
+        t0.elapsed().as_nanos() as f64
+    };
+    for (_, f) in &blocks {
+        f(&warm);
+    }
+    let ns = blocks
+        .iter()
+        .map(|(key, f)| {
+            let cold = (0..reps)
+                .map(|_| time(f, &PreparedOriginal::new(&original)))
+                .fold(f64::INFINITY, f64::min);
+            let warm = (0..4 * reps)
+                .map(|_| time(f, &warm))
+                .fold(f64::INFINITY, f64::min);
+            (*key, cold, warm)
+        })
+        .collect();
+    MeasureRow { rows, ns }
+}
+
 fn main() {
     let args = parse_args();
     let sizes: Vec<(usize, usize)> = if let Some(rows) = args.rows {
@@ -547,6 +656,12 @@ fn main() {
     for &(rows, reps) in &mask_audit_sizes {
         eprintln!("mask_audit: {rows} rows …");
         mask_audit.push(mask_audit_row(rows, reps, args.seed));
+    }
+
+    let mut measures = Vec::new();
+    for &(rows, reps) in &mask_audit_sizes {
+        eprintln!("measures: {rows} rows …");
+        measures.push(measures_row(rows, reps, args.seed));
     }
 
     // the acceptance-criteria run: paper suite, 250 iterations (reduced
@@ -619,12 +734,13 @@ fn main() {
             "    {{\"rows\": {}, \"patterns_original\": {}, \"patterns_masked\": {}, \
              \"ns_dbrl_blocked_cold\": {:.0}, \"ns_dbrl_blocked_warm\": {:.0}, \
              \"ns_dbrl_pairs\": {ns_pairs}, \"pairs_over_blocked\": {speedup}, \
-             \"credits_equal\": {equal}}}{comma}",
+             \"credits_equal\": {equal}, \"tables_equal\": {}}}{comma}",
             row.rows,
             row.patterns_original,
             row.patterns_masked,
             row.ns_blocked_cold,
             row.ns_blocked_warm,
+            row.tables_equal,
         );
     }
     let _ = writeln!(json, "  ],");
@@ -642,6 +758,24 @@ fn main() {
             row.rows,
             row.ms_family.iter().map(|(_, ms)| ms).sum::<f64>(),
             row.ms_audit,
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"measures\": [");
+    for (i, row) in measures.iter().enumerate() {
+        let comma = if i + 1 < measures.len() { "," } else { "" };
+        let blocks: Vec<String> = row
+            .ns
+            .iter()
+            .map(|(k, cold, warm)| {
+                format!("\"ns_{k}_cold\": {cold:.0}, \"ns_{k}_warm\": {warm:.0}")
+            })
+            .collect();
+        let _ = writeln!(
+            json,
+            "    {{\"rows\": {}, {}}}{comma}",
+            row.rows,
+            blocks.join(", ")
         );
     }
     let _ = writeln!(json, "  ],");
@@ -691,7 +825,7 @@ fn main() {
     print!("{json}");
     eprintln!("wrote {}", args.out.display());
 
-    // three bit-exactness contracts: under --check-drift any difference at
+    // four bit-exactness contracts: under --check-drift any difference at
     // all (not merely above a tolerance) fails the run — after the JSON is
     // on disk, so CI still uploads the failing numbers
     if args.check_drift {
@@ -716,6 +850,15 @@ fn main() {
                 eprintln!(
                     "DRIFT CHECK FAILED: blocked vs all-pairs credit mismatch \
                      at {} rows; the blocked scans must be bit-exact",
+                    row.rows
+                );
+                failed = true;
+            }
+            if !row.tables_equal {
+                eprintln!(
+                    "DRIFT CHECK FAILED: a served PRL histogram or an RSRL box \
+                     count differs from its scan at {} rows; the pattern \
+                     tables must be bit-exact",
                     row.rows
                 );
                 failed = true;

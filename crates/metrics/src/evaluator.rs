@@ -18,11 +18,13 @@
 //!    per changed cell (pair tables are corrected per touched *row* so
 //!    simultaneous changes to two attributes of one record stay exact),
 //!    DBRL by relinking the touched records (links are per-masked-record
-//!    independent), PRL from per-record agreement-pattern histograms
-//!    ([`crate::linkage::PatternCensus`]: touched rows rebuild in O(n·a),
-//!    the Fellegi–Sunter model refits from the summed census — identical
-//!    to a from-scratch fit — and all credits recompute in O(n·2^a)), and
-//!    RSRL by re-crediting exactly the records whose rank windows moved
+//!    independent), PRL from per-pattern agreement histograms
+//!    ([`crate::linkage::PatternCensus`]: a touched row shifts the census
+//!    by the difference of two histograms, the Fellegi–Sunter model refits
+//!    from the summed census — identical to a from-scratch fit — and the
+//!    credits recompute from one `(best weight, tie mass)` per live masked
+//!    pattern plus one comparison per record), and RSRL by re-crediting
+//!    exactly the masked patterns whose rank windows moved
 //!    ([`MaskedStats::apply_patch`] reports every midrank shift, touched
 //!    row or not). A patched state therefore equals the full recompute
 //!    bit for bit — no frozen-weights or stale-midrank approximation, no
@@ -43,15 +45,19 @@
 //!    ([`crate::linkage::dbrl_credits`], [`crate::linkage::rsrl_credits`]),
 //!    which remain as the test and bench oracle — see [`crate::linkage`]
 //!    for the exactness argument.
-//! 5. **Per-original link table** — a masked pattern's DBRL link depends
-//!    only on the pattern and the original, so [`PreparedOriginal`] holds
-//!    one write-once slot per point of the masked pattern space (up to
-//!    [`crate::LINK_TABLE_MAX_SLOTS`]). Blocked DBRL scans a pattern the
-//!    first time any assessment meets it and reads the slot ever after —
-//!    across the initial population, every patch, and (through the shared
-//!    `Arc`) every clone of the evaluator, so every job on a cached
-//!    original. A slot holds the scan's own output, so results do not move
-//!    by a bit.
+//! 5. **Per-original pattern tables** — a masked pattern's DBRL link and
+//!    its PRL agreement histogram depend only on the pattern and the
+//!    original, so [`PreparedOriginal`] holds one write-once slot with
+//!    both per point of the masked pattern space (up to
+//!    [`crate::LINK_TABLE_MAX_SLOTS`]). A pattern is scanned the first time
+//!    any assessment meets it and read from its slot ever after — across
+//!    the initial population, every patch, and (through the shared `Arc`)
+//!    every clone of the evaluator, so every job on a cached original. An
+//!    RSRL candidate count is a box count over the original's joint counts
+//!    in rank coordinates, a prefix-sum grid over the same space built at
+//!    preparation: `2^a` lookups per masked pattern. A slot holds the
+//!    scans' own output and a box count is the same integer as the scan,
+//!    so results do not move by a bit.
 //!
 //! [`Evaluator::reassess_mutation`] remains as the single-cell
 //! convenience wrapper over the patch engine.
@@ -67,9 +73,8 @@ use crate::il::{
     update_confusion,
 };
 use crate::linkage::{
-    compatible_categories, count_candidates, credits_value, dbrl_credits_blocked, pattern_link,
-    pattern_to_row_distance, rsrl_credits_blocked, self_compatible, PatternCensus, PrlModel,
-    DIST_EPS,
+    credits_value, dbrl_credits_blocked, pattern_link, pattern_to_row_distance,
+    rsrl_credits_blocked, CandidatePools, PatternCensus, PrlModel, DIST_EPS,
 };
 use crate::patch::{Patch, PatchCell};
 use crate::prepared::{MaskedStats, MovedCategory, PreparedOriginal};
@@ -192,11 +197,12 @@ impl Assessment {
 /// An assessment together with the sufficient statistics that make
 /// patch-based updates cheap.
 ///
-/// Memory: dominated by the PRL pattern histograms, `n_rows · 2^a` `u32`s
-/// (`a` = protected attributes; 32 KB per state at the paper's 1000×3
-/// shape). The histograms also serve the *full* assessment — credits sweep
-/// them in O(n·2^a) instead of re-scanning all n² pairs — so the footprint
-/// buys speed even for a file that is assessed once and never patched.
+/// Memory: dominated by the three per-record credit vectors (DBRL, PRL,
+/// RSRL: `3·n_rows` `f64`s, 2.4 MB at 100k rows), then the per-record
+/// masked pattern ids and PRL self-patterns (`n_rows` `u32`s each). The
+/// PRL histograms are per *distinct* masked pattern id, `2^a` `u32`s each
+/// (`a` = protected attributes): a few tens of KB at Adult's 1568-pattern
+/// space, whatever the row count.
 #[derive(Debug)]
 pub struct EvalState {
     /// The headline numbers.
@@ -475,10 +481,10 @@ impl Evaluator {
     /// masked pattern index and census — see [`Evaluator::repattern`])
     /// moved: PRL refits from the census and re-credits every record from
     /// integer pattern data, DBRL relinks the touched rows, and RSRL
-    /// re-credits the touched rows plus every record holding a category
-    /// whose rank window changed. Re-credited rows sharing a masked
-    /// pattern share one pattern-level DBRL link and one RSRL candidate
-    /// pool.
+    /// re-credits the records of the touched rows' patterns and of every
+    /// pattern holding a category whose rank window changed. Re-credited
+    /// rows sharing a masked pattern share one pattern-level DBRL link and
+    /// one RSRL candidate pool.
     fn relink(
         &self,
         masked: &SubTable,
@@ -489,7 +495,7 @@ impl Evaluator {
         let prep = &self.prep;
 
         // PRL: the census already moved with the index; an EM refit over
-        // 2^a patterns and an O(n·2^a) credit sweep — bit-identical to a
+        // 2^a patterns and a per-pattern credit sweep — bit-identical to a
         // full fit+link, because census and histograms are identical
         // integers
         state.prl_model.refit_from_counts(
@@ -519,50 +525,37 @@ impl Evaluator {
         }
 
         // RSRL: a midrank move only matters when it changes the window's
-        // category-compatibility set; re-credit exactly the holders of the
-        // categories whose set changed (plus the touched rows themselves)
+        // run of compatible categories; re-credit exactly the masked
+        // patterns holding a category whose run changed, plus the patterns
+        // the touched rows moved into
         let window = self.rsrl_window();
-        let mut recredit = vec![false; prep.n_rows()];
+        let shifted: Vec<(usize, Code)> = moved
+            .iter()
+            .filter(|mc| {
+                prep.rank_window(mc.attr, mc.old_midrank, window)
+                    != prep.rank_window(mc.attr, mc.new_midrank, window)
+            })
+            .map(|mc| (mc.attr, mc.cat))
+            .collect();
+        let index = &state.masked_index;
+        let mut pools = CandidatePools::new(prep, index.n_patterns());
         for &row in touched_rows {
-            recredit[row] = true;
+            let pid = index.pattern_of(row);
+            if !pools.is_pooled(pid) {
+                pools.pool(prep, &state.masked_stats, pid, index.codes_of(pid), window);
+            }
         }
-        for mc in moved {
-            let unchanged = (mc.old_midrank.is_nan() && mc.new_midrank.is_nan())
-                || mc.old_midrank == mc.new_midrank;
-            if unchanged {
-                continue;
-            }
-            let before = compatible_categories(prep, mc.attr, mc.old_midrank, window);
-            let after = compatible_categories(prep, mc.attr, mc.new_midrank, window);
-            if before == after {
-                continue;
-            }
-            for (i, &v) in masked.column(mc.attr).iter().enumerate() {
-                if v == mc.cat {
-                    recredit[i] = true;
+        if shifted.is_empty() {
+            let rows = touched_rows.iter().copied();
+            pools.credit_rows(prep, index, rows, &mut state.rsrl_credits);
+        } else {
+            for (pid, q, _) in index.iter_live() {
+                if !pools.is_pooled(pid) && shifted.iter().any(|&(k, v)| q[k] == v) {
+                    pools.pool(prep, &state.masked_stats, pid, q, window);
                 }
             }
-        }
-        let mut pools: HashMap<PatternId, (u64, Vec<Vec<bool>>)> = HashMap::new();
-        for (i, &due) in recredit.iter().enumerate() {
-            if !due {
-                continue;
-            }
-            let pid = state.masked_index.pattern_of(i);
-            let (candidates, compat) = pools.entry(pid).or_insert_with(|| {
-                let q = state.masked_index.codes_of(pid);
-                let compat: Vec<Vec<bool>> = (0..prep.n_attrs())
-                    .map(|k| {
-                        compatible_categories(prep, k, state.masked_stats.midrank(k, q[k]), window)
-                    })
-                    .collect();
-                (count_candidates(prep, &compat), compat)
-            });
-            state.rsrl_credits[i] = if *candidates > 0 && self_compatible(prep, compat, i) {
-                1.0 / *candidates as f64
-            } else {
-                0.0
-            };
+            let rows = 0..prep.n_rows();
+            pools.credit_rows(prep, index, rows, &mut state.rsrl_credits);
         }
 
         self.refresh_assessment(state);

@@ -35,8 +35,8 @@
 //!
 //! Preparing the original is a one-off cost per process: a long-lived
 //! session keeps one prepared evaluator per original in memory and hands
-//! each job a clone, and every clone shares the prepared state's DBRL
-//! link table.
+//! each job a clone, and every clone shares the prepared state's pattern
+//! tables (DBRL links and PRL histograms per masked pattern).
 //!
 //! ```
 //! use cdp_dataset::generators::{DatasetKind, GeneratorConfig};

@@ -20,11 +20,13 @@
 //! only on the pattern and the original, so [`PreparedOriginal`] keeps one
 //! write-once slot per point of the masked pattern space (up to
 //! [`crate::LINK_TABLE_MAX_SLOTS`]), shared by every clone of the
-//! preparation. Each pattern is scanned the first time any assessment
-//! meets it; afterwards it is a slot read. The cost of an assessment
-//! becomes `O(n·a)` plus `first-seen patterns × p_o·a`, and the scan work
-//! of a whole evolution is bounded by the pattern space, not by the
-//! number of assessments. Wider spaces keep the per-call scan.
+//! preparation; the slot also holds the pattern's PRL agreement histogram
+//! (see [`crate::linkage::pattern_facts`]). Each pattern is scanned the
+//! first time any assessment meets it; afterwards it is a slot read. The
+//! cost of an assessment becomes `O(n·a)` plus `first-seen patterns ×
+//! p_o·a`, and the scan work of a whole evolution is bounded by the
+//! pattern space, not by the number of assessments. Wider spaces keep the
+//! per-call scan.
 //!
 //! **Exactness contract.** Blocked credits are `assert_eq!`-identical to
 //! the all-pairs scan (property-tested in `tests/properties.rs`). The
@@ -48,7 +50,7 @@
 
 use cdp_dataset::{Code, PatternIndex, SubTable};
 
-use crate::linkage::{credits_value, DIST_EPS};
+use crate::linkage::{credits_value, pattern_facts, DIST_EPS};
 use crate::prepared::PreparedOriginal;
 
 /// Re-identification credit of masked record `i` (0, or `1/|ties|`).
@@ -99,19 +101,16 @@ pub(crate) fn pattern_to_row_distance(prep: &PreparedOriginal, q: &[Code], j: us
 
 /// `(best distance, tie mass)` of masked pattern `q` against the distinct
 /// original patterns, ties weighted by pattern multiplicity: served from
-/// the preparation's link table, which [`pattern_link_scan`] fills on a
-/// pattern's first use (or scanned per call above the table's cap).
+/// the preparation's link table (see [`crate::linkage::pattern_facts`]),
+/// or scanned per call above the table's cap.
 pub(crate) fn pattern_link(prep: &PreparedOriginal, q: &[Code]) -> (f64, u64) {
-    match prep.link_slot(q) {
-        Some(slot) => *slot.get_or_init(|| pattern_link_scan(prep, q)),
-        None => pattern_link_scan(prep, q),
-    }
+    pattern_facts(prep, q).map_or_else(|| pattern_link_scan(prep, q), |f| f.link)
 }
 
 /// The uncached link scan behind [`pattern_link`]. Original patterns are
 /// visited in first-occurrence order and pruned with the fold-continuation
 /// lower bound described in the module docs.
-fn pattern_link_scan(prep: &PreparedOriginal, q: &[Code]) -> (f64, u64) {
+pub(super) fn pattern_link_scan(prep: &PreparedOriginal, q: &[Code]) -> (f64, u64) {
     let a = q.len();
     let mut best = f64::INFINITY;
     let mut ties = 0u64;

@@ -18,16 +18,24 @@
 //! * DBRL credits depend only on the record's own masked values — touched
 //!   records relink, nothing else can change;
 //! * PRL credits are a function of integer agreement-pattern histograms
-//!   ([`PatternCensus`]) — a touched record rebuilds its histogram, the
+//!   ([`PatternCensus`], one per distinct masked pattern) — a touched
+//!   record moves the census by the difference of two histograms, the
 //!   Fellegi–Sunter model refits from the summed census (identical to a
-//!   from-scratch fit), and every credit is recomputed from the histograms
-//!   in O(n·2^a);
+//!   from-scratch fit), and every credit is recomputed from one
+//!   `(best weight, tie mass)` per live masked pattern in O(p_m·2^a + n);
 //! * RSRL credits depend on the masked midranks of the record's own
 //!   values — `MaskedStats::apply_patch` reports every midrank that moved,
 //!   and the holders of categories whose rank window changed re-credit.
 //!
 //! A patched evaluation is therefore bit-identical to a full one; there is
 //! no frozen-weights or stale-midrank approximation left to bound.
+//!
+//! A histogram and a DBRL link depend only on (masked pattern, original),
+//! so both live in one write-once slot of the preparation's link table;
+//! an RSRL candidate count is a box count over the original's
+//! rank-coordinate grid. Above [`crate::LINK_TABLE_MAX_SLOTS`] the scans
+//! run per call instead; [`pattern_table_mismatches`] checks the tables
+//! against those scans.
 
 mod distance;
 mod probabilistic;
@@ -44,7 +52,64 @@ pub use rankswap_aware::{
 };
 
 pub(crate) use distance::{pattern_link, pattern_to_row_distance};
-pub(crate) use rankswap_aware::{count_candidates, self_compatible};
+pub(crate) use rankswap_aware::CandidatePools;
+
+use std::borrow::Cow;
+
+use cdp_dataset::{Code, PatternIndex};
+
+use crate::prepared::{MaskedStats, PatternFacts, PreparedOriginal};
+
+/// The facts of masked pattern `q` — its DBRL link and its PRL agreement
+/// histogram — from the preparation's link table, filled by the two scans
+/// on the pattern's first use; `None` above
+/// [`crate::LINK_TABLE_MAX_SLOTS`], where callers scan per call. A slot
+/// holds the scans' own output, and a racing first fill can only store
+/// that same value, so serving it changes no bit.
+pub(crate) fn pattern_facts<'a>(
+    prep: &'a PreparedOriginal,
+    q: &[Code],
+) -> Option<&'a PatternFacts> {
+    let slot = prep.facts_slot(q)?;
+    Some(slot.get_or_init(|| PatternFacts {
+        link: distance::pattern_link_scan(prep, q),
+        hist: probabilistic::histogram_scan(prep, q).into_boxed_slice(),
+    }))
+}
+
+/// The PRL agreement histogram of masked pattern `q`: the table's slot, or
+/// a fresh scan above the table's cap.
+pub(crate) fn pattern_histogram<'a>(prep: &'a PreparedOriginal, q: &[Code]) -> Cow<'a, [u32]> {
+    match pattern_facts(prep, q) {
+        Some(facts) => Cow::Borrowed(&facts.hist),
+        None => Cow::Owned(probabilistic::histogram_scan(prep, q)),
+    }
+}
+
+/// Check the per-original pattern tables against the scans they replace,
+/// on every live pattern of `index` (the masked file behind `stats`): the
+/// PRL histogram served from the link table must equal a fresh scan, and
+/// the RSRL candidate count from the rank box must equal the count over
+/// the original's patterns (the posting-list walk). Both are exact
+/// integers, so any difference is a defect. Returns the number of
+/// patterns that disagree on either (0 above the table's cap, where the
+/// scans run directly).
+pub fn pattern_table_mismatches(
+    prep: &PreparedOriginal,
+    stats: &MaskedStats,
+    index: &PatternIndex,
+    window: f64,
+) -> usize {
+    let mut pools = CandidatePools::new(prep, index.n_patterns());
+    index
+        .iter_live()
+        .filter(|&(pid, q, _)| {
+            *pattern_histogram(prep, q) != *probabilistic::histogram_scan(prep, q)
+                || pools.pool(prep, stats, pid, q, window)
+                    != rankswap_aware::count_candidates_of(prep, stats, q, window)
+        })
+        .count()
+}
 
 /// Tie tolerance of every linkage comparison (distances and Fellegi–Sunter
 /// weights): two scores within `DIST_EPS` of each other are considered tied,
@@ -71,6 +136,60 @@ pub fn credits_value(credits: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
+
+    #[test]
+    fn racing_threads_fill_one_table_with_the_scans_output() {
+        // the barrier releases every thread into the same cold table at
+        // once, each walking the whole pattern space in its own order
+        let s = DatasetKind::Adult
+            .generate(&GeneratorConfig::seeded(5).with_records(400))
+            .protected_subtable();
+        let prep = PreparedOriginal::new(&s);
+        let cats: Vec<usize> = (0..prep.n_attrs()).map(|k| prep.cats(k)).collect();
+        let space: usize = cats.iter().product();
+        let pattern = |mut code: usize| -> Vec<Code> {
+            cats.iter()
+                .map(|&c| {
+                    let x = (code % c) as Code;
+                    code /= c;
+                    x
+                })
+                .collect()
+        };
+        let threads = 4;
+        let start = std::sync::Barrier::new(threads);
+        type Facts = (Vec<u32>, (f64, u64));
+        let seen: Vec<Vec<Facts>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (prep, start, pattern) = (&prep, &start, &pattern);
+                    scope.spawn(move || {
+                        start.wait();
+                        // thread t starts a quarter further into the space
+                        (0..space)
+                            .map(|i| {
+                                let q = pattern((i + t * space / threads) % space);
+                                (
+                                    pattern_histogram(prep, &q).into_owned(),
+                                    pattern_link(prep, &q),
+                                )
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(prep.link_table_fill(), (space, space));
+        for (t, got) in seen.iter().enumerate() {
+            for (i, (hist, link)) in got.iter().enumerate() {
+                let q = pattern((i + t * space / threads) % space);
+                assert_eq!(*hist, probabilistic::histogram_scan(&prep, &q), "{q:?}");
+                assert_eq!(*link, distance::pattern_link_scan(&prep, &q), "{q:?}");
+            }
+        }
+    }
 
     #[test]
     fn credits_value_is_mean_percent() {

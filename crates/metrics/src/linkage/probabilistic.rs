@@ -3,11 +3,10 @@
 //! Each original–masked pair is summarized by its per-attribute agreement
 //! pattern. The match (`m_k`) and non-match (`u_k`) agreement probabilities
 //! are estimated by EM over the pattern counts (patterns are few — `2^a`
-//! with `a = 3` protected attributes — so EM is cheap even though the
-//! pattern census is O(n²·a)). A pair's match weight is
-//! `Σ_k δ_k·log2(m_k/u_k) + (1−δ_k)·log2((1−m_k)/(1−u_k))`; every masked
-//! record links to the original(s) with maximal weight, and the measure is
-//! the tie-credited share of correct links × 100.
+//! with `a = 3` protected attributes — so EM is cheap). A pair's match
+//! weight is `Σ_k δ_k·log2(m_k/u_k) + (1−δ_k)·log2((1−m_k)/(1−u_k))`; every
+//! masked record links to the original(s) with maximal weight, and the
+//! measure is the tie-credited share of correct links × 100.
 //!
 //! Because a pair's weight is a function of its agreement pattern alone,
 //! the whole measure is determined by *integer pattern data*: a
@@ -15,19 +14,22 @@
 //! pattern** (the agreement pattern of a pair depends only on the two
 //! records' code tuples, so duplicate masked rows share a histogram), plus
 //! the multiplicity-weighted global sum, and a record's credit needs only
-//! its pattern's histogram and the weight of its own self-pattern. The
-//! histograms themselves are computed from the *original* side's
-//! [`PatternIndex`] — `O(p_m·p_o·a)` for the whole census instead of the
-//! old `O(n²·a)` pair scan — and every count is an integer identical to
-//! the pair-scan count, which is what makes the incremental evaluator
-//! exact: moving a row between masked patterns shifts the census by the
-//! difference of two cached histograms, the model refits from the summed
-//! census (identical to a from-scratch fit), and every credit is
-//! recomputed from histograms in O(n·2^a).
+//! its pattern's `(best weight, tie mass)` and the weight of its own
+//! self-pattern. A histogram depends only on (masked pattern, original):
+//! it is scanned from the *original* side's [`PatternIndex`] (`O(p_o·a)`)
+//! the first time any assessment against that original meets the pattern,
+//! and served from the preparation's link table ever after
+//! ([`crate::linkage::pattern_facts`]; above the table's cap every census
+//! scans). Every count is an integer identical to the `O(n²·a)` pair-scan
+//! count, which is what makes the incremental evaluator exact: moving a
+//! row between masked patterns shifts the census by the difference of two
+//! histograms, the model refits from the summed census (identical to a
+//! from-scratch fit), and the credits are recomputed from one
+//! `(best, ties)` per live masked pattern plus one comparison per record.
 
-use cdp_dataset::{PatternId, PatternIndex, SubTable};
+use cdp_dataset::{Code, PatternId, PatternIndex, SubTable};
 
-use crate::linkage::{credits_value, DIST_EPS};
+use crate::linkage::{credits_value, pattern_histogram, DIST_EPS};
 use crate::prepared::PreparedOriginal;
 
 /// Fitted Fellegi–Sunter weights.
@@ -198,6 +200,23 @@ impl PrlModel {
     }
 }
 
+/// The agreement histogram of masked pattern `q` against the original:
+/// `hist[p]` = #original records whose agreement pattern with `q` is `p`,
+/// one `O(p_o·a)` sweep of the original's pattern index.
+pub(super) fn histogram_scan(prep: &PreparedOriginal, q: &[Code]) -> Vec<u32> {
+    let mut hist = vec![0u32; 1usize << q.len()];
+    for (_, pcodes, mult) in prep.pattern_index().iter_live() {
+        let mut pat = 0usize;
+        for (k, &x) in q.iter().enumerate() {
+            if x == pcodes[k] {
+                pat |= 1 << k;
+            }
+        }
+        hist[pat] += mult;
+    }
+    hist
+}
+
 #[inline]
 fn pattern(prep: &PreparedOriginal, masked: &SubTable, i: usize, j: usize) -> usize {
     let mut p = 0usize;
@@ -215,9 +234,10 @@ fn pattern(prep: &PreparedOriginal, masked: &SubTable, i: usize, j: usize) -> us
 /// cached self-pattern.
 ///
 /// Histogram rows are keyed by the masked [`PatternIndex`]'s pattern ids.
-/// Ids never recycle, so a histogram, once computed (one `O(p_o·a)` sweep
-/// of the original's pattern index), stays valid across arbitrary row
-/// moves — including a pattern emptying out and later reviving.
+/// Ids never recycle, so a histogram, once copied in (from the link table,
+/// or one `O(p_o·a)` sweep of the original's pattern index above its cap),
+/// stays valid across arbitrary row moves — including a pattern emptying
+/// out and later reviving.
 ///
 /// All counts are integers, so incrementally maintained instances are
 /// *identical* — not merely close — to freshly built ones, which is what
@@ -257,8 +277,9 @@ impl Clone for PatternCensus {
 
 impl PatternCensus {
     /// Build the histograms of every distinct masked pattern of `index`
-    /// (which must index `masked`) against the original's pattern index —
-    /// `O(p_m·p_o·a + n·a)`, where the old pair scan was `O(n²·a)`.
+    /// (which must index `masked`) against the original —
+    /// `O(p_m·2^a + n·a)` once the link table holds the patterns, plus
+    /// `O(p_o·a)` per pattern it meets first; the pair scan is `O(n²·a)`.
     ///
     /// # Panics
     /// Panics when the file has more than 20 protected attributes.
@@ -280,15 +301,20 @@ impl PatternCensus {
                 out.census[p] += u64::from(mult) * u64::from(out.hist[base + p]);
             }
         }
-        for i in 0..n {
-            out.self_pattern[i] = pattern(prep, masked, i, i) as u32;
+        // column by column: the same bits as `pattern(i, i)` per record
+        for k in 0..a {
+            let column = masked.column(k).iter().zip(prep.orig().column(k));
+            for (sp, (x, y)) in out.self_pattern.iter_mut().zip(column) {
+                *sp |= u32::from(x == y) << k;
+            }
         }
         out
     }
 
-    /// Compute the histogram of every masked pattern id not yet covered
+    /// Copy in the histogram of every masked pattern id not yet covered
     /// (ids are assigned sequentially and never recycled, so one length
-    /// check suffices). `O(p_o·a)` per new pattern, paid once ever.
+    /// check suffices), each from [`pattern_histogram`]: a link-table
+    /// read, or a scan the first time the original meets the pattern.
     fn ensure_patterns(&mut self, prep: &PreparedOriginal, index: &PatternIndex) {
         let np = self.n_patterns;
         let have = self.hist.len() / np;
@@ -299,25 +325,15 @@ impl PatternCensus {
         self.hist.resize(want * np, 0);
         for pid in have..want {
             let q = index.codes_of(pid as PatternId);
-            let base = pid * np;
-            for (_, pcodes, mult) in prep.pattern_index().iter_live() {
-                let mut pat = 0usize;
-                for (k, &x) in q.iter().enumerate() {
-                    if x == pcodes[k] {
-                        pat |= 1 << k;
-                    }
-                }
-                self.hist[base + pat] += mult;
-            }
+            self.hist[pid * np..][..np].copy_from_slice(&pattern_histogram(prep, q));
         }
     }
 
     /// Account for one row having moved from masked pattern `old_pid` to
     /// `new_pid` (as reported by [`PatternIndex::move_row`], which must run
     /// first): the census shifts by the difference of the two histograms,
-    /// and the row's self-pattern is recomputed. `O(2^a + p_o·a)` worst
-    /// case (the histogram of a never-seen pattern), `O(2^a + a)` steady
-    /// state.
+    /// and the row's self-pattern is recomputed. `O(2^a + a)`, plus one
+    /// `O(p_o·a)` scan when the original has never met the new pattern.
     pub fn row_moved(
         &mut self,
         prep: &PreparedOriginal,
@@ -345,10 +361,10 @@ impl PatternCensus {
         &self.census
     }
 
-    /// Re-identification credit of the masked records carrying pattern
-    /// `pid`, given record `i`'s self-pattern and the per-pattern weights
-    /// of a fitted model (see [`PrlModel::pattern_weights`]).
-    pub fn credit(&self, weights: &[f64], pid: PatternId, i: usize) -> f64 {
+    /// `(best weight, tie mass)` of masked pattern `pid`: the maximal
+    /// weight over its histogram's occupied bins, and how many original
+    /// records reach it.
+    fn best_link(&self, weights: &[f64], pid: PatternId) -> (f64, u64) {
         let row = &self.hist[pid as usize * self.n_patterns..][..self.n_patterns];
         let mut best = f64::NEG_INFINITY;
         let mut ties = 0u64;
@@ -364,6 +380,14 @@ impl PatternCensus {
                 ties += u64::from(c);
             }
         }
+        (best, ties)
+    }
+
+    /// Re-identification credit of the masked records carrying pattern
+    /// `pid`, given record `i`'s self-pattern and the per-pattern weights
+    /// of a fitted model (see [`PrlModel::pattern_weights`]).
+    pub fn credit(&self, weights: &[f64], pid: PatternId, i: usize) -> f64 {
+        let (best, ties) = self.best_link(weights, pid);
         let self_w = weights[self.self_pattern[i] as usize];
         if (self_w - best).abs() <= DIST_EPS && ties > 0 {
             1.0 / ties as f64
@@ -373,13 +397,26 @@ impl PatternCensus {
     }
 
     /// Credits of every masked record, written into `out` (recycled).
+    /// `(best, ties)` is found once per live masked pattern, exactly as
+    /// [`PatternCensus::credit`] finds it, and each record then compares
+    /// only its own self-pattern weight: `O(p_m·2^a + n)`.
     pub fn credits_into(&self, model: &PrlModel, index: &PatternIndex, out: &mut Vec<f64>) {
         let a = model.agree_weight.len();
         let weights = model.pattern_weights(a);
+        let mut links = vec![(f64::NEG_INFINITY, 0u64); index.n_patterns()];
+        for (pid, _, _) in index.iter_live() {
+            links[pid as usize] = self.best_link(&weights, pid);
+        }
         out.clear();
-        out.extend(
-            (0..self.self_pattern.len()).map(|i| self.credit(&weights, index.pattern_of(i), i)),
-        );
+        out.extend(self.self_pattern.iter().enumerate().map(|(i, &sp)| {
+            let (best, ties) = links[index.pattern_of(i) as usize];
+            let self_w = weights[sp as usize];
+            if (self_w - best).abs() <= DIST_EPS && ties > 0 {
+                1.0 / ties as f64
+            } else {
+                0.0
+            }
+        }));
     }
 
     /// Credits of every masked record.
@@ -434,6 +471,7 @@ mod tests {
     use cdp_dataset::{Attribute, Code, Schema};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::borrow::Cow;
     use std::sync::Arc;
 
     fn prep_and_sub(n: usize) -> (PreparedOriginal, SubTable) {
@@ -635,6 +673,83 @@ mod tests {
             census.credits(&model, &index),
             fresh.credits(&model, &fresh_index)
         );
+    }
+
+    #[test]
+    fn link_table_serves_the_histogram_scan_exactly_over_the_whole_pattern_space() {
+        // every point of the product space, patterns absent from the
+        // original included, first fill (cold) and slot read (warm) alike
+        for kind in [DatasetKind::Adult, DatasetKind::German] {
+            let s = kind
+                .generate(&GeneratorConfig::seeded(7).with_records(300))
+                .protected_subtable();
+            let p = PreparedOriginal::new(&s);
+            let cats: Vec<usize> = (0..p.n_attrs()).map(|k| p.cats(k)).collect();
+            let space: usize = cats.iter().product();
+            assert!(
+                p.pattern_index().n_patterns() < space,
+                "{kind:?}: absent codes"
+            );
+            assert_eq!(p.link_table_fill(), (space, 0), "{kind:?} starts empty");
+            let patterns: Vec<Vec<Code>> = (0..space)
+                .map(|mut code| {
+                    cats.iter()
+                        .map(|&c| {
+                            let x = (code % c) as Code;
+                            code /= c;
+                            x
+                        })
+                        .collect()
+                })
+                .collect();
+            for pass in ["cold", "warm"] {
+                for q in &patterns {
+                    let served = pattern_histogram(&p, q);
+                    assert!(matches!(served, Cow::Borrowed(_)), "{kind:?} {pass}");
+                    assert_eq!(*served, *histogram_scan(&p, q), "{kind:?} {pass} {q:?}");
+                }
+                assert_eq!(p.link_table_fill(), (space, space), "{kind:?} {pass}");
+            }
+            // a histogram sums to the record count
+            for q in &patterns {
+                let total: u32 = pattern_histogram(&p, q).iter().sum();
+                assert_eq!(total as usize, p.n_rows());
+            }
+        }
+    }
+
+    #[test]
+    fn per_pattern_credits_equal_the_per_record_credit_bit_for_bit() {
+        let (p, s) = prep_and_sub(80);
+        let mut rng = StdRng::seed_from_u64(6);
+        for redraw in [0.0, 0.2, 0.6, 1.0] {
+            let mut m = s.clone();
+            let mut index = PatternIndex::build(&m);
+            let mut census = PatternCensus::build(&p, &m, &index);
+            let mut buf = vec![0u16; m.n_attrs()];
+            // moved rows leave tombstoned and revived pattern ids behind
+            for r in 0..m.n_rows() {
+                for k in 0..m.n_attrs() {
+                    if rng.gen_bool(redraw) {
+                        m.set(r, k, rng.gen_range(0..p.cats(k) as u16));
+                    }
+                }
+                m.read_row(r, &mut buf);
+                let (old_pid, new_pid) = index.move_row(r, &buf);
+                census.row_moved(&p, &m, &index, r, old_pid, new_pid);
+            }
+            let model = PrlModel::fit_from_counts(&p, census.counts(), 15);
+            let weights = model.pattern_weights(p.n_attrs());
+            let per_record: Vec<u64> = (0..m.n_rows())
+                .map(|i| census.credit(&weights, index.pattern_of(i), i).to_bits())
+                .collect();
+            let per_pattern: Vec<u64> = census
+                .credits(&model, &index)
+                .iter()
+                .map(|c| c.to_bits())
+                .collect();
+            assert_eq!(per_pattern, per_record, "redraw {redraw}");
+        }
     }
 
     #[test]

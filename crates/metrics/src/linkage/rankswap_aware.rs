@@ -12,8 +12,23 @@
 //! The attacker's assumed window is a parameter (the real swap window is
 //! unknown to them); we default to 5% of the records, configurable through
 //! [`crate::MetricConfig::rsrl_window_fraction`].
+//!
+//! # Candidate counts by box sum
+//!
+//! Present categories of an original column occupy consecutive,
+//! non-overlapping rank intervals in their total order, so the categories
+//! whose interval meets a window form one run of *rank coordinates* (a
+//! category's position among the present ones). The candidate pool of a
+//! masked pattern is then a box in the original's joint counts over rank
+//! coordinates, and [`PreparedOriginal`] keeps those counts as an
+//! a-dimensional prefix-sum grid (over the same space and cap as its link
+//! table): a pool costs `2^a` lookups, and the self-compatibility of a
+//! record is `a` bound checks. The windows are found with the very
+//! comparisons [`compatible_categories`] makes, so a `NaN` midrank admits
+//! nothing and counts 0. Above [`crate::LINK_TABLE_MAX_SLOTS`] the count
+//! walks the original's pattern postings instead; both are exact integers.
 
-use cdp_dataset::{Code, PatternIndex, SubTable};
+use cdp_dataset::{Code, PatternId, PatternIndex, SubTable};
 
 use crate::linkage::credits_value;
 use crate::prepared::{MaskedStats, PreparedOriginal};
@@ -100,7 +115,7 @@ pub fn rsrl_credits(
 /// postings, and check the remaining attributes per distinct pattern. The
 /// count is an integer — `Σ multiplicity` over compatible patterns equals
 /// the number of compatible records exactly.
-pub(crate) fn count_candidates(prep: &PreparedOriginal, compat: &[Vec<bool>]) -> u64 {
+fn count_candidates(prep: &PreparedOriginal, compat: &[Vec<bool>]) -> u64 {
     let idx = prep.pattern_index();
     let mut pivot = 0usize;
     let mut best_mass = usize::MAX;
@@ -138,20 +153,118 @@ pub(crate) fn count_candidates(prep: &PreparedOriginal, compat: &[Vec<bool>]) ->
     cand
 }
 
-/// Whether original record `i` itself survives the per-attribute
-/// compatibility intersection.
-#[inline]
-pub(crate) fn self_compatible(prep: &PreparedOriginal, compat: &[Vec<bool>], i: usize) -> bool {
-    compat
+/// [`count_candidates`] for masked pattern `q`: the posting-list walk over
+/// the [`compatible_categories`] of each of its values. The RSRL count
+/// above [`crate::LINK_TABLE_MAX_SLOTS`], and the oracle of the rank box.
+pub(super) fn count_candidates_of(
+    prep: &PreparedOriginal,
+    stats: &MaskedStats,
+    q: &[Code],
+    window: f64,
+) -> u64 {
+    let compat: Vec<Vec<bool>> = q
         .iter()
         .enumerate()
-        .all(|(k, ok)| ok[prep.orig().get(i, k) as usize])
+        .map(|(k, &x)| compatible_categories(prep, k, stats.midrank(k, x), window))
+        .collect();
+    count_candidates(prep, &compat)
 }
 
-/// Blocked equivalent of [`rsrl_credit`]: candidate counting runs over the
-/// distinct original patterns (`O(p_o·a)` after the `O(Σ c_k)` window
-/// setup) instead of all `n` records. Credits are identical — the
-/// candidate count is an exact integer either way.
+/// The RSRL candidate pools of masked patterns, keyed by pattern id and
+/// filled on demand. A pattern's pool is, per attribute, the run of rank
+/// coordinates its window admits ([`PreparedOriginal::rank_window`]), and
+/// the number of original records inside every run — a box count in the
+/// preparation's rank grid, or [`count_candidates_of`] above the grid's
+/// cap. Both are the same exact integer.
+pub(crate) struct CandidatePools {
+    a: usize,
+    /// `runs[pid·a + k]`: the run of attribute `k` of pattern `pid`.
+    runs: Vec<(u32, u32)>,
+    /// `1/candidates` (0 for an empty pool) per pooled pattern.
+    share: Vec<Option<f64>>,
+}
+
+impl CandidatePools {
+    /// No pools yet, for a masked index of `n_patterns` pattern ids.
+    pub(crate) fn new(prep: &PreparedOriginal, n_patterns: usize) -> Self {
+        let a = prep.n_attrs();
+        CandidatePools {
+            a,
+            runs: vec![(0, 0); n_patterns * a],
+            share: vec![None; n_patterns],
+        }
+    }
+
+    /// Pool masked pattern `pid` (codes `q`) under the masked file's
+    /// `stats`, replacing any earlier pool. Returns its candidate count.
+    pub(crate) fn pool(
+        &mut self,
+        prep: &PreparedOriginal,
+        stats: &MaskedStats,
+        pid: PatternId,
+        q: &[Code],
+        window: f64,
+    ) -> u64 {
+        let runs = &mut self.runs[pid as usize * self.a..][..self.a];
+        for (k, (run, &x)) in runs.iter_mut().zip(q).enumerate() {
+            *run = prep.rank_window(k, stats.midrank(k, x), window);
+        }
+        let candidates = prep
+            .rank_box_count(runs)
+            .unwrap_or_else(|| count_candidates_of(prep, stats, q, window));
+        self.share[pid as usize] = Some(if candidates > 0 {
+            1.0 / candidates as f64
+        } else {
+            0.0
+        });
+        candidates
+    }
+
+    /// Whether pattern `pid` has a pool.
+    pub(crate) fn is_pooled(&self, pid: PatternId) -> bool {
+        self.share[pid as usize].is_some()
+    }
+
+    /// Credit of masked record `i` carrying pattern `pid`, or `None` when
+    /// `pid` is not pooled: `1/candidates` when original record `i` itself
+    /// survives every attribute's window (`a` run checks), else 0.
+    #[inline]
+    fn credit(&self, prep: &PreparedOriginal, pid: PatternId, i: usize) -> Option<f64> {
+        let share = self.share[pid as usize]?;
+        let runs = &self.runs[pid as usize * self.a..][..self.a];
+        let coords = prep.pattern_rank_coords(prep.pattern_index().pattern_of(i));
+        // branch-free: whether a record survives is data-dependent, so a
+        // branch per attribute (or per record) would mispredict
+        let mut self_in = true;
+        for (&(lo, hi), &x) in runs.iter().zip(coords) {
+            self_in &= (lo <= x) & (x < hi);
+        }
+        // `share` or +0.0, bit for bit (`share` is finite and ≥ 0)
+        Some(share * f64::from(u8::from(self_in)))
+    }
+
+    /// Credit each record of `rows` whose pattern (in `index`) is pooled,
+    /// into `credits[row]`; records of unpooled patterns keep their credit.
+    pub(crate) fn credit_rows(
+        &self,
+        prep: &PreparedOriginal,
+        index: &PatternIndex,
+        rows: impl IntoIterator<Item = usize>,
+        credits: &mut [f64],
+    ) {
+        for i in rows {
+            if let Some(credit) = self.credit(prep, index.pattern_of(i), i) {
+                credits[i] = credit;
+            }
+        }
+    }
+}
+
+/// Blocked equivalent of [`rsrl_credit`]: the candidate count of record
+/// `i`'s pattern is a box count over the original's rank grid (`O(2^a)`
+/// after the `O(a·log c)` window setup) instead of a scan of all `n`
+/// records. Credits are identical — the candidate count is an exact
+/// integer either way.
 pub fn rsrl_credit_blocked(
     prep: &PreparedOriginal,
     stats: &MaskedStats,
@@ -159,49 +272,30 @@ pub fn rsrl_credit_blocked(
     i: usize,
     window: f64,
 ) -> f64 {
-    let a = prep.n_attrs();
-    let compat: Vec<Vec<bool>> = (0..a)
-        .map(|k| compatible_categories(prep, k, stats.midrank(k, masked.get(i, k)), window))
-        .collect();
-    let candidates = count_candidates(prep, &compat);
-    if candidates > 0 && self_compatible(prep, &compat, i) {
-        1.0 / candidates as f64
-    } else {
-        0.0
-    }
+    let mut q = vec![0 as Code; prep.n_attrs()];
+    masked.read_row(i, &mut q);
+    let mut pools = CandidatePools::new(prep, 1);
+    pools.pool(prep, stats, 0, &q, window);
+    pools.credit(prep, 0, i).expect("pooled")
 }
 
-/// Blocked equivalent of [`rsrl_credits`]: the window intersection and
-/// candidate count are computed once per distinct masked pattern of
-/// `index` (which must index the masked file behind `stats`), then fanned
-/// out to the records.
+/// Blocked equivalent of [`rsrl_credits`]: the window runs and candidate
+/// count are computed once per distinct masked pattern of `index` (which
+/// must index the masked file behind `stats`), then fanned out to the
+/// records.
 pub fn rsrl_credits_blocked(
     prep: &PreparedOriginal,
     stats: &MaskedStats,
     index: &PatternIndex,
     window: f64,
 ) -> Vec<f64> {
-    let a = prep.n_attrs();
-    let mut per_pattern: Vec<Option<(u64, Vec<Vec<bool>>)>> = vec![None; index.n_patterns()];
+    let mut pools = CandidatePools::new(prep, index.n_patterns());
     for (pid, q, _) in index.iter_live() {
-        let compat: Vec<Vec<bool>> = (0..a)
-            .map(|k| compatible_categories(prep, k, stats.midrank(k, q[k]), window))
-            .collect();
-        let candidates = count_candidates(prep, &compat);
-        per_pattern[pid as usize] = Some((candidates, compat));
+        pools.pool(prep, stats, pid, q, window);
     }
-    (0..prep.n_rows())
-        .map(|i| {
-            let (candidates, compat) = per_pattern[index.pattern_of(i) as usize]
-                .as_ref()
-                .expect("live pattern");
-            if *candidates > 0 && self_compatible(prep, compat, i) {
-                1.0 / *candidates as f64
-            } else {
-                0.0
-            }
-        })
-        .collect()
+    let mut credits = vec![0.0; prep.n_rows()];
+    pools.credit_rows(prep, index, 0..prep.n_rows(), &mut credits);
+    credits
 }
 
 /// RSRL of a masked file, in `[0, 100]`. `window_fraction` is the intruder's
@@ -216,8 +310,128 @@ pub fn rsrl(prep: &PreparedOriginal, masked: &SubTable, window_fraction: f64) ->
 mod tests {
     use super::*;
     use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
+    use cdp_dataset::{Attribute, Schema};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    /// Random `a`-attribute table of `n` rows, category counts from `cats`
+    /// (1-category attributes included), mixed kinds.
+    fn random_table(
+        a: usize,
+        n: usize,
+        cats: std::ops::RangeInclusive<usize>,
+        seed: u64,
+    ) -> SubTable {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let attrs: Vec<Attribute> = (0..a)
+            .map(|i| {
+                let c = rng.gen_range(cats.clone());
+                if rng.gen_bool(0.5) {
+                    Attribute::ordinal(format!("A{i}"), c)
+                } else {
+                    Attribute::nominal(format!("A{i}"), c)
+                }
+            })
+            .collect();
+        let schema = Arc::new(Schema::new(attrs).unwrap());
+        // skewed draws, so nominal frequency orders and absent codes occur
+        let columns: Vec<Vec<Code>> = (0..a)
+            .map(|k| {
+                let c = schema.attr(k).n_categories() as Code;
+                (0..n)
+                    .map(|_| rng.gen_range(0..c).min(rng.gen_range(0..c)))
+                    .collect()
+            })
+            .collect();
+        SubTable::new(schema, (0..a).collect(), columns).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The rank box counts exactly the records the posting-list walk
+        /// counts, for arbitrary windows: `NaN` midranks, midranks off
+        /// either end of the ranks, 1-category attributes, absent codes,
+        /// and a `wide` input above `LINK_TABLE_MAX_SLOTS`, which has no
+        /// box and pools through the walk. The runs admit exactly the
+        /// categories `compatible_categories` flags, so self-compatibility
+        /// agrees too.
+        #[test]
+        fn box_count_equals_the_posting_walk(
+            a in 1usize..=4, n in 1usize..=60, seed in any::<u64>(), wide in any::<bool>()
+        ) {
+            let original = if wide {
+                random_table(7, n, 5..=6, seed)
+            } else {
+                random_table(a, n, 1..=6, seed)
+            };
+            let prep = PreparedOriginal::new(&original);
+            let a = prep.n_attrs();
+            prop_assert_eq!(prep.rank_box_count(&vec![(0, 0); a]).is_none(), wide);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            for _ in 0..24 {
+                let window = rng.gen_range(1.0..=n as f64 + 1.0);
+                let midranks: Vec<f64> = (0..a)
+                    .map(|_| {
+                        if rng.gen_bool(0.15) {
+                            f64::NAN
+                        } else {
+                            (rng.gen_range(-2.0..n as f64 + 2.0) * 2.0f64).round() / 2.0
+                        }
+                    })
+                    .collect();
+                let compat: Vec<Vec<bool>> = midranks
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &m)| compatible_categories(&prep, k, m, window))
+                    .collect();
+                let runs: Vec<(u32, u32)> = midranks
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &m)| prep.rank_window(k, m, window))
+                    .collect();
+                for (k, (flags, &(lo, hi))) in compat.iter().zip(&runs).enumerate() {
+                    for (v, &flag) in flags.iter().enumerate() {
+                        if prep.counts(k)[v] > 0 {
+                            let x = prep.rank_coords(k)[v];
+                            prop_assert_eq!(lo <= x && x < hi, flag, "attr {} cat {}", k, v);
+                        }
+                    }
+                }
+                let walked = count_candidates(&prep, &compat);
+                match prep.rank_box_count(&runs) {
+                    Some(boxed) => prop_assert_eq!(boxed, walked),
+                    None => prop_assert!(wide),
+                }
+                if midranks.iter().any(|m| m.is_nan()) {
+                    prop_assert_eq!(walked, 0);
+                }
+            }
+            // through the pools, on a masked file whose absent categories
+            // have NaN midranks
+            let mut masked = original.clone();
+            for k in 0..a {
+                let c = masked.attr(k).n_categories() as Code;
+                for r in 0..n {
+                    if rng.gen_bool(0.4) {
+                        masked.set(r, k, rng.gen_range(0..c) / 2);
+                    }
+                }
+            }
+            let stats = MaskedStats::build(&prep, &masked);
+            let index = PatternIndex::build(&masked);
+            let window = (0.05 * n as f64).max(1.0);
+            let mut pools = CandidatePools::new(&prep, index.n_patterns());
+            for (pid, q, _) in index.iter_live() {
+                prop_assert_eq!(
+                    pools.pool(&prep, &stats, pid, q, window),
+                    count_candidates_of(&prep, &stats, q, window)
+                );
+            }
+        }
+    }
 
     fn prep_and_sub(n: usize) -> (PreparedOriginal, SubTable) {
         let s = DatasetKind::Housing

@@ -8,7 +8,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use cdp_dataset::{AttrKind, Code, PatternIndex, SubTable};
+use cdp_dataset::{AttrKind, Code, PatternId, PatternIndex, SubTable};
 
 use crate::contingency::ContingencyTables;
 use crate::{MetricError, Result};
@@ -43,34 +43,60 @@ pub struct PreparedOriginal {
     /// lower bound on any masked-to-original cell distance, used to prune
     /// pattern comparisons in the blocked DBRL scan.
     min_cell_dist: Vec<Vec<f64>>,
-    /// Lazily filled DBRL link per masked pattern (see [`LinkTable`]);
-    /// `None` when the pattern space exceeds [`LINK_TABLE_MAX_SLOTS`].
-    /// Behind an `Arc`, so clones of one preparation share every fill.
+    /// Coordinate of each category among the categories present in
+    /// original column `k`, in `order_keys` order (`u32::MAX` for an
+    /// absent category): the axes of the RSRL rank box.
+    rank_coord: Vec<Vec<u32>>,
+    /// `(first, last)` sorted-rank of each present category of column `k`,
+    /// by coordinate, as the `f64`s the RSRL window comparison reads.
+    rank_span: Vec<RankSpans>,
+    /// `pattern_coord[pid·a + k]`: the rank coordinate of attribute `k` of
+    /// original pattern `pid`.
+    pattern_coord: Vec<u32>,
+    /// Lazily filled [`PatternFacts`] per masked pattern (see
+    /// [`LinkTable`]) and the RSRL rank box; `None` when the pattern
+    /// space exceeds [`LINK_TABLE_MAX_SLOTS`]. Behind an `Arc`, so clones
+    /// of one preparation share every fill.
     link_table: Option<Arc<LinkTable>>,
 }
 
-/// Largest masked-pattern space (`Π_k c_k`) that gets a DBRL link table
-/// (one lazily filled `(best distance, tie mass)` slot per pattern).
-/// Every shipped generator is in the low thousands (Adult 1568, German
-/// 180); wider inputs keep the per-call DBRL scan.
+/// Largest masked-pattern space (`Π_k c_k`) that gets the per-original
+/// pattern tables: one lazily filled slot per pattern (its DBRL link and
+/// its PRL agreement histogram) and the RSRL rank box, a
+/// prefix-count grid over the same space. Every shipped generator is in
+/// the low thousands (Adult 1568, German 180); wider inputs keep the
+/// per-call scans, with identical results.
 pub const LINK_TABLE_MAX_SLOTS: usize = 1 << 16;
 
-/// One write-once `(best distance, tie mass)` slot per point of the masked
-/// pattern space, indexed by the pattern's mixed-radix code
-/// `Σ_k q[k]·stride_k`. A slot depends only on the pattern and the
-/// original, so it is filled on first use and then served to every later
-/// assessment against this original — and, through the shared `Arc`, to
-/// every clone of the evaluator that owns it.
+/// Everything about one masked pattern's linkage that depends only on the
+/// pattern and the original, computed by the scans it replaces.
+#[derive(Debug)]
+pub(crate) struct PatternFacts {
+    /// DBRL `(best distance, tie mass)` against the original's patterns.
+    pub(crate) link: (f64, u64),
+    /// PRL agreement histogram: `hist[p]` = #original records whose
+    /// agreement pattern against this masked pattern is `p` (`2^a` bins).
+    pub(crate) hist: Box<[u32]>,
+}
+
+/// One write-once [`PatternFacts`] slot per point of the masked pattern
+/// space, indexed by the pattern's mixed-radix code `Σ_k q[k]·stride_k`,
+/// plus the RSRL [`RankBox`] over the same space. A slot depends only on
+/// the pattern and the original, so it is filled on first use and then
+/// served to every later assessment against this original — and, through
+/// the shared `Arc`, to every clone of the evaluator that owns it.
 pub(crate) struct LinkTable {
     /// `(category count, stride)` per attribute.
     radix: Vec<(usize, usize)>,
-    slots: Box<[OnceLock<(f64, u64)>]>,
+    slots: Box<[OnceLock<PatternFacts>]>,
+    rank_box: RankBox,
 }
 
 impl LinkTable {
     /// An empty table over the product space of `cats`, or `None` when that
-    /// space exceeds [`LINK_TABLE_MAX_SLOTS`].
-    fn new(cats: &[usize]) -> Option<Self> {
+    /// space exceeds [`LINK_TABLE_MAX_SLOTS`]; `rank_box` builds the RSRL
+    /// grid (up to the space's size), so it runs only within the cap.
+    fn new(cats: &[usize], rank_box: impl FnOnce() -> RankBox) -> Option<Self> {
         let mut radix = Vec::with_capacity(cats.len());
         let mut size = 1usize;
         for &c in cats {
@@ -80,12 +106,13 @@ impl LinkTable {
         Some(LinkTable {
             radix,
             slots: (0..size).map(|_| OnceLock::new()).collect(),
+            rank_box: rank_box(),
         })
     }
 
     /// The slot of pattern `q`, or `None` when `q` lies outside the space.
     #[inline]
-    fn slot(&self, q: &[Code]) -> Option<&OnceLock<(f64, u64)>> {
+    fn slot(&self, q: &[Code]) -> Option<&OnceLock<PatternFacts>> {
         if q.len() != self.radix.len() {
             return None;
         }
@@ -104,8 +131,16 @@ impl LinkTable {
     }
 
     fn approx_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<OnceLock<(f64, u64)>>()
+        let hist_bytes: usize = self
+            .slots
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|f| f.hist.len() * std::mem::size_of::<u32>())
+            .sum();
+        self.slots.len() * std::mem::size_of::<OnceLock<PatternFacts>>()
+            + hist_bytes
             + self.radix.len() * std::mem::size_of::<(usize, usize)>()
+            + self.rank_box.approx_bytes()
     }
 }
 
@@ -115,6 +150,80 @@ impl fmt::Debug for LinkTable {
             .field("slots", &self.slots.len())
             .field("filled", &self.filled())
             .finish()
+    }
+}
+
+/// The original's joint counts in rank coordinates ([`PreparedOriginal`]'s
+/// `rank_coord`), stored as an inclusive prefix-sum grid. The categories
+/// an RSRL window admits form one coordinate run per attribute, so the
+/// candidate count of a masked pattern is the count inside a box: `2^a`
+/// lookups instead of a scan over the original's patterns.
+struct RankBox {
+    /// `(extent, stride)` per attribute; extent = present categories.
+    axes: Vec<(usize, usize)>,
+    /// `prefix[Σ_k x_k·stride_k]` = #original records with coordinate
+    /// `≤ x_k` on every attribute `k`.
+    prefix: Box<[u32]>,
+}
+
+impl RankBox {
+    fn build(index: &PatternIndex, rank_coord: &[Vec<u32>], extents: &[usize]) -> Self {
+        let mut axes = Vec::with_capacity(extents.len());
+        let mut size = 1usize;
+        for &e in extents {
+            axes.push((e, size));
+            size *= e;
+        }
+        let mut prefix = vec![0u32; size].into_boxed_slice();
+        for (_, codes, mult) in index.iter_live() {
+            let cell: usize = codes
+                .iter()
+                .zip(rank_coord)
+                .zip(&axes)
+                .map(|((&x, coord), &(_, stride))| coord[usize::from(x)] as usize * stride)
+                .sum();
+            prefix[cell] += mult;
+        }
+        // one running sum along each axis turns counts into prefix counts
+        for &(extent, stride) in &axes {
+            for cell in 0..size {
+                if (cell / stride) % extent != 0 {
+                    prefix[cell] += prefix[cell - stride];
+                }
+            }
+        }
+        RankBox { axes, prefix }
+    }
+
+    /// #original records whose coordinate lies in `runs[k] = lo..hi` on
+    /// every attribute `k`: inclusion–exclusion over the `2^a` corners.
+    fn count(&self, runs: &[(u32, u32)]) -> u64 {
+        if runs.iter().any(|&(lo, hi)| lo >= hi) {
+            return 0;
+        }
+        let mut total = 0i64;
+        'corner: for corner in 0..1usize << runs.len() {
+            let mut cell = 0usize;
+            let mut sign = 1i64;
+            for (k, (&(lo, hi), &(_, stride))) in runs.iter().zip(&self.axes).enumerate() {
+                let x = if corner >> k & 1 == 1 {
+                    hi as usize - 1
+                } else if lo == 0 {
+                    continue 'corner; // an empty prefix counts nothing
+                } else {
+                    sign = -sign;
+                    lo as usize - 1
+                };
+                cell += x * stride;
+            }
+            total += sign * i64::from(self.prefix[cell]);
+        }
+        u64::try_from(total).expect("a box count is non-negative")
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.prefix.len() * std::mem::size_of::<u32>()
+            + self.axes.len() * std::mem::size_of::<(usize, usize)>()
     }
 }
 
@@ -157,6 +266,7 @@ impl PreparedOriginal {
             .collect();
 
         let rank_start = rank_starts(&counts, &order_keys);
+        let (rank_coord, rank_span) = rank_coords(&counts, &order_keys, &rank_start);
 
         let chance_agreement: Vec<f64> = probs
             .iter()
@@ -191,10 +301,25 @@ impl PreparedOriginal {
             })
             .collect();
 
+        let pattern_index = PatternIndex::build(orig);
+        let pattern_coord: Vec<u32> = pattern_index
+            .iter_live()
+            .flat_map(|(_, codes, _)| {
+                codes
+                    .iter()
+                    .zip(&rank_coord)
+                    .map(|(&x, coord)| coord[usize::from(x)])
+            })
+            .collect();
+        let link_table = LinkTable::new(&cats, || {
+            let extents: Vec<usize> = rank_span.iter().map(Vec::len).collect();
+            RankBox::build(&pattern_index, &rank_coord, &extents)
+        })
+        .map(Arc::new);
         PreparedOriginal {
             tables: ContingencyTables::build(orig),
-            pattern_index: PatternIndex::build(orig),
-            link_table: LinkTable::new(&cats).map(Arc::new),
+            pattern_index,
+            link_table,
             orig: orig.clone(),
             cats,
             ordinal,
@@ -205,13 +330,17 @@ impl PreparedOriginal {
             rank_start,
             chance_agreement,
             min_cell_dist,
+            rank_coord,
+            rank_span,
+            pattern_coord,
         }
     }
 
     /// Approximate heap footprint in bytes: the retained original arena
     /// plus every derived component (marginals, probabilities, rank stats,
-    /// contingency tables, the pattern index, the distance bounds and the
-    /// link table's allocated slots, filled or not). The session cache
+    /// contingency tables, the pattern index, the distance bounds, the rank
+    /// coordinates, the link table's allocated slots, filled or not, with
+    /// the histograms of the filled ones, and the rank box). The session cache
     /// reports this per cached original.
     pub fn approx_bytes(&self) -> usize {
         let arena = self.orig.flat_len() * std::mem::size_of::<Code>();
@@ -222,6 +351,8 @@ impl PreparedOriginal {
                     + self.order_keys[k].len() * std::mem::size_of::<usize>()
                     + self.rank_start[k].len() * std::mem::size_of::<usize>()
                     + self.min_cell_dist[k].len() * std::mem::size_of::<f64>()
+                    + self.rank_coord[k].len() * std::mem::size_of::<u32>()
+                    + self.rank_span[k].len() * std::mem::size_of::<(f64, f64)>()
             })
             .sum();
         let scalars = self.cats.len()
@@ -230,6 +361,7 @@ impl PreparedOriginal {
                 + 2 * std::mem::size_of::<f64>());
         arena
             + per_cat
+            + self.pattern_coord.len() * std::mem::size_of::<u32>()
             + scalars
             + self.tables.approx_bytes()
             + self.pattern_index.approx_bytes()
@@ -309,16 +441,62 @@ impl PreparedOriginal {
         self.min_cell_dist[k][x as usize]
     }
 
-    /// The DBRL link-table slot of masked pattern `q`, or `None` when the
+    /// The link-table slot of masked pattern `q`, or `None` when the
     /// pattern space is above [`LINK_TABLE_MAX_SLOTS`] (or `q` lies outside
-    /// it). [`crate::linkage::pattern_link`] is the only reader.
+    /// it). [`crate::linkage::pattern_facts`] is the only reader.
     #[inline]
-    pub(crate) fn link_slot(&self, q: &[Code]) -> Option<&OnceLock<(f64, u64)>> {
+    pub(crate) fn facts_slot(&self, q: &[Code]) -> Option<&OnceLock<PatternFacts>> {
         self.link_table.as_ref()?.slot(q)
     }
 
-    /// `(slots, filled)` of the DBRL link table; `(0, 0)` when the pattern
-    /// space is above [`LINK_TABLE_MAX_SLOTS`] and links are scanned per
+    /// The rank-compatible categories of attribute `k` for an RSRL window
+    /// of `window` positions around `midrank`, as the half-open run
+    /// `lo..hi` of rank coordinates: exactly the categories
+    /// [`crate::linkage::compatible_categories`] flags (present categories
+    /// are ordered by rank, so the categories whose rank interval meets a
+    /// window are consecutive). The run is `(0, 0)` when it is empty, as
+    /// for a `NaN` midrank, which no comparison admits.
+    pub(crate) fn rank_window(&self, k: usize, midrank: f64, window: f64) -> (u32, u32) {
+        let lo = midrank - window;
+        let hi = midrank + window;
+        let spans = &self.rank_span[k];
+        // `last >= lo` holds on a suffix of the coordinates, `first <= hi`
+        // on a prefix: the comparisons of `compatible_categories`. A NaN
+        // midrank makes `end` 0, so the run is empty
+        let start = spans.partition_point(|&(_, last)| last < lo);
+        let end = spans.partition_point(|&(first, _)| first <= hi);
+        if start < end {
+            (start as u32, end as u32)
+        } else {
+            (0, 0)
+        }
+    }
+
+    /// Rank coordinate of each category of attribute `k` (`u32::MAX` for
+    /// a category absent from the original).
+    #[cfg(test)]
+    pub(crate) fn rank_coords(&self, k: usize) -> &[u32] {
+        &self.rank_coord[k]
+    }
+
+    /// Rank coordinates of original pattern `pid` (an id of
+    /// [`PreparedOriginal::pattern_index`]), one per attribute: the points
+    /// the runs of [`PreparedOriginal::rank_window`] are checked against.
+    #[inline]
+    pub(crate) fn pattern_rank_coords(&self, pid: PatternId) -> &[u32] {
+        let a = self.n_attrs();
+        &self.pattern_coord[pid as usize * a..][..a]
+    }
+
+    /// #original records inside every run of `runs` (one per attribute,
+    /// from [`PreparedOriginal::rank_window`]), counted in the rank box;
+    /// `None` when the pattern space is above [`LINK_TABLE_MAX_SLOTS`].
+    pub(crate) fn rank_box_count(&self, runs: &[(u32, u32)]) -> Option<u64> {
+        Some(self.link_table.as_ref()?.rank_box.count(runs))
+    }
+
+    /// `(slots, filled)` of the link table; `(0, 0)` when the pattern space
+    /// is above [`LINK_TABLE_MAX_SLOTS`] and pattern facts are scanned per
     /// call instead.
     pub fn link_table_fill(&self) -> (usize, usize) {
         self.link_table
@@ -503,6 +681,41 @@ fn rank_starts(counts: &[Vec<u32>], order_keys: &[Vec<usize>]) -> Vec<Vec<usize>
             start
         })
         .collect()
+}
+
+/// `(first, last)` sorted-rank of each present category of one column, by
+/// rank coordinate.
+type RankSpans = Vec<(f64, f64)>;
+
+/// Per attribute, the rank coordinate of each category (its position among
+/// the present categories in `order_keys` order, `u32::MAX` if absent) and
+/// the `(first, last)` rank of each coordinate.
+fn rank_coords(
+    counts: &[Vec<u32>],
+    order_keys: &[Vec<usize>],
+    rank_start: &[Vec<usize>],
+) -> (Vec<Vec<u32>>, Vec<RankSpans>) {
+    counts
+        .iter()
+        .zip(order_keys)
+        .zip(rank_start)
+        .map(|((cnt, keys), starts)| {
+            let mut by_key: Vec<usize> = (0..cnt.len()).filter(|&v| cnt[v] > 0).collect();
+            by_key.sort_by_key(|&v| keys[v]);
+            let mut coord = vec![u32::MAX; cnt.len()];
+            let spans = by_key
+                .iter()
+                .enumerate()
+                .map(|(x, &v)| {
+                    coord[v] = x as u32;
+                    let first = starts[v] as f64;
+                    let last = (starts[v] + cnt[v] as usize - 1) as f64;
+                    (first, last)
+                })
+                .collect();
+            (coord, spans)
+        })
+        .unzip()
 }
 
 fn recompute_rank_start(counts: &[u32], keys: &[usize], out: &mut [usize]) {
