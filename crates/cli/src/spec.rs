@@ -665,6 +665,8 @@ mod tests {
             "dataset=housing suite=small mode=nsga gens=6 seed=20 eps=2.5",
         ] {
             let spec = JobSpec::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            // every corpus line is already canonical: rendering is byte-exact
+            assert_eq!(spec.to_spec_string(), text);
             let job = spec.to_job().unwrap_or_else(|e| panic!("{text}: {e}"));
             let back = JobSpec::from_job(&job).unwrap();
             assert_eq!(spec, back, "{text}");
