@@ -88,12 +88,18 @@ impl Pram {
 
     /// The retention probability used for an attribute with `k`
     /// categories: the fixed `theta`, or the ε-derived rate when a budget
-    /// is set.
+    /// is set. Past ε ≈ 709.78, `e^ε` overflows to infinity and the
+    /// quotient would be `inf/inf = NaN`; the rate is then its limit 1
+    /// (every finite `e^ε` keeps the plain expression, bit for bit).
     pub fn retention_for(&self, k: usize) -> f64 {
         match self.epsilon {
             Some(eps) => {
                 let e = eps.exp();
-                e / (e + k.saturating_sub(1) as f64)
+                if e.is_infinite() {
+                    1.0
+                } else {
+                    e / (e + k.saturating_sub(1) as f64)
+                }
             }
             None => self.theta,
         }
@@ -365,6 +371,22 @@ mod tests {
         for b in 0..probs.len() {
             let out: f64 = (0..probs.len()).map(|a| probs[a] * t[a][b]).sum();
             assert!((out - probs[b]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn huge_epsilon_budgets_give_finite_stochastic_rows() {
+        // e^ε overflows past ε ≈ 709.78; the rate must saturate at 1, not
+        // turn into NaN and poison every matrix row
+        let probs = [0.4, 0.3, 0.2, 0.1, 0.0];
+        for eps in [709.0, 710.0, 1e308, f64::MAX] {
+            let pram = Pram::epsilon_calibrated(eps);
+            assert!(pram.retention_for(probs.len()) <= 1.0, "ε = {eps}");
+            for row in pram.transition_matrix(&probs) {
+                assert!(row.iter().all(|p| p.is_finite()), "ε = {eps}: {row:?}");
+                let s: f64 = row.iter().sum();
+                assert!((s - 1.0).abs() < 1e-9, "ε = {eps}: row sums to {s}");
+            }
         }
     }
 

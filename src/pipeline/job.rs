@@ -1371,6 +1371,24 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_epsilon_budget_runs_to_completion() {
+        // e^1000 overflows f64: the calibrated retention saturates at 1
+        // (identity PRAM) instead of a NaN matrix panicking the sampler
+        let report = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(40)
+            .nsga()
+            .iterations(1)
+            .epsilon_pram(1000.0)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        let front = report.front().expect("nsga jobs produce a front");
+        assert!(front.points.iter().all(|p| p.il.is_finite() && p.dr.is_finite()));
+    }
+
+    #[test]
     fn table_source_validates_indices() {
         let ds = DatasetKind::Adult.generate(&GeneratorConfig::seeded(1).with_records(30));
         let job = ProtectionJob::builder()
