@@ -5,6 +5,9 @@
 //! Flags deserialize into one [`cdp::pipeline::ProtectionJob`] carrying
 //! its [`cdp::pipeline::OptimizerMode`]; both modes run through
 //! [`SharedSession::run_with`], so the CLI and the library cannot drift.
+//! The dataset and optimizer flags are job-spec keys read by
+//! [`JobSpec::from_flags`], so they share the `--job` grammar's parser,
+//! defaults and mode checks.
 
 use std::io::Write;
 use std::path::Path;
@@ -14,10 +17,9 @@ use cdp_core::ScatterPoint;
 use cdp_dataset::io::write_table_path;
 
 use crate::args::Args;
-use crate::commands::generate::dataset_kind;
 use crate::data::{load_table_with, resolve_attrs};
 use crate::error::{CliError, Result};
-use crate::spec::{parse_fitness, parse_method, parse_mode, parse_suite, JobSpec, SpecMode};
+use crate::spec::{parse_method, JobSpec};
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -40,8 +42,11 @@ Scalar mode writes evolution.csv, scatter.csv and best.csv into --out;
 NSGA-II mode writes front.csv, hypervolume.csv and best.csv (the front's
 knee point).
 
+The dataset and optimizer flags are keys of the job spec: --iters sets
+`gens` under --mode nsga, and a flag of the other mode is rejected.
 --job takes one quoted key=value job spec — exactly the `job:` line a
-dataset-mode run echoes — so any run can be reproduced verbatim:
+dataset-mode run echoes — so any run can be reproduced verbatim. The
+islands=, mig=, obj=, eps= and audit= keys have no flag; use --job:
   cdp optimize --job 'dataset=adult suite=paper fitness=max iters=300 seed=7' --out dir
   cdp optimize --job 'dataset=german suite=small mode=nsga gens=200 seed=7' --out dir";
 
@@ -51,25 +56,11 @@ const DEFAULT_METHODS: &str =
 
 /// Run the command.
 pub fn run(args: &Args) -> Result<()> {
-    args.expect_only(&[
-        "dataset",
-        "input",
-        "job",
-        "out",
-        "attrs",
-        "methods",
-        "copies",
-        "suite",
-        "records",
-        "mode",
-        "fitness",
-        "iters",
-        "drop",
-        "offspring",
-        "xprob",
-        "seed",
-        "schema",
-    ])?;
+    let mut known = vec![
+        "input", "job", "out", "attrs", "methods", "copies", "schema",
+    ];
+    known.extend(JobSpec::flags());
+    args.expect_only(&known)?;
     let out_dir = Path::new(args.require("out")?);
     std::fs::create_dir_all(out_dir)?;
 
@@ -78,24 +69,6 @@ pub fn run(args: &Args) -> Result<()> {
         OptimizerMode::Scalar(_) => run_scalar(&job, out_dir),
         OptimizerMode::Nsga(_) => run_nsga(&job, out_dir),
     }
-}
-
-/// Reject flags that do not apply under the selected optimizer mode, with
-/// the right mode named.
-fn reject_cross_mode_flags(args: &Args, mode: SpecMode) -> Result<()> {
-    let (wrong, hint) = match mode {
-        SpecMode::Scalar => (["offspring", "xprob"].as_slice(), "--mode nsga"),
-        SpecMode::Nsga => (["fitness", "drop"].as_slice(), "the (default) scalar mode"),
-    };
-    for flag in wrong {
-        if args.get(flag).is_some() {
-            return Err(CliError::Usage(format!(
-                "--{flag} applies to {hint}, not --mode {}",
-                mode.name()
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Deserialize the flags into one [`ProtectionJob`].
@@ -114,11 +87,6 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
         }
         return JobSpec::parse(text)?.to_job();
     }
-    let mode = match args.get("mode") {
-        Some(value) => parse_mode(value)?,
-        None => SpecMode::Scalar,
-    };
-    reject_cross_mode_flags(args, mode)?;
     match (args.get("dataset"), args.get("input")) {
         (Some(_), Some(_)) => Err(CliError::Usage(
             "--dataset and --input are mutually exclusive".into(),
@@ -126,37 +94,17 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
         (None, None) => Err(CliError::Usage(
             "one of --dataset or --input is required".into(),
         )),
-        (Some(name), None) => {
-            // dataset mode: the flags map 1:1 onto the CLI job-spec fields
-            let mut spec = JobSpec {
-                dataset: dataset_kind(name)?,
-                mode,
-                ..JobSpec::default()
-            };
-            spec.records = args.get_parse("records")?;
-            if let Some(value) = args.get("suite") {
-                spec.suite = parse_suite(value)?;
-            }
-            spec.seed = args.get_or("seed", spec.seed)?;
-            match mode {
-                SpecMode::Scalar => {
-                    if let Some(value) = args.get("fitness") {
-                        spec.fitness = parse_fitness(value)?;
-                    }
-                    spec.iters = args.get_or("iters", spec.iters)?;
-                    spec.drop = args.get_or("drop", spec.drop)?;
-                }
-                SpecMode::Nsga => {
-                    // --iters doubles as the generation count, keeping the
-                    // historical flag spelling
-                    spec.gens = args.get_or("iters", spec.gens)?;
-                    spec.offspring = args.get_or("offspring", spec.offspring)?;
-                    spec.xprob = args.get_or("xprob", spec.xprob)?;
-                }
-            }
-            spec.to_job()
-        }
+        // dataset mode: the flags are job-spec keys
+        (Some(_), None) => JobSpec::from_flags(args)?.to_job(),
         (None, Some(path)) => {
+            if args.get("suite").is_some() {
+                return Err(CliError::Usage(
+                    "--suite applies to dataset mode; use --methods with --input".into(),
+                ));
+            }
+            // the optimizer flags read as in dataset mode; the loaded table
+            // and the method list then replace the spec's source and suite
+            let spec = JobSpec::from_flags(args)?;
             let table = load_table_with(path, args.get("schema"))?;
             let indices = resolve_attrs(&table, args.list("attrs"))?;
             let methods = args
@@ -167,38 +115,12 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
                 .filter(|s| !s.is_empty())
                 .map(parse_method)
                 .collect::<Result<Vec<_>>>()?;
-            let copies: usize = args.get_or("copies", 2)?;
-            if args.get("suite").is_some() {
-                return Err(CliError::Usage(
-                    "--suite applies to dataset mode; use --methods with --input".into(),
-                ));
-            }
-            let mut builder = ProtectionJob::builder()
+            Ok(spec
+                .builder()
                 .table(table, indices)
                 .methods(methods)
-                .copies(copies)
-                .iterations(args.get_or("iters", 300)?)
-                .seed(args.get_or("seed", 42)?);
-            match mode {
-                SpecMode::Scalar => {
-                    builder = builder.drop_best_fraction(args.get_or("drop", 0.0)?);
-                    if let Some(value) = args.get("fitness") {
-                        builder = builder.aggregator(parse_fitness(value)?);
-                    } else {
-                        builder = builder.aggregator(cdp_metrics::ScoreAggregator::Max);
-                    }
-                }
-                SpecMode::Nsga => {
-                    builder = builder.nsga();
-                    if let Some(n) = args.get_parse::<usize>("offspring")? {
-                        builder = builder.offspring(n);
-                    }
-                    if let Some(p) = args.get_parse::<f64>("xprob")? {
-                        builder = builder.crossover_prob(p);
-                    }
-                }
-            }
-            Ok(builder.build()?)
+                .copies(args.get_or("copies", 2)?)
+                .build()?)
         }
     }
 }

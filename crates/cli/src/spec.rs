@@ -5,49 +5,23 @@
 //! * [`JobSpec`] — the `key=value` job grammar that deserializes a whole
 //!   `cdp optimize` invocation straight into a
 //!   [`cdp::pipeline::ProtectionJob`], and serializes one back, so CLI
-//!   jobs and library jobs cannot drift.
+//!   jobs and library jobs cannot drift. One table of keys (`KEYS`)
+//!   drives its parser, canonical form, grammar help, builder mapping,
+//!   `from_job` copy and the `cdp optimize` dataset-mode flags.
 
-use cdp::pipeline::{DataSource, OptimizerMode, PopulationSpec, ProtectionJob, SuiteKind};
+use cdp::pipeline::{
+    DataSource, OptimizerMode, PopulationSpec, ProtectionJob, ProtectionJobBuilder, SuiteKind,
+};
 use cdp_core::NsgaConfig;
 use cdp_dataset::generators::DatasetKind;
-use cdp_metrics::ScoreAggregator;
+use cdp_metrics::{ObjectiveSet, ScoreAggregator};
 use cdp_sdc::{
     Aggregate, BottomCoding, GlobalRecoding, Grouping, LocalSuppression, MicroVariant,
     Microaggregation, Pram, PramMode, ProtectionMethod, RandomSwap, RankSwapping, TopCoding,
 };
 
-use crate::commands::generate::dataset_kind;
+use crate::args::Args;
 use crate::error::{CliError, Result};
-
-/// Grammar accepted by [`JobSpec::parse`]: whitespace-separated
-/// `key=value` tokens, order-insensitive. Scalar-only keys under
-/// `mode=nsga` (and vice versa) are rejected with the offending key named.
-pub const JOB_GRAMMAR: &str = "\
-  dataset=<adult|housing|german|flare>   evaluation dataset (required)
-  records=<n>                            record-count override
-  suite=<small|paper>                    initial population sweep
-  mode=<scalar|nsga>                     optimizer (default scalar)
-  seed=<u64>                             master seed
-  audit=<true|false>                     privacy-audit the winner
-  islands=<k>                            island-model parallel run with k
-                                         islands (default 1 = the legacy
-                                         single-population streams)
-  mig=<n>                                generations between migration
-                                         epochs when islands>1 (default 10)
-  -- scalar mode only --
-  fitness=<mean|max>                     scalar aggregator
-  iters=<n>                              evolution budget (0 = mask only)
-  drop=<fraction>                        drop best initial fraction (§3.3)
-  -- nsga mode only --
-  gens=<n>                               NSGA-II generations
-  offspring=<n>                          offspring per generation (0 = population size)
-  xprob=<p>                              crossover probability
-  obj=il,dr[,eps|util]                   objective vector (leads with the
-                                         canonical il,dr pair; extras: eps
-                                         empirical-LDP leakage, util
-                                         task-utility gap)
-  eps=<budget>                           add an ε-calibrated invariant-PRAM
-                                         member to the initial population";
 
 /// The optimizer selector of the job grammar (`mode=` key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +44,10 @@ impl SpecMode {
 
 /// A `cdp optimize` dataset-mode invocation as data: the textual job
 /// format the CLI exchanges with [`ProtectionJob`].
+///
+/// The grammar is whitespace-separated `key=value` tokens in any order,
+/// each key at most once; [`job_grammar`] lists the keys. Keys of the other
+/// optimizer mode are rejected with the key named.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Evaluation dataset.
@@ -137,187 +115,345 @@ impl Default for JobSpec {
     }
 }
 
+/// A parsed value, or what is wrong with it.
+type Parsed<T> = std::result::Result<T, String>;
+
+/// When a key appears in the canonical form.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Emit {
+    /// Always, and a spec without it is rejected.
+    Required,
+    /// Always.
+    Always,
+    /// Only when its value differs from the default.
+    Changed,
+}
+
+/// One key of the job grammar.
+struct Key {
+    name: &'static str,
+    /// The one optimizer mode the key applies to (`None`: both).
+    scope: Option<SpecMode>,
+    emit: Emit,
+    /// The `cdp optimize` dataset-mode flag that sets the key, if any.
+    flag: Option<&'static str>,
+    /// Value placeholder and description, for [`job_grammar`].
+    help: (&'static str, &'static str),
+    parse: fn(&mut JobSpec, &str) -> Parsed<()>,
+    /// The value in canonical form (`None`: the key is unset).
+    render: fn(&JobSpec) -> Option<String>,
+    apply: fn(&JobSpec, ProtectionJobBuilder) -> ProtectionJobBuilder,
+    /// Copy the key's value from a job `from_job` accepted.
+    read: fn(&ProtectionJob, &mut JobSpec),
+}
+
+impl Key {
+    fn admits(&self, mode: SpecMode) -> bool {
+        self.scope.is_none_or(|m| m == mode)
+    }
+}
+
+/// Every key, in canonical order. `mode` precedes every key it scopes, so
+/// a reader walking the table knows the mode before it meets them. One key
+/// per block, kept out of rustfmt, which would spread each over a dozen
+/// lines.
+#[rustfmt::skip]
+static KEYS: [Key; 16] = [
+    Key { name: "dataset", scope: None, emit: Emit::Required, flag: Some("dataset"),
+        help: ("<adult|housing|german|flare>", "evaluation dataset (required)"),
+        parse: |s, v| choice(v, &DatasetKind::all(), DatasetKind::name).map(|d| s.dataset = d),
+        render: |s| Some(s.dataset.name().to_ascii_lowercase()),
+        apply: |s, b| b.dataset(s.dataset),
+        read: |j, s| if let DataSource::Generated { kind, .. } = j.source() { s.dataset = *kind } },
+    Key { name: "suite", scope: None, emit: Emit::Always, flag: Some("suite"),
+        help: ("<small|paper>", "initial population sweep"),
+        parse: |s, v| choice(v, &[SuiteKind::Small, SuiteKind::Paper], SuiteKind::name).map(|k| s.suite = k),
+        render: |s| Some(s.suite.name().into()),
+        apply: |s, b| b.suite_kind(s.suite),
+        read: |j, s| if let PopulationSpec::Suite(kind) = j.population() { s.suite = *kind } },
+    Key { name: "mode", scope: None, emit: Emit::Changed, flag: Some("mode"),
+        help: ("<scalar|nsga>", "optimizer (default scalar)"),
+        parse: |s, v| choice(v, &[SpecMode::Scalar, SpecMode::Nsga], SpecMode::name).map(|m| s.mode = m),
+        render: |s| Some(s.mode.name().into()),
+        apply: |s, b| if s.mode == SpecMode::Nsga { b.nsga() } else { b },
+        read: |j, s| s.mode = j.nsga_config().map_or(SpecMode::Scalar, |_| SpecMode::Nsga) },
+    Key { name: "fitness", scope: Some(SpecMode::Scalar), emit: Emit::Always, flag: Some("fitness"),
+        help: ("<mean|max>", "scalar aggregator"),
+        parse: |s, v| choice(v, &[ScoreAggregator::Mean, ScoreAggregator::Max], ScoreAggregator::name).map(|f| s.fitness = f),
+        render: |s| Some(s.fitness.name().into()),
+        apply: |s, b| b.aggregator(s.fitness),
+        read: |j, s| s.fitness = j.evo_config().aggregator },
+    Key { name: "iters", scope: Some(SpecMode::Scalar), emit: Emit::Always, flag: Some("iters"),
+        help: ("<n>", "evolution budget (0 = mask only)"),
+        parse: |s, v| number(v).map(|n| s.iters = n),
+        render: |s| Some(s.iters.to_string()),
+        apply: |s, b| b.iterations(s.iters),
+        read: |j, s| s.iters = j.iterations() },
+    // the historical flag spelling: under --mode nsga, --iters counts generations
+    Key { name: "gens", scope: Some(SpecMode::Nsga), emit: Emit::Always, flag: Some("iters"),
+        help: ("<n>", "NSGA-II generations"),
+        parse: |s, v| number(v).map(|n| s.gens = n),
+        render: |s| Some(s.gens.to_string()),
+        apply: |s, b| b.iterations(s.gens),
+        read: |j, s| s.gens = j.iterations() },
+    Key { name: "seed", scope: None, emit: Emit::Always, flag: Some("seed"),
+        help: ("<u64>", "master seed"),
+        parse: |s, v| number(v).map(|n| s.seed = n),
+        render: |s| Some(s.seed.to_string()),
+        apply: |s, b| b.seed(s.seed),
+        read: |j, s| s.seed = j.seed() },
+    Key { name: "records", scope: None, emit: Emit::Changed, flag: Some("records"),
+        help: ("<n>", "record-count override"),
+        parse: |s, v| number(v).map(|n| s.records = Some(n)),
+        render: |s| s.records.map(|n| n.to_string()),
+        apply: |s, b| match s.records { Some(n) => b.records(n), None => b },
+        read: |j, s| if let DataSource::Generated { records, .. } = j.source() { s.records = *records } },
+    Key { name: "drop", scope: Some(SpecMode::Scalar), emit: Emit::Changed, flag: Some("drop"),
+        help: ("<fraction>", "drop best initial fraction (§3.3)"),
+        parse: |s, v| finite(v).map(|x| s.drop = x),
+        render: |s| Some(s.drop.to_string()),
+        apply: |s, b| b.drop_best_fraction(s.drop),
+        read: |j, s| s.drop = j.drop_fraction() },
+    Key { name: "offspring", scope: Some(SpecMode::Nsga), emit: Emit::Changed, flag: Some("offspring"),
+        help: ("<n>", "offspring per generation (0 = population size)"),
+        parse: |s, v| number(v).map(|n| s.offspring = n),
+        render: |s| Some(s.offspring.to_string()),
+        apply: |s, b| b.offspring(s.offspring),
+        read: |j, s| s.offspring = j.nsga_config().map_or(s.offspring, |c| c.offspring) },
+    Key { name: "xprob", scope: Some(SpecMode::Nsga), emit: Emit::Changed, flag: Some("xprob"),
+        help: ("<p>", "crossover probability"),
+        parse: |s, v| finite(v).map(|x| s.xprob = x),
+        render: |s| Some(s.xprob.to_string()),
+        apply: |s, b| b.crossover_prob(s.xprob),
+        read: |j, s| s.xprob = j.nsga_config().map_or(s.xprob, |c| c.crossover_prob) },
+    // extras beyond il,dr: eps (empirical-LDP leakage), util (task-utility
+    // gap); the metrics registry owns the key grammar
+    Key { name: "obj", scope: Some(SpecMode::Nsga), emit: Emit::Changed, flag: None,
+        help: ("il,dr[,eps|util]", "objective vector (leads with il,dr)"),
+        parse: |s, v| ObjectiveSet::parse(v).map(|set| s.obj = extras(&set)).map_err(|e| e.to_string()),
+        render: |s| (!s.obj.is_empty()).then(|| format!("il,dr,{}", s.obj.join(","))),
+        apply: |s, b| s.obj.iter().fold(b, |b, key| b.objective(key.clone())),
+        read: |j, s| s.obj = extras(j.objectives()) },
+    Key { name: "eps", scope: Some(SpecMode::Nsga), emit: Emit::Changed, flag: None,
+        help: ("<budget>", "add an ε-calibrated invariant-PRAM member"),
+        parse: |s, v| finite(v).map(|x| s.eps = Some(x)),
+        render: |s| s.eps.map(|x| x.to_string()),
+        apply: |s, b| match s.eps { Some(x) => b.epsilon_pram(x), None => b },
+        read: |j, s| s.eps = j.pram_epsilon() },
+    Key { name: "islands", scope: None, emit: Emit::Changed, flag: None,
+        help: ("<k>", "island-model run with k islands (default 1)"),
+        parse: |s, v| number(v).map(|n| s.islands = n),
+        render: |s| Some(s.islands.to_string()),
+        apply: |s, b| b.islands(s.islands),
+        read: |j, s| s.islands = j.evo_config().islands.count },
+    Key { name: "mig", scope: None, emit: Emit::Changed, flag: None,
+        help: ("<n>", "generations between migrations (default 10)"),
+        parse: |s, v| number(v).map(|n| s.mig = n),
+        render: |s| Some(s.mig.to_string()),
+        apply: |s, b| b.migration_interval(s.mig),
+        read: |j, s| s.mig = j.evo_config().islands.migration_interval },
+    Key { name: "audit", scope: None, emit: Emit::Changed, flag: None,
+        help: ("<true|false>", "privacy-audit the winner"),
+        parse: |s, v| number(v).map(|x| s.audit = x),
+        render: |s| Some(s.audit.to_string()),
+        apply: |s, b| if s.audit { b.audit() } else { b },
+        read: |j, s| s.audit = j.audit_spec().is_some() },
+];
+
+/// The `options` member spelled `value` (ASCII case-insensitively).
+fn choice<T: Copy>(value: &str, options: &[T], name: fn(T) -> &'static str) -> Parsed<T> {
+    let names: Vec<String> = options
+        .iter()
+        .map(|&o| name(o).to_ascii_lowercase())
+        .collect();
+    let i = names.iter().position(|n| n.eq_ignore_ascii_case(value));
+    i.map(|i| options[i])
+        .ok_or_else(|| format!("unknown value `{value}` ({})", names.join(", ")))
+}
+
+/// A value of any `FromStr` type (counts, seeds, booleans).
+fn number<T: std::str::FromStr>(value: &str) -> Parsed<T> {
+    value.parse().map_err(|_| format!("bad value `{value}`"))
+}
+
+/// A finite float: NaN and infinities have no use in any knob.
+fn finite(value: &str) -> Parsed<f64> {
+    number(value)
+        .ok()
+        .filter(|x: &f64| x.is_finite())
+        .ok_or_else(|| format!("bad value `{value}` (a finite number)"))
+}
+
+/// The objective keys beyond the canonical leading `il, dr` pair.
+fn extras(set: &ObjectiveSet) -> Vec<String> {
+    set.keys()[2..].iter().map(|k| (*k).to_string()).collect()
+}
+
+/// Grammar help for [`JobSpec::parse`], one line per key: the shared keys,
+/// then each mode's own.
+pub fn job_grammar() -> String {
+    let mut lines = Vec::new();
+    for scope in [None, Some(SpecMode::Scalar), Some(SpecMode::Nsga)] {
+        if let Some(mode) = scope {
+            lines.push(format!("  -- {} mode only --", mode.name()));
+        }
+        for key in KEYS.iter().filter(|k| k.scope == scope) {
+            let token = format!("{}={}", key.name, key.help.0);
+            lines.push(format!("  {token:<38} {}", key.help.1));
+        }
+    }
+    lines.join("\n")
+}
+
+/// Where tokens come from, for the wording of errors.
+#[derive(Clone, Copy)]
+enum Syntax {
+    /// `key=value` tokens of a job spec.
+    Spec,
+    /// `cdp optimize` flags.
+    Flags,
+}
+
+impl Syntax {
+    fn key(self, key: &Key) -> String {
+        match self {
+            Syntax::Spec => format!("`{}`", key.name),
+            Syntax::Flags => format!("--{}", key.flag.unwrap_or(key.name)),
+        }
+    }
+
+    fn mode(self, mode: SpecMode) -> String {
+        match self {
+            Syntax::Spec => format!("mode={}", mode.name()),
+            Syntax::Flags => format!("--mode {}", mode.name()),
+        }
+    }
+
+    fn usage(self, msg: String) -> CliError {
+        match self {
+            Syntax::Spec => CliError::Usage(format!("{msg}\njob spec keys:\n{}", job_grammar())),
+            Syntax::Flags => CliError::Usage(msg),
+        }
+    }
+}
+
+/// Read each key's value, walking the table in order, into a spec;
+/// `value_of(i, mode)` yields the raw value given for `KEYS[i]` under the
+/// mode read so far. A key outside that mode is rejected with the right
+/// mode named.
+fn read_keys<'a>(
+    syntax: Syntax,
+    value_of: impl Fn(usize, SpecMode) -> Option<&'a str>,
+) -> Result<JobSpec> {
+    let mut spec = JobSpec::default();
+    for (i, key) in KEYS.iter().enumerate() {
+        let Some(value) = value_of(i, spec.mode) else {
+            continue;
+        };
+        if let Some(right) = key.scope.filter(|&m| m != spec.mode) {
+            let hint = match right {
+                SpecMode::Nsga => syntax.mode(right),
+                SpecMode::Scalar => "the (default) scalar mode".into(),
+            };
+            return Err(syntax.usage(format!(
+                "{} applies to {hint}, not {}",
+                syntax.key(key),
+                syntax.mode(spec.mode)
+            )));
+        }
+        (key.parse)(&mut spec, value)
+            .map_err(|msg| syntax.usage(format!("{}: {msg}", syntax.key(key))))?;
+    }
+    Ok(spec)
+}
+
 impl JobSpec {
     /// Parse the `key=value` grammar.
     ///
-    /// Mode consistency is validated after all tokens are read (the
-    /// grammar is order-insensitive, so `mode=` may come last): scalar-only
-    /// keys under `mode=nsga` — and nsga-only keys under the (default)
-    /// scalar mode — are usage errors naming the offending key.
+    /// Mode consistency is validated against the final mode (the grammar
+    /// is order-insensitive, so `mode=` may come last): scalar-only keys
+    /// under `mode=nsga` — and nsga-only keys under the (default) scalar
+    /// mode — are usage errors naming the offending key, as is a key given
+    /// twice.
     ///
     /// # Errors
     /// [`CliError::Usage`] with the offending token and the grammar.
     pub fn parse(text: &str) -> Result<JobSpec> {
-        let bad = |msg: String| CliError::Usage(format!("{msg}\njob spec keys:\n{JOB_GRAMMAR}"));
-        let mut spec = JobSpec::default();
-        let mut saw_dataset = false;
-        let mut seen: Vec<&str> = Vec::new();
+        let bad = |msg: String| Syntax::Spec.usage(msg);
+        let mut values: [Option<&str>; KEYS.len()] = [None; KEYS.len()];
         for token in text.split_whitespace() {
-            let (key, value) = token
+            let (name, value) = token
                 .split_once('=')
                 .ok_or_else(|| bad(format!("expected key=value, got `{token}`")))?;
-            match key {
-                "dataset" => {
-                    spec.dataset = dataset_kind(value)?;
-                    saw_dataset = true;
-                }
-                "records" => {
-                    spec.records = Some(
-                        value
-                            .parse()
-                            .map_err(|_| bad(format!("records: bad count `{value}`")))?,
-                    );
-                }
-                "suite" => {
-                    spec.suite = parse_suite(value)?;
-                }
-                "mode" => {
-                    spec.mode = parse_mode(value)?;
-                }
-                "fitness" => {
-                    spec.fitness = parse_fitness(value)?;
-                    seen.push("fitness");
-                }
-                "iters" => {
-                    spec.iters = value
-                        .parse()
-                        .map_err(|_| bad(format!("iters: bad count `{value}`")))?;
-                    seen.push("iters");
-                }
-                "gens" => {
-                    spec.gens = value
-                        .parse()
-                        .map_err(|_| bad(format!("gens: bad count `{value}`")))?;
-                    seen.push("gens");
-                }
-                "offspring" => {
-                    spec.offspring = value
-                        .parse()
-                        .map_err(|_| bad(format!("offspring: bad count `{value}`")))?;
-                    seen.push("offspring");
-                }
-                "xprob" => {
-                    spec.xprob = value
-                        .parse()
-                        .map_err(|_| bad(format!("xprob: bad probability `{value}`")))?;
-                    seen.push("xprob");
-                }
-                "seed" => {
-                    spec.seed = value
-                        .parse()
-                        .map_err(|_| bad(format!("seed: bad value `{value}`")))?;
-                }
-                "drop" => {
-                    spec.drop = value
-                        .parse()
-                        .map_err(|_| bad(format!("drop: bad fraction `{value}`")))?;
-                    seen.push("drop");
-                }
-                "audit" => {
-                    spec.audit = value
-                        .parse()
-                        .map_err(|_| bad(format!("audit: expected true/false, got `{value}`")))?;
-                }
-                "islands" => {
-                    spec.islands = value
-                        .parse()
-                        .map_err(|_| bad(format!("islands: bad count `{value}`")))?;
-                }
-                "mig" => {
-                    spec.mig = value
-                        .parse()
-                        .map_err(|_| bad(format!("mig: bad interval `{value}`")))?;
-                }
-                "obj" => {
-                    // the metrics registry owns the key grammar; the CLI
-                    // stores only the extension beyond the canonical pair
-                    let set = cdp_metrics::ObjectiveSet::parse(value)
-                        .map_err(|e| bad(format!("obj: {e}")))?;
-                    spec.obj = set.keys()[2..].iter().map(|k| (*k).to_string()).collect();
-                    seen.push("obj");
-                }
-                "eps" => {
-                    spec.eps = Some(
-                        value
-                            .parse()
-                            .map_err(|_| bad(format!("eps: bad budget `{value}`")))?,
-                    );
-                    seen.push("eps");
-                }
-                other => return Err(bad(format!("unknown key `{other}`"))),
+            let i = KEYS
+                .iter()
+                .position(|k| k.name == name)
+                .ok_or_else(|| bad(format!("unknown key `{name}`")))?;
+            if values[i].replace(value).is_some() {
+                return Err(bad(format!("`{name}` is given twice")));
             }
         }
-        if !saw_dataset {
-            return Err(bad("a dataset= key is required".into()));
+        if let Some(key) = KEYS
+            .iter()
+            .zip(&values)
+            .find_map(|(k, v)| (k.emit == Emit::Required && v.is_none()).then_some(k))
+        {
+            return Err(bad(format!("a {}= key is required", key.name)));
         }
-        let (wrong, right_mode): (&[&str], &str) = match spec.mode {
-            SpecMode::Scalar => (&["gens", "offspring", "xprob", "obj", "eps"], "mode=nsga"),
-            SpecMode::Nsga => (&["fitness", "iters", "drop"], "the (default) scalar mode"),
-        };
-        if let Some(key) = seen.iter().find(|k| wrong.contains(k)) {
-            return Err(bad(format!(
-                "`{key}` applies to {right_mode} (this spec runs {})",
-                spec.mode.name()
-            )));
-        }
-        Ok(spec)
+        read_keys(Syntax::Spec, |i, _| values[i])
+    }
+
+    /// Read `cdp optimize`'s dataset-mode flags as a spec: each flag named
+    /// in a key's `flag` column sets that key, and errors name the flag.
+    /// `--dataset` is not required here (input mode reads a file instead).
+    ///
+    /// # Errors
+    /// [`CliError::Usage`] for a bad value or a flag of the other mode.
+    pub fn from_flags(args: &Args) -> Result<JobSpec> {
+        read_keys(Syntax::Flags, |i, mode| {
+            let flag = KEYS[i].flag?;
+            // two keys of different modes share `--iters`: it sets the one
+            // the mode admits
+            let other_owner = (KEYS.iter().enumerate())
+                .any(|(j, k)| j != i && k.flag == Some(flag) && k.admits(mode));
+            if other_owner {
+                None
+            } else {
+                args.get(flag)
+            }
+        })
+    }
+
+    /// Every `cdp optimize` flag that sets a key (`--iters` sets two).
+    pub fn flags() -> impl Iterator<Item = &'static str> {
+        KEYS.iter().filter_map(|k| k.flag)
+    }
+
+    /// The keys of this spec's mode, in canonical order.
+    fn keys(&self) -> impl Iterator<Item = &'static Key> + '_ {
+        KEYS.iter().filter(|k| k.admits(self.mode))
     }
 
     /// Canonical serialization: fixed order, mode-appropriate keys only,
     /// re-parses to an equal spec (`parse ∘ to_spec_string = id`).
     pub fn to_spec_string(&self) -> String {
         let defaults = JobSpec::default();
-        let mut out = match self.mode {
-            SpecMode::Scalar => format!(
-                "dataset={} suite={} fitness={} iters={} seed={}",
-                self.dataset.name().to_ascii_lowercase(),
-                self.suite.name(),
-                self.fitness.name(),
-                self.iters,
-                self.seed,
-            ),
-            SpecMode::Nsga => format!(
-                "dataset={} suite={} mode=nsga gens={} seed={}",
-                self.dataset.name().to_ascii_lowercase(),
-                self.suite.name(),
-                self.gens,
-                self.seed,
-            ),
-        };
-        if let Some(n) = self.records {
-            out.push_str(&format!(" records={n}"));
-        }
-        match self.mode {
-            SpecMode::Scalar => {
-                if self.drop > 0.0 {
-                    out.push_str(&format!(" drop={}", self.drop));
-                }
-            }
-            SpecMode::Nsga => {
-                if self.offspring != defaults.offspring {
-                    out.push_str(&format!(" offspring={}", self.offspring));
-                }
-                if self.xprob != defaults.xprob {
-                    out.push_str(&format!(" xprob={}", self.xprob));
-                }
-                if !self.obj.is_empty() {
-                    out.push_str(&format!(" obj=il,dr,{}", self.obj.join(",")));
-                }
-                if let Some(eps) = self.eps {
-                    out.push_str(&format!(" eps={eps}"));
-                }
-            }
-        }
-        if self.islands != defaults.islands {
-            out.push_str(&format!(" islands={}", self.islands));
-        }
-        if self.mig != defaults.mig {
-            out.push_str(&format!(" mig={}", self.mig));
-        }
-        if self.audit {
-            out.push_str(" audit=true");
-        }
-        out
+        let tokens: Vec<String> = self
+            .keys()
+            .filter_map(|key| {
+                let value = (key.render)(self)?;
+                let shown =
+                    key.emit != Emit::Changed || Some(&value) != (key.render)(&defaults).as_ref();
+                shown.then(|| format!("{}={value}", key.name))
+            })
+            .collect();
+        tokens.join(" ")
+    }
+
+    /// The builder every key of the spec's mode has been applied to.
+    pub(crate) fn builder(&self) -> ProtectionJobBuilder {
+        self.keys()
+            .fold(ProtectionJob::builder(), |b, key| (key.apply)(self, b))
     }
 
     /// Deserialize into a runnable [`ProtectionJob`].
@@ -325,36 +461,7 @@ impl JobSpec {
     /// # Errors
     /// [`CliError::Usage`] for inconsistent knob combinations.
     pub fn to_job(&self) -> Result<ProtectionJob> {
-        let mut builder = ProtectionJob::builder()
-            .dataset(self.dataset)
-            .suite_kind(self.suite)
-            .seed(self.seed)
-            .islands(self.islands)
-            .migration_interval(self.mig);
-        builder = match self.mode {
-            SpecMode::Scalar => builder
-                .aggregator(self.fitness)
-                .iterations(self.iters)
-                .drop_best_fraction(self.drop),
-            SpecMode::Nsga => builder
-                .nsga()
-                .iterations(self.gens)
-                .offspring(self.offspring)
-                .crossover_prob(self.xprob),
-        };
-        for key in &self.obj {
-            builder = builder.objective(key.clone());
-        }
-        if let Some(eps) = self.eps {
-            builder = builder.epsilon_pram(eps);
-        }
-        if let Some(n) = self.records {
-            builder = builder.records(n);
-        }
-        if self.audit {
-            builder = builder.audit();
-        }
-        Ok(builder.build()?)
+        Ok(self.builder().build()?)
     }
 
     /// Recover the spec from a [`ProtectionJob`], when the job is
@@ -372,23 +479,17 @@ impl JobSpec {
     pub fn from_job(job: &ProtectionJob) -> Result<JobSpec> {
         let unrepresentable =
             |what: &str| CliError::Usage(format!("{what} is not expressible as a CLI job spec"));
-        let (dataset, records) = match job.source() {
-            DataSource::Generated {
-                kind,
-                records,
-                seed,
-            } => {
+        match job.source() {
+            DataSource::Generated { seed, .. } => {
                 if seed.is_some() && *seed != Some(job.seed()) {
                     return Err(unrepresentable("a generator-seed override"));
                 }
-                (*kind, *records)
             }
             _ => return Err(unrepresentable("a non-generated data source")),
-        };
-        let suite = match job.population() {
-            PopulationSpec::Suite(kind) => *kind,
-            _ => return Err(unrepresentable("a non-suite population recipe")),
-        };
+        }
+        if !matches!(job.population(), PopulationSpec::Suite(_)) {
+            return Err(unrepresentable("a non-suite population recipe"));
+        }
         if !job.extras().is_empty() {
             return Err(unrepresentable("an add_protection extra"));
         }
@@ -402,14 +503,6 @@ impl JobSpec {
         if job.metrics() != cdp_metrics::MetricConfig::default() {
             return Err(unrepresentable("a non-default metric configuration"));
         }
-        let mut spec = JobSpec {
-            dataset,
-            records,
-            suite,
-            seed: job.seed(),
-            audit: job.audit_spec().is_some(),
-            ..JobSpec::default()
-        };
         match job.optimizer() {
             OptimizerMode::Scalar(evo) => {
                 // the grammar keeps obj=/eps= nsga-only, so a scalar job
@@ -437,12 +530,6 @@ impl JobSpec {
                 if evo != expected {
                     return Err(unrepresentable("a non-default evolution knob"));
                 }
-                spec.mode = SpecMode::Scalar;
-                spec.fitness = evo.aggregator;
-                spec.iters = job.iterations();
-                spec.drop = job.drop_fraction();
-                spec.islands = evo.islands.count;
-                spec.mig = evo.islands.migration_interval;
             }
             OptimizerMode::Nsga(cfg) => {
                 if !cfg.parallel_init {
@@ -456,53 +543,16 @@ impl JobSpec {
                 if cfg.islands != expected_islands {
                     return Err(unrepresentable("a migration_size/topology override"));
                 }
-                spec.mode = SpecMode::Nsga;
-                spec.gens = cfg.generations;
-                spec.offspring = cfg.offspring;
-                spec.xprob = cfg.crossover_prob;
-                spec.islands = cfg.islands.count;
-                spec.mig = cfg.islands.migration_interval;
-                spec.obj = job.objectives().keys()[2..]
-                    .iter()
-                    .map(|k| (*k).to_string())
-                    .collect();
-                spec.eps = job.pram_epsilon();
+            }
+        }
+        let mut spec = JobSpec::default();
+        for key in &KEYS {
+            // `mode` is read before any key it scopes
+            if key.admits(spec.mode) {
+                (key.read)(job, &mut spec);
             }
         }
         Ok(spec)
-    }
-}
-
-/// Parse a `--mode` / `mode=` value.
-pub fn parse_mode(value: &str) -> Result<SpecMode> {
-    match value {
-        "scalar" => Ok(SpecMode::Scalar),
-        "nsga" => Ok(SpecMode::Nsga),
-        other => Err(CliError::Usage(format!(
-            "unknown mode `{other}` (scalar, nsga)"
-        ))),
-    }
-}
-
-/// Parse a `--suite` / `suite=` value.
-pub fn parse_suite(value: &str) -> Result<SuiteKind> {
-    match value {
-        "small" => Ok(SuiteKind::Small),
-        "paper" => Ok(SuiteKind::Paper),
-        other => Err(CliError::Usage(format!(
-            "unknown suite `{other}` (small, paper)"
-        ))),
-    }
-}
-
-/// Parse a `--fitness` / `fitness=` value.
-pub fn parse_fitness(value: &str) -> Result<ScoreAggregator> {
-    match value {
-        "mean" => Ok(ScoreAggregator::Mean),
-        "max" => Ok(ScoreAggregator::Max),
-        other => Err(CliError::Usage(format!(
-            "unknown fitness `{other}` (mean, max)"
-        ))),
     }
 }
 
@@ -778,9 +828,26 @@ mod tests {
             "dataset=adult mode=nsga eps=fast",               // bad float
             "dataset=adult mode=nsga eps=0",                  // builder rejects zero budget
             "dataset=adult mode=nsga eps=-1.5",               // builder rejects negatives
+            "dataset=adult seed=1 seed=2",                    // repeated key
+            "dataset=adult mode=nsga gens=5 mode=scalar",     // repeated mode
         ] {
             let result = JobSpec::parse(text).and_then(|s| s.to_job().map(|_| ()));
             assert!(result.is_err(), "`{text}` should be rejected");
+        }
+        // a repeated key is a usage error naming it, never last-wins
+        for (text, key) in [
+            ("dataset=adult seed=1 seed=2", "seed"),
+            ("dataset=adult mode=nsga gens=5 mode=scalar", "mode"),
+        ] {
+            match JobSpec::parse(text) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(
+                        msg.contains(&format!("`{key}` is given twice")),
+                        "{text}: {msg}"
+                    )
+                }
+                other => panic!("{text}: expected a usage error, got {other:?}"),
+            }
         }
     }
 
@@ -853,6 +920,71 @@ mod tests {
             let back = JobSpec::from_job(&job)
                 .unwrap_or_else(|e| panic!("job from `{text}` must serialize: {e}"));
             proptest::prop_assert_eq!(&back, &spec, "from_job ∘ to_job: {}", text);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Token soups over the key names and hostile values never panic
+        /// the parsers: each spec is `Ok` or a usage error, and every `Ok`
+        /// spec builds without a panic and survives its canonical form.
+        /// Three tokens in four come from a list of legal ones, and most
+        /// soups lead with a dataset, so a fair share of them parse.
+        #[test]
+        fn job_spec_parsers_never_panic(
+            lead in 0usize..3,
+            tokens in proptest::collection::vec((0u8..4, 0usize..30, 0usize..21, 0usize..34), 0..6),
+        ) {
+            const LEGAL: [&str; 30] = [
+                "suite=paper", "suite=small", "mode=nsga", "mode=scalar", "mode=NSGA",
+                "fitness=mean", "iters=0", "iters=7", "gens=3", "seed=1",
+                "seed=18446744073709551615", "records=50", "records=0", "drop=0.25", "drop=-0",
+                "offspring=0", "offspring=4", "xprob=0.8", "xprob=1e308", "obj=il,dr",
+                "obj=il,dr,util", "obj=il,dr,eps,util", "eps=1000", "eps=0.5", "eps=1e308",
+                "islands=2", "mig=4", "audit=true", "audit=false", "dataset=Flare",
+            ];
+            const NAMES: [&str; 21] = [
+                "dataset", "suite", "mode", "fitness", "iters", "gens", "seed", "records",
+                "drop", "offspring", "xprob", "obj", "eps", "islands", "mig", "audit",
+                "", "inc", "link", "DATASET", "=",
+            ];
+            const VALUES: [&str; 34] = [
+                "", "-1", "NaN", "inf", "-inf", "1e308", "123456789012345678901234567890",
+                "=x", ",", "-0", "0", "1", "3", "0.5", "1000", "true", "false", "nsga",
+                "NSGA", "scalar", "adult", "German", "paper", "small", "max", "mean",
+                "il,dr", "il,dr,eps", "il,dr,util", "il,dr,eps,util", "dr,il", " ",
+                "18446744073709551616", "x=y",
+            ];
+            let soup: Vec<String> = tokens
+                .iter()
+                .map(|&(legal, l, k, v)| match legal {
+                    0 => format!("{}={}", NAMES[k], VALUES[v]),
+                    _ => LEGAL[l].to_string(),
+                })
+                .collect();
+            // most soups lead with a dataset, half of those in nsga mode
+            let lead = ["", "dataset=german", "dataset=german mode=nsga"][lead];
+            let text = format!("{lead} {}", soup.join(" "));
+            let parsed = JobSpec::parse(&text);
+            let request = crate::protocol::Request::parse(&format!("JOB {text}"));
+            match (&parsed, &request) {
+                (Ok(spec), Ok(crate::protocol::Request::Job(wire))) => {
+                    proptest::prop_assert_eq!(spec, wire);
+                }
+                (Err(CliError::Usage(_)), Err(CliError::Usage(_))) => {}
+                other => panic!("`{text}`: Ok or a usage error on both paths, got {other:?}"),
+            }
+            if let Ok(spec) = parsed {
+                let _ = spec.to_job();
+                let canonical = spec.to_spec_string();
+                proptest::prop_assert_eq!(&JobSpec::parse(&canonical).unwrap(), &spec);
+                let line = crate::protocol::Request::Job(spec.clone()).to_line();
+                proptest::prop_assert_eq!(
+                    crate::protocol::Request::parse(&line).unwrap(),
+                    crate::protocol::Request::Job(spec)
+                );
+            }
         }
     }
 
