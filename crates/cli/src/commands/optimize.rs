@@ -6,7 +6,7 @@
 //! its [`cdp::pipeline::OptimizerMode`]; both modes run through
 //! [`SharedSession::run_with`], so the CLI and the library cannot drift.
 //! The dataset and optimizer flags are job-spec keys read by
-//! [`JobSpec::from_flags`], so they share the `--job` grammar's parser,
+//! `JobSpec::from_flags`, so they share the `--job` grammar's parser,
 //! defaults and mode checks.
 
 use std::io::Write;
@@ -60,6 +60,8 @@ pub fn run(args: &Args) -> Result<()> {
         "input", "job", "out", "attrs", "methods", "copies", "schema",
     ];
     known.extend(JobSpec::flags());
+    known.sort_unstable();
+    known.dedup();
     args.expect_only(&known)?;
     let out_dir = Path::new(args.require("out")?);
     std::fs::create_dir_all(out_dir)?;

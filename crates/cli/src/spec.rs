@@ -161,7 +161,7 @@ impl Key {
 static KEYS: [Key; 16] = [
     Key { name: "dataset", scope: None, emit: Emit::Required, flag: Some("dataset"),
         help: ("<adult|housing|german|flare>", "evaluation dataset (required)"),
-        parse: |s, v| choice(v, &DatasetKind::all(), DatasetKind::name).map(|d| s.dataset = d),
+        parse: |s, v| choice(&v.to_ascii_lowercase(), &DatasetKind::all(), DatasetKind::name).map(|d| s.dataset = d),
         render: |s| Some(s.dataset.name().to_ascii_lowercase()),
         apply: |s, b| b.dataset(s.dataset),
         read: |j, s| if let DataSource::Generated { kind, .. } = j.source() { s.dataset = *kind } },
@@ -260,13 +260,13 @@ static KEYS: [Key; 16] = [
         read: |j, s| s.audit = j.audit_spec().is_some() },
 ];
 
-/// The `options` member spelled `value` (ASCII case-insensitively).
+/// The `options` member whose lowercased name is `value`.
 fn choice<T: Copy>(value: &str, options: &[T], name: fn(T) -> &'static str) -> Parsed<T> {
     let names: Vec<String> = options
         .iter()
         .map(|&o| name(o).to_ascii_lowercase())
         .collect();
-    let i = names.iter().position(|n| n.eq_ignore_ascii_case(value));
+    let i = names.iter().position(|n| n == value);
     i.map(|i| options[i])
         .ok_or_else(|| format!("unknown value `{value}` ({})", names.join(", ")))
 }
@@ -409,7 +409,7 @@ impl JobSpec {
     ///
     /// # Errors
     /// [`CliError::Usage`] for a bad value or a flag of the other mode.
-    pub fn from_flags(args: &Args) -> Result<JobSpec> {
+    pub(crate) fn from_flags(args: &Args) -> Result<JobSpec> {
         read_keys(Syntax::Flags, |i, mode| {
             let flag = KEYS[i].flag?;
             // two keys of different modes share `--iters`: it sets the one
@@ -425,7 +425,7 @@ impl JobSpec {
     }
 
     /// Every `cdp optimize` flag that sets a key (`--iters` sets two).
-    pub fn flags() -> impl Iterator<Item = &'static str> {
+    pub(crate) fn flags() -> impl Iterator<Item = &'static str> {
         KEYS.iter().filter_map(|k| k.flag)
     }
 
@@ -937,7 +937,7 @@ mod tests {
             tokens in proptest::collection::vec((0u8..4, 0usize..30, 0usize..21, 0usize..34), 0..6),
         ) {
             const LEGAL: [&str; 30] = [
-                "suite=paper", "suite=small", "mode=nsga", "mode=scalar", "mode=NSGA",
+                "suite=paper", "suite=small", "mode=nsga", "mode=scalar", "gens=1",
                 "fitness=mean", "iters=0", "iters=7", "gens=3", "seed=1",
                 "seed=18446744073709551615", "records=50", "records=0", "drop=0.25", "drop=-0",
                 "offspring=0", "offspring=4", "xprob=0.8", "xprob=1e308", "obj=il,dr",

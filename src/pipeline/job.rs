@@ -1385,7 +1385,10 @@ mod tests {
             .run()
             .unwrap();
         let front = report.front().expect("nsga jobs produce a front");
-        assert!(front.points.iter().all(|p| p.il.is_finite() && p.dr.is_finite()));
+        assert!(front
+            .points
+            .iter()
+            .all(|p| p.il.is_finite() && p.dr.is_finite()));
     }
 
     #[test]
