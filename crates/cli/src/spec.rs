@@ -185,26 +185,26 @@ static KEYS: [Key; 16] = [
         read: |j, s| s.fitness = j.evo_config().aggregator },
     Key { name: "iters", scope: Some(SpecMode::Scalar), emit: Emit::Always, flag: Some("iters"),
         help: ("<n>", "evolution budget (0 = mask only)"),
-        parse: |s, v| number(v).map(|n| s.iters = n),
+        parse: |s, v| parse_value(v).map(|n| s.iters = n),
         render: |s| Some(s.iters.to_string()),
         apply: |s, b| b.iterations(s.iters),
         read: |j, s| s.iters = j.iterations() },
     // the historical flag spelling: under --mode nsga, --iters counts generations
     Key { name: "gens", scope: Some(SpecMode::Nsga), emit: Emit::Always, flag: Some("iters"),
         help: ("<n>", "NSGA-II generations"),
-        parse: |s, v| number(v).map(|n| s.gens = n),
+        parse: |s, v| parse_value(v).map(|n| s.gens = n),
         render: |s| Some(s.gens.to_string()),
         apply: |s, b| b.iterations(s.gens),
         read: |j, s| s.gens = j.iterations() },
     Key { name: "seed", scope: None, emit: Emit::Always, flag: Some("seed"),
         help: ("<u64>", "master seed"),
-        parse: |s, v| number(v).map(|n| s.seed = n),
+        parse: |s, v| parse_value(v).map(|n| s.seed = n),
         render: |s| Some(s.seed.to_string()),
         apply: |s, b| b.seed(s.seed),
         read: |j, s| s.seed = j.seed() },
     Key { name: "records", scope: None, emit: Emit::Changed, flag: Some("records"),
         help: ("<n>", "record-count override"),
-        parse: |s, v| number(v).map(|n| s.records = Some(n)),
+        parse: |s, v| parse_value(v).map(|n| s.records = Some(n)),
         render: |s| s.records.map(|n| n.to_string()),
         apply: |s, b| match s.records { Some(n) => b.records(n), None => b },
         read: |j, s| if let DataSource::Generated { records, .. } = j.source() { s.records = *records } },
@@ -216,7 +216,7 @@ static KEYS: [Key; 16] = [
         read: |j, s| s.drop = j.drop_fraction() },
     Key { name: "offspring", scope: Some(SpecMode::Nsga), emit: Emit::Changed, flag: Some("offspring"),
         help: ("<n>", "offspring per generation (0 = population size)"),
-        parse: |s, v| number(v).map(|n| s.offspring = n),
+        parse: |s, v| parse_value(v).map(|n| s.offspring = n),
         render: |s| Some(s.offspring.to_string()),
         apply: |s, b| b.offspring(s.offspring),
         read: |j, s| s.offspring = j.nsga_config().map_or(s.offspring, |c| c.offspring) },
@@ -242,19 +242,19 @@ static KEYS: [Key; 16] = [
         read: |j, s| s.eps = j.pram_epsilon() },
     Key { name: "islands", scope: None, emit: Emit::Changed, flag: None,
         help: ("<k>", "island-model run with k islands (default 1)"),
-        parse: |s, v| number(v).map(|n| s.islands = n),
+        parse: |s, v| parse_value(v).map(|n| s.islands = n),
         render: |s| Some(s.islands.to_string()),
         apply: |s, b| b.islands(s.islands),
         read: |j, s| s.islands = j.evo_config().islands.count },
     Key { name: "mig", scope: None, emit: Emit::Changed, flag: None,
         help: ("<n>", "generations between migrations (default 10)"),
-        parse: |s, v| number(v).map(|n| s.mig = n),
+        parse: |s, v| parse_value(v).map(|n| s.mig = n),
         render: |s| Some(s.mig.to_string()),
         apply: |s, b| b.migration_interval(s.mig),
         read: |j, s| s.mig = j.evo_config().islands.migration_interval },
     Key { name: "audit", scope: None, emit: Emit::Changed, flag: None,
         help: ("<true|false>", "privacy-audit the winner"),
-        parse: |s, v| number(v).map(|x| s.audit = x),
+        parse: |s, v| parse_value(v).map(|x| s.audit = x),
         render: |s| Some(s.audit.to_string()),
         apply: |s, b| if s.audit { b.audit() } else { b },
         read: |j, s| s.audit = j.audit_spec().is_some() },
@@ -272,13 +272,13 @@ fn choice<T: Copy>(value: &str, options: &[T], name: fn(T) -> &'static str) -> P
 }
 
 /// A value of any `FromStr` type (counts, seeds, booleans).
-fn number<T: std::str::FromStr>(value: &str) -> Parsed<T> {
+fn parse_value<T: std::str::FromStr>(value: &str) -> Parsed<T> {
     value.parse().map_err(|_| format!("bad value `{value}`"))
 }
 
 /// A finite float: NaN and infinities have no use in any knob.
 fn finite(value: &str) -> Parsed<f64> {
-    number(value)
+    parse_value(value)
         .ok()
         .filter(|x: &f64| x.is_finite())
         .ok_or_else(|| format!("bad value `{value}` (a finite number)"))
