@@ -14,23 +14,24 @@ cdp generate --dataset <adult|housing|german|flare> --out <file.csv>
 Writes a seeded synthetic stand-in for one of the paper's four evaluation
 datasets (same record counts, attribute counts and category cardinalities).";
 
-/// Parse a dataset name.
-pub fn dataset_kind(name: &str) -> Result<DatasetKind> {
+/// Parse a dataset name (ASCII case-insensitive); the error is the
+/// message.
+pub fn dataset_kind(name: &str) -> std::result::Result<DatasetKind, String> {
     match name.to_ascii_lowercase().as_str() {
         "adult" => Ok(DatasetKind::Adult),
         "housing" => Ok(DatasetKind::Housing),
         "german" => Ok(DatasetKind::German),
         "flare" => Ok(DatasetKind::Flare),
-        other => Err(CliError::Usage(format!(
+        other => Err(format!(
             "unknown dataset `{other}` (adult, housing, german, flare)"
-        ))),
+        )),
     }
 }
 
 /// Run the command.
 pub fn run(args: &Args) -> Result<()> {
     args.expect_only(&["dataset", "out", "seed", "records"])?;
-    let kind = dataset_kind(args.require("dataset")?)?;
+    let kind = dataset_kind(args.require("dataset")?).map_err(CliError::Usage)?;
     let out = args.require("out")?;
     let seed: u64 = args.get_or("seed", 42)?;
     let mut cfg = GeneratorConfig::seeded(seed);

@@ -21,6 +21,7 @@ use cdp_sdc::{
 };
 
 use crate::args::Args;
+use crate::commands::generate::dataset_kind;
 use crate::error::{CliError, Result};
 
 /// The optimizer selector of the job grammar (`mode=` key).
@@ -161,7 +162,7 @@ impl Key {
 static KEYS: [Key; 16] = [
     Key { name: "dataset", scope: None, emit: Emit::Required, flag: Some("dataset"),
         help: ("<adult|housing|german|flare>", "evaluation dataset (required)"),
-        parse: |s, v| choice(&v.to_ascii_lowercase(), &DatasetKind::all(), DatasetKind::name).map(|d| s.dataset = d),
+        parse: |s, v| dataset_kind(v).map(|d| s.dataset = d),
         render: |s| Some(s.dataset.name().to_ascii_lowercase()),
         apply: |s, b| b.dataset(s.dataset),
         read: |j, s| if let DataSource::Generated { kind, .. } = j.source() { s.dataset = *kind } },
@@ -260,13 +261,10 @@ static KEYS: [Key; 16] = [
         read: |j, s| s.audit = j.audit_spec().is_some() },
 ];
 
-/// The `options` member whose lowercased name is `value`.
+/// The `options` member named `value`.
 fn choice<T: Copy>(value: &str, options: &[T], name: fn(T) -> &'static str) -> Parsed<T> {
-    let names: Vec<String> = options
-        .iter()
-        .map(|&o| name(o).to_ascii_lowercase())
-        .collect();
-    let i = names.iter().position(|n| n == value);
+    let names: Vec<&str> = options.iter().map(|&o| name(o)).collect();
+    let i = names.iter().position(|&n| n == value);
     i.map(|i| options[i])
         .ok_or_else(|| format!("unknown value `{value}` ({})", names.join(", ")))
 }
