@@ -4,8 +4,10 @@
 //! Two timings per K:
 //!
 //! * **wall_ms** — elapsed time of the run as observed on this machine.
-//!   On a box with fewer than K free cores the scoped island threads
-//!   time-slice, so wall does *not* show the parallel win.
+//!   Each epoch runs the K islands as executor tasks on at most as many
+//!   threads as there are cores; with fewer than K cores the islands
+//!   take turns, so wall does *not* show the whole parallel win. K = 1
+//!   runs its offspring batches on the executor instead.
 //! * **critical_path_ms** — the sum over migration epochs of the busiest
 //!   island's compute time: the wall time a machine with ≥ K free cores
 //!   would see. The speedup column is computed on this, and the JSON
@@ -83,13 +85,9 @@ fn sweep_run(
     };
     let pop = build_population(&ds, &suite, seed).expect("suite");
     let ev = Evaluator::new(&ds.protected_subtable(), MetricConfig::default()).expect("evaluator");
-    // islands are the parallel grain here: nested offspring threads would
-    // oversubscribe the cores AND hide their CPU from the per-island
-    // thread clock the critical path is built on (see `IslandTiming`)
     let cfg = EvoConfig::builder()
         .iterations(iterations)
         .islands(islands)
-        .parallel_offspring(false)
         .seed(seed)
         .build();
     let mut migrations = 0usize;

@@ -18,7 +18,7 @@ pub struct Args {
 impl Args {
     /// Parse `--key value` / `--key=value` / bare `--switch` sequences.
     /// Positional arguments are rejected (the command name is consumed by
-    /// the dispatcher before this runs).
+    /// the dispatcher before this runs), and so is a flag given twice.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Self> {
         let mut flags = BTreeMap::new();
         let mut iter = argv.into_iter().peekable();
@@ -31,19 +31,22 @@ impl Args {
             if stripped.is_empty() {
                 return Err(CliError::Usage("empty flag `--`".into()));
             }
-            if let Some((key, value)) = stripped.split_once('=') {
-                flags.insert(key.to_string(), value.to_string());
+            let (key, value) = if let Some((key, value)) = stripped.split_once('=') {
+                (key.to_string(), value.to_string())
             } else if iter
                 .peek()
                 .map(|next| !next.starts_with("--"))
                 .unwrap_or(false)
             {
-                let value = iter.next().expect("peeked");
-                flags.insert(stripped.to_string(), value);
+                (stripped.to_string(), iter.next().expect("peeked"))
             } else {
                 // bare switch
-                flags.insert(stripped.to_string(), "true".to_string());
+                (stripped.to_string(), "true".to_string())
+            };
+            if flags.contains_key(&key) {
+                return Err(CliError::Usage(format!("flag --{key} given twice")));
             }
+            flags.insert(key, value);
         }
         Ok(Args { flags })
     }
@@ -169,6 +172,25 @@ mod tests {
         let a = parse(&["--seed", "1", "--typo", "x"]);
         assert!(a.expect_only(&["seed"]).is_err());
         assert!(a.expect_only(&["seed", "typo"]).is_ok());
+    }
+
+    #[test]
+    fn repeated_flag_is_rejected_by_name() {
+        for tokens in [
+            &["--seed", "1", "--seed", "2"][..],
+            &["--seed=1", "--seed=2"],
+            &["--seed", "1", "--seed=2"],
+            &["--verbose", "--verbose"],
+        ] {
+            let err = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{tokens:?}");
+            let flag = tokens[0]
+                .trim_start_matches("--")
+                .split('=')
+                .next()
+                .unwrap();
+            assert!(err.to_string().contains(&format!("--{flag}")), "{err}");
+        }
     }
 
     #[test]

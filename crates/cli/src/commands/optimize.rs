@@ -45,8 +45,10 @@ knee point).
 The dataset and optimizer flags are keys of the job spec: --iters sets
 `gens` under --mode nsga, and a flag of the other mode is rejected.
 --job takes one quoted key=value job spec — exactly the `job:` line a
-dataset-mode run echoes — so any run can be reproduced verbatim. The
-islands=, mig=, obj=, eps= and audit= keys have no flag; use --job:
+dataset-mode run echoes — so any run can be reproduced verbatim; it
+takes no other flag but --out. A flag the chosen source ignores is an
+error. The islands=, mig=, obj=, eps= and audit= keys have no flag; use
+--job:
   cdp optimize --job 'dataset=adult suite=paper fitness=max iters=300 seed=7' --out dir
   cdp optimize --job 'dataset=german suite=small mode=nsga gens=200 seed=7' --out dir";
 
@@ -54,11 +56,13 @@ islands=, mig=, obj=, eps= and audit= keys have no flag; use --job:
 const DEFAULT_METHODS: &str =
     "microagg:3,microagg:6,topcode:0.15,bottomcode:0.15,recode:1,rankswap:2,rankswap:8,pram:0.8,pram:0.65";
 
+/// Flags that only shape an `--input` run's population.
+const INPUT_FLAGS: [&str; 4] = ["attrs", "methods", "copies", "schema"];
+
 /// Run the command.
 pub fn run(args: &Args) -> Result<()> {
-    let mut known = vec![
-        "input", "job", "out", "attrs", "methods", "copies", "schema",
-    ];
+    let mut known = vec!["input", "job", "out"];
+    known.extend(INPUT_FLAGS);
     known.extend(JobSpec::flags());
     known.sort_unstable();
     known.dedup();
@@ -87,6 +91,11 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
                 "the optimizer mode is part of the --job spec (mode=nsga); drop --mode".into(),
             ));
         }
+        reject_flags(
+            args,
+            JobSpec::flags().chain(INPUT_FLAGS),
+            "does not combine with --job; set the run inside the spec",
+        )?;
         return JobSpec::parse(text)?.to_job();
     }
     match (args.get("dataset"), args.get("input")) {
@@ -97,13 +106,16 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
             "one of --dataset or --input is required".into(),
         )),
         // dataset mode: the flags are job-spec keys
-        (Some(_), None) => JobSpec::from_flags(args)?.to_job(),
+        (Some(_), None) => {
+            reject_flags(args, INPUT_FLAGS, "applies to input mode (--input)")?;
+            JobSpec::from_flags(args)?.to_job()
+        }
         (None, Some(path)) => {
-            if args.get("suite").is_some() {
-                return Err(CliError::Usage(
-                    "--suite applies to dataset mode; use --methods with --input".into(),
-                ));
-            }
+            reject_flags(
+                args,
+                ["suite", "records"],
+                "applies to dataset mode; --input takes --methods and its file's rows",
+            )?;
             // the optimizer flags read as in dataset mode; the loaded table
             // and the method list then replace the spec's source and suite
             let spec = JobSpec::from_flags(args)?;
@@ -124,6 +136,18 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
                 .copies(args.get_or("copies", 2)?)
                 .build()?)
         }
+    }
+}
+
+/// A usage error naming the first of `flags` that was given.
+fn reject_flags<'a>(
+    args: &Args,
+    flags: impl IntoIterator<Item = &'a str>,
+    why: &str,
+) -> Result<()> {
+    match flags.into_iter().find(|flag| args.get(flag).is_some()) {
+        Some(flag) => Err(CliError::Usage(format!("--{flag} {why}"))),
+        None => Ok(()),
     }
 }
 
@@ -503,6 +527,38 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--job spec"));
+    }
+
+    #[test]
+    fn flags_the_source_mode_ignores_are_rejected_by_name() {
+        let dir = tmp_dir("ignored");
+        let input = dir.join("input.csv");
+        std::fs::write(&input, "X,Y\na,p\nb,q\na,q\nb,p\n").unwrap();
+        let out = dir.to_str().unwrap();
+        let dataset = ["--dataset", "adult", "--records", "40"];
+        let input_mode = ["--input", input.to_str().unwrap()];
+        let job = ["--job", "dataset=adult records=40 iters=5"];
+        for (source, extra, flag) in [
+            (&dataset[..], &["--methods", "pram:0.5"][..], "--methods"),
+            (&dataset, &["--copies", "9"], "--copies"),
+            (&dataset, &["--attrs", "AGE"], "--attrs"),
+            (&dataset, &["--schema", "s.txt"], "--schema"),
+            (&input_mode, &["--records", "40"], "--records"),
+            (&input_mode, &["--suite", "paper"], "--suite"),
+            (&job, &["--iters", "5"], "--iters"),
+            (&job, &["--seed", "3"], "--seed"),
+            (&job, &["--records", "40"], "--records"),
+            (&job, &["--suite", "paper"], "--suite"),
+            (&job, &["--offspring", "4"], "--offspring"),
+            (&job, &["--methods", "pram:0.5"], "--methods"),
+        ] {
+            let mut tokens = vec!["--out", out];
+            tokens.extend(source);
+            tokens.extend(extra);
+            let err = run(&args(&tokens)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{flag}: {err}");
+            assert!(err.to_string().contains(flag), "{flag}: {err}");
+        }
     }
 
     #[test]

@@ -530,9 +530,6 @@ impl JobSpec {
                 }
             }
             OptimizerMode::Nsga(cfg) => {
-                if !cfg.parallel_init {
-                    return Err(unrepresentable("a parallel_init override"));
-                }
                 let expected_islands = cdp_core::IslandConfig {
                     count: cfg.islands.count,
                     migration_interval: cfg.islands.migration_interval,

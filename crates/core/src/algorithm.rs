@@ -9,14 +9,13 @@ use crate::adaptive::OperatorStats;
 use crate::archive::ParetoArchive;
 use crate::config::EvoConfig;
 use crate::individual::Individual;
+use crate::islands::{IslandEvent, IslandRunner};
 use crate::operators::{crossover, mutate, OperatorKind};
-use crate::parallel::{
-    cross_check, evaluate_all, evaluate_tasks, EvalTask, MIN_PARALLEL_EVAL_ROWS,
-};
+use crate::parallel::{cross_check, evaluate_all, evaluate_offspring, EvalTask};
 use crate::population::Population;
 use crate::replacement::offspring_wins;
 use crate::selection::select_leader;
-use crate::telemetry::{EvalCounts, ScatterPoint, Trace};
+use crate::telemetry::{EvalCounts, GenerationStats, ScatterPoint, Trace};
 use crate::{EvoError, Result};
 
 /// Mutable per-run evaluation bookkeeping threaded through the generation
@@ -61,7 +60,7 @@ impl Evolution {
     }
 
     /// Load the initial population of named protections; every individual
-    /// is evaluated here (in parallel when configured).
+    /// is evaluated here, on the executor ([`crate::parallel`]).
     ///
     /// # Errors
     /// [`EvoError::EmptyPopulation`] or [`EvoError::IncompatibleIndividual`].
@@ -84,7 +83,7 @@ impl Evolution {
                     source,
                 })?;
         }
-        let states = evaluate_all(&self.evaluator, &items, self.config.parallel_init);
+        let states = evaluate_all(&self.evaluator, &items, true);
         self.initial_evaluations = items.len();
         let members = items
             .into_iter()
@@ -145,7 +144,7 @@ impl Evolution {
     /// recorded; useful for progress reporting in long experiments).
     pub fn run_with<F>(self, mut observer: F) -> EvolutionOutcome
     where
-        F: FnMut(&crate::telemetry::GenerationStats),
+        F: FnMut(&GenerationStats),
     {
         let mut runner = EvolutionRunner::start(self);
         while runner.step(&mut observer) {}
@@ -219,12 +218,12 @@ impl Evolution {
     /// offspring survived.
     ///
     /// Each child is re-assessed from its frame parent's cached state via a
-    /// flat-range [`Patch`] instead of a full O(n²) pass — bit-identical to
+    /// flat-range [`Patch`] instead of a full pass — bit-identical to
     /// the full pass (debug builds assert it at a fixed cadence,
-    /// [`cross_check`]). The two offspring evaluate concurrently on scoped
-    /// threads when [`EvoConfig::parallel_offspring`] is on and the file is
-    /// large enough to amortize the spawns. Unlike the mutation path, each
-    /// child pays one O(n) state clone inside
+    /// [`cross_check`]). The two offspring evaluate as one executor batch
+    /// when the file is large enough to amortize the hand-off
+    /// ([`crate::parallel::MIN_PARALLEL_EVAL_ROWS`]). Unlike the mutation
+    /// path, each child pays one O(n) state clone inside
     /// [`cdp_metrics::Evaluator::reassess`]: both children may enter the
     /// population, so owned states are required either way, and the clone
     /// is <1% of the segment-relink work it rides along with (measured in
@@ -241,7 +240,6 @@ impl Evolution {
         let i2 = self.config.selection.select(pop.scores(), rng);
 
         let (z1_data, z2_data, (s, r)) = crossover(&pop.get(i1).data, &pop.get(i2).data, rng);
-        let parallel = self.config.parallel_offspring && z1_data.n_rows() >= MIN_PARALLEL_EVAL_ROWS;
         // each child shares its frame parent's file outside [s, r]: patch
         // the parent's cached state with the swapped-in segment
         let old1: Vec<_> = (s..=r).map(|p| pop.get(i1).data.get_flat(p)).collect();
@@ -260,7 +258,7 @@ impl Evolution {
                 patch: &patch2,
             },
         ];
-        let mut states = evaluate_tasks(&self.evaluator, &tasks, parallel);
+        let mut states = evaluate_offspring(&self.evaluator, &tasks);
         ctx.evals.incremental += 2;
         let n = ctx.evals.incremental;
         cross_check(&self.evaluator, n - 1, &z1_data, &states[0].assessment);
@@ -378,8 +376,32 @@ impl EvolutionRunner {
         }
     }
 
+    /// Assemble the outcome; identical to what the one-shot loop returned.
+    pub(crate) fn finish(self) -> EvolutionOutcome {
+        let mut eval_counts = self.ctx.evals;
+        eval_counts.full += self.evolution.initial_evaluations;
+        EvolutionOutcome {
+            initial: self.initial,
+            final_points: self.pop.scatter(),
+            trace: self.trace,
+            iterations_run: self.t,
+            pareto_front: self.archive.front(),
+            final_mutation_rate: self.op_stats.mutation_rate(),
+            eval_counts,
+            population: self.pop,
+        }
+    }
+}
+
+impl IslandRunner for EvolutionRunner {
+    type Stats = GenerationStats;
+
+    fn event(island: usize, stats: GenerationStats) -> IslandEvent {
+        IslandEvent::Generation { island, stats }
+    }
+
     /// Whether the stop condition already holds.
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.evolution
             .config
             .stop
@@ -388,10 +410,7 @@ impl EvolutionRunner {
 
     /// Execute one iteration unless the stop condition holds; returns
     /// whether an iteration ran.
-    pub(crate) fn step<F>(&mut self, observer: &mut F) -> bool
-    where
-        F: FnMut(&crate::telemetry::GenerationStats),
-    {
+    fn step<F: FnMut(&GenerationStats)>(&mut self, observer: &mut F) -> bool {
         if self.finished() {
             return false;
         }
@@ -431,27 +450,13 @@ impl EvolutionRunner {
         true
     }
 
-    /// Run at most `max` iterations; returns how many actually ran (fewer
-    /// only when the stop condition interrupts the chunk).
-    pub(crate) fn run_chunk<F>(&mut self, max: usize, observer: &mut F) -> usize
-    where
-        F: FnMut(&crate::telemetry::GenerationStats),
-    {
-        let mut ran = 0;
-        while ran < max && self.step(observer) {
-            ran += 1;
-        }
-        ran
-    }
-
-    /// Iterations executed so far.
-    pub(crate) fn iterations_run(&self) -> usize {
+    fn generations_run(&self) -> usize {
         self.t
     }
 
     /// Clones of the `count` best members (the population is score-sorted,
     /// ties by insertion order — deterministic).
-    pub(crate) fn export_best(&self, count: usize) -> Vec<Individual> {
+    fn export(&self, count: usize) -> Vec<Individual> {
         (0..count.min(self.pop.len()))
             .map(|i| self.pop.get(i).clone())
             .collect()
@@ -461,7 +466,7 @@ impl EvolutionRunner {
     /// at least one native always survives), then resort. An immigrant
     /// that beats the island's best resets the stagnation counter exactly
     /// like a native improvement would.
-    pub(crate) fn migrate_in(&mut self, immigrants: Vec<Individual>) {
+    fn migrate_in(&mut self, immigrants: Vec<Individual>) {
         let n = self.pop.len();
         let take = immigrants.len().min(n.saturating_sub(1));
         for (j, immigrant) in immigrants.into_iter().take(take).enumerate() {
@@ -472,22 +477,6 @@ impl EvolutionRunner {
         if new_best + 1e-12 < self.best {
             self.best = new_best;
             self.since_improvement = 0;
-        }
-    }
-
-    /// Assemble the outcome; identical to what the one-shot loop returned.
-    pub(crate) fn finish(self) -> EvolutionOutcome {
-        let mut eval_counts = self.ctx.evals;
-        eval_counts.full += self.evolution.initial_evaluations;
-        EvolutionOutcome {
-            initial: self.initial,
-            final_points: self.pop.scatter(),
-            trace: self.trace,
-            iterations_run: self.t,
-            pareto_front: self.archive.front(),
-            final_mutation_rate: self.op_stats.mutation_rate(),
-            eval_counts,
-            population: self.pop,
         }
     }
 }

@@ -86,12 +86,6 @@ pub struct EvoConfig {
     pub replacement: ReplacementPolicy,
     /// Termination.
     pub stop: StopCondition,
-    /// Evaluate the initial population on all cores.
-    pub parallel_init: bool,
-    /// Evaluate the two crossover offspring concurrently on scoped threads
-    /// (kicks in above [`crate::parallel::MIN_PARALLEL_EVAL_ROWS`] rows;
-    /// evaluation draws no RNG, so results are bit-identical either way).
-    pub parallel_offspring: bool,
     /// Island-model split (see [`crate::islands`]); the default single
     /// island runs the legacy loop untouched.
     pub islands: IslandConfig,
@@ -108,8 +102,6 @@ impl Default for EvoConfig {
             selection: SelectionWeighting::InverseScore,
             replacement: ReplacementPolicy::IndexPairedCrowding,
             stop: StopCondition::default(),
-            parallel_init: true,
-            parallel_offspring: true,
             islands: IslandConfig::default(),
         }
     }
@@ -213,18 +205,6 @@ impl EvoConfigBuilder {
         self
     }
 
-    /// Toggle parallel initial evaluation.
-    pub fn parallel_init(mut self, on: bool) -> Self {
-        self.cfg.parallel_init = on;
-        self
-    }
-
-    /// Toggle concurrent evaluation of the two crossover offspring.
-    pub fn parallel_offspring(mut self, on: bool) -> Self {
-        self.cfg.parallel_offspring = on;
-        self
-    }
-
     /// Number of islands (`1`, the default, = the legacy single loop).
     pub fn islands(mut self, k: usize) -> Self {
         self.cfg.islands.count = k;
@@ -270,8 +250,6 @@ mod tests {
             .leader_fraction(0.2)
             .selection(SelectionWeighting::Rank)
             .replacement(ReplacementPolicy::DistancePairedCrowding)
-            .parallel_init(false)
-            .parallel_offspring(false)
             .islands(4)
             .migration_interval(25)
             .migration_size(3)
@@ -279,8 +257,6 @@ mod tests {
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.stop.max_iterations, 123);
         assert_eq!(cfg.stop.stagnation, Some(17));
-        assert!(!cfg.parallel_init);
-        assert!(!cfg.parallel_offspring);
         assert_eq!(cfg.islands.count, 4);
         assert_eq!(cfg.islands.migration_interval, 25);
         assert_eq!(cfg.islands.migration_size, 3);

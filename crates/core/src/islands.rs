@@ -1,5 +1,6 @@
-//! Island-model parallel evolution: K independent optimizer instances on
-//! scoped threads, synchronized only at migration barriers.
+//! Island-model parallel evolution: K independent optimizer instances,
+//! one executor task each per epoch, synchronized only at migration
+//! barriers.
 //!
 //! An [`IslandModel`] splits the evaluated initial population round-robin
 //! across `K` islands ([`IslandConfig::count`]). Each island is a full
@@ -22,19 +23,23 @@
 //!
 //! # Determinism contract
 //!
-//! * Islands run on scoped threads but synchronize **only** at migration
+//! * Each epoch runs every island as one task of the crate's executor
+//!   ([`crate::parallel`]), and islands synchronize **only** at migration
 //!   barriers; all cross-island effects (migration, event replay, final
-//!   merge) happen on the calling thread in island-index order. The
-//!   outcome for a given `(seed, K, M)` is therefore identical across
-//!   runs regardless of thread scheduling or core count.
+//!   merge) happen on the calling thread in island-index order. An
+//!   island's offspring batches run inline in its task, so islands never
+//!   nest threads. The outcome for a given `(seed, K, M)` is therefore
+//!   identical across runs regardless of thread scheduling or core count.
 //! * `K = 1` is exactly the legacy single-population run: same RNG
 //!   stream, same outcome, bit for bit (the engine's reproduction tests
-//!   pin this).
+//!   pin this). Its single island runs on the calling thread and streams
+//!   each generation's event as it finishes.
 //! * Observers see island events in a deterministic order: each epoch's
 //!   generation stats replay island by island, then migrations fire in
 //!   source-island order. Only [`IslandTiming`] (wall-clock and
 //!   critical-path measurements) varies between runs.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cdp_dataset::SubTable;
@@ -44,6 +49,7 @@ use crate::algorithm::{Evolution, EvolutionOutcome, EvolutionRunner};
 use crate::archive::ParetoArchive;
 use crate::config::{EvoConfig, IslandConfig, Topology};
 use crate::individual::Individual;
+use crate::parallel::run_indexed;
 use cdp_metrics::{ObjectiveSet, ObjectiveVector};
 
 use crate::nsga::{
@@ -95,15 +101,10 @@ pub enum IslandEvent {
 /// migration epochs, the busiest island's *CPU* time in each epoch — the
 /// wall time a machine with ≥ K free cores would see. Per-island busy
 /// times are taken from the thread CPU clock (where available), so the
-/// projection stays faithful even when the K scoped threads time-slice
-/// on fewer than K cores; `wall` is what this machine actually observed.
-///
-/// Caveat: the thread clock only sees the island thread itself. With
-/// [`crate::EvoConfig::parallel_offspring`] on, offspring evaluations run
-/// on nested scoped threads whose CPU the island's clock cannot observe,
-/// deflating `critical_path`. For meaningful critical-path readings run
-/// islands with `parallel_offspring(false)` — the island threads are the
-/// parallel grain already, and nesting oversubscribes anyway.
+/// projection stays faithful even when K islands share fewer than K
+/// cores; an island's task runs all of its work on one thread, so the
+/// clock sees all of it. `wall` is what this machine actually observed.
+/// A single-island run has one epoch, timed by wall clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IslandTiming {
     /// Elapsed wall-clock time of the whole run.
@@ -114,7 +115,7 @@ pub struct IslandTiming {
 
 /// CPU time consumed by the calling thread (`CLOCK_THREAD_CPUTIME_ID`).
 /// Unlike wall elapsed, this excludes time the thread spent descheduled,
-/// so when K island threads share fewer than K cores each island's busy
+/// so when K islands share fewer than K cores each island's busy
 /// time still reflects only its own compute and the per-epoch maximum
 /// remains a faithful critical-path sample. `None` where the clock is
 /// unavailable — callers fall back to wall elapsed.
@@ -152,6 +153,112 @@ fn busy_time(wall_started: Instant, cpu_started: Option<Duration>) -> Duration {
         (Some(a), Some(b)) => b.saturating_sub(a),
         _ => wall_started.elapsed(),
     }
+}
+
+/// One island's resumable optimizer run, as the epoch loop drives it.
+pub(crate) trait IslandRunner: Send {
+    /// What one generation reports to observers.
+    type Stats: Copy + Send + Sync;
+
+    /// Island `island`'s event for one generation.
+    fn event(island: usize, stats: Self::Stats) -> IslandEvent;
+
+    /// Whether the run's budget is spent.
+    fn finished(&self) -> bool;
+
+    /// Run one generation unless [`IslandRunner::finished`]; returns
+    /// whether one ran.
+    fn step<F: FnMut(&Self::Stats)>(&mut self, observer: &mut F) -> bool;
+
+    /// Generations run so far.
+    fn generations_run(&self) -> usize;
+
+    /// Clones of the `count` members this island sends at a barrier.
+    fn export(&self, count: usize) -> Vec<Individual>;
+
+    /// Take in another island's exports in place of the worst members.
+    fn migrate_in(&mut self, immigrants: Vec<Individual>);
+
+    /// Run at most `max` generations.
+    fn run_chunk<F: FnMut(&Self::Stats)>(&mut self, max: usize, observer: &mut F) {
+        let mut ran = 0;
+        while ran < max && self.step(observer) {
+            ran += 1;
+        }
+    }
+}
+
+/// Deal members round-robin into `k` parts: part `j` gets members `j`,
+/// `j + K`, … — with a score-sorted input, every island starts with a
+/// stratified slice of the quality range.
+fn deal<T>(members: Vec<T>, k: usize) -> Vec<Vec<T>> {
+    let mut parts: Vec<Vec<T>> = (0..k).map(|_| Vec::new()).collect();
+    for (i, m) in members.into_iter().enumerate() {
+        parts[i % k].push(m);
+    }
+    parts
+}
+
+/// The epoch loop both optimizers share; returns the critical path.
+///
+/// A single island runs to completion on the calling thread and streams
+/// each generation's event as it finishes. K ≥ 2 islands advance one
+/// migration interval per epoch, one executor task per island; then, on
+/// the calling thread and in island order, their events replay and
+/// migrants move along the topology.
+fn run_epochs<R: IslandRunner>(
+    runners: &mut [R],
+    islands: IslandConfig,
+    observer: &mut impl FnMut(&IslandEvent),
+) -> Duration {
+    if let [runner] = runners {
+        let started = Instant::now();
+        runner.run_chunk(usize::MAX, &mut |s: &R::Stats| observer(&R::event(0, *s)));
+        return started.elapsed();
+    }
+    let k = runners.len();
+    let mut critical_path = Duration::ZERO;
+    while runners.iter().any(|r| !r.finished()) {
+        let tasks: Vec<Mutex<&mut R>> = runners.iter_mut().map(Mutex::new).collect();
+        let epochs = run_indexed(k, |j| {
+            let mut runner = tasks[j].lock().expect("only island j's task locks it");
+            let wall_started = Instant::now();
+            let cpu_started = thread_cpu_now();
+            let mut events = Vec::new();
+            runner.run_chunk(islands.migration_interval, &mut |s: &R::Stats| {
+                events.push(*s)
+            });
+            (events, busy_time(wall_started, cpu_started))
+        });
+        drop(tasks);
+        critical_path += epochs.iter().map(|(_, d)| *d).max().unwrap_or_default();
+        for (island, (events, _)) in epochs.into_iter().enumerate() {
+            for stats in events {
+                observer(&R::event(island, stats));
+            }
+        }
+        if islands.migration_size > 0 && runners.iter().any(|r| !r.finished()) {
+            // snapshot every export before any import: migration is a
+            // simultaneous exchange, not a chain
+            let exports: Vec<Vec<Individual>> = runners
+                .iter()
+                .map(|r| r.export(islands.migration_size))
+                .collect();
+            for (src, exported) in exports.into_iter().enumerate() {
+                let dst = match islands.topology {
+                    Topology::Ring => (src + 1) % k,
+                };
+                let emigrants = exported.len();
+                runners[dst].migrate_in(exported);
+                observer(&IslandEvent::Migration {
+                    generation: runners[src].generations_run(),
+                    island: src,
+                    emigrants,
+                });
+            }
+        }
+    }
+    critical_path
 }
 
 /// Entry points of the island scheduler: bind an evaluator and a config,
@@ -249,39 +356,10 @@ impl ScalarIslands {
         let pop = population.expect("population must be loaded before run()");
         // dropping leaders may have shrunk the population below K
         let k = config.islands.count.min(pop.len()).max(1);
-        if k <= 1 {
-            // single island ≡ the legacy loop: reuse the runner untouched
-            let mut runner = EvolutionRunner::start(
-                Evolution::new(evaluator, config).with_population(pop, initial_evaluations),
-            );
-            let mut obs = |g: &GenerationStats| {
-                observer(&IslandEvent::Generation {
-                    island: 0,
-                    stats: *g,
-                })
-            };
-            while runner.step(&mut obs) {}
-            let outcome = runner.finish();
-            let wall = wall_start.elapsed();
-            return (
-                outcome,
-                IslandTiming {
-                    wall,
-                    critical_path: wall,
-                },
-            );
-        }
-
         let initial = pop.scatter();
         let initial_scores = pop.scores().to_vec();
         let n = pop.len();
-        let members = pop.into_members();
-        // round-robin by sorted index: island j gets members j, j+K, … —
-        // every island starts with a stratified slice of the quality range
-        let mut parts: Vec<Vec<Individual>> = (0..k).map(|_| Vec::new()).collect();
-        for (i, m) in members.into_iter().enumerate() {
-            parts[i % k].push(m);
-        }
+        let parts = deal(pop.into_members(), k);
         // equal total budget: the configured iteration count splits across
         // islands (remainder to the low indices)
         let total_iters = config.stop.max_iterations;
@@ -309,56 +387,17 @@ impl ScalarIslands {
                 )
             })
             .collect();
-
-        let interval = config.islands.migration_interval;
-        let size = config.islands.migration_size;
-        let mut critical_path = Duration::ZERO;
-        while runners.iter().any(|r| !r.finished()) {
-            let mut chunks: Vec<(Vec<GenerationStats>, Duration)> = Vec::with_capacity(k);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = runners
-                    .iter_mut()
-                    .map(|runner| {
-                        scope.spawn(move || {
-                            let wall_started = Instant::now();
-                            let cpu_started = thread_cpu_now();
-                            let mut events = Vec::new();
-                            runner.run_chunk(interval, &mut |g: &GenerationStats| events.push(*g));
-                            (events, busy_time(wall_started, cpu_started))
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    chunks.push(handle.join().expect("island thread panicked"));
-                }
-            });
-            critical_path += chunks.iter().map(|(_, d)| *d).max().unwrap_or_default();
-            for (island, (events, _)) in chunks.iter().enumerate() {
-                for stats in events {
-                    observer(&IslandEvent::Generation {
-                        island,
-                        stats: *stats,
-                    });
-                }
-            }
-            if size > 0 && runners.iter().any(|r| !r.finished()) {
-                // snapshot every export before any import: migration is a
-                // simultaneous exchange, not a chain
-                let exports: Vec<Vec<Individual>> =
-                    runners.iter().map(|r| r.export_best(size)).collect();
-                for (src, exported) in exports.into_iter().enumerate() {
-                    let dst = match config.islands.topology {
-                        Topology::Ring => (src + 1) % k,
-                    };
-                    let emigrants = exported.len();
-                    runners[dst].migrate_in(exported);
-                    observer(&IslandEvent::Migration {
-                        generation: runners[src].iterations_run(),
-                        island: src,
-                        emigrants,
-                    });
-                }
-            }
+        let critical_path = run_epochs(&mut runners, config.islands, &mut observer);
+        if k == 1 {
+            let outcome = runners.pop().expect("one island").finish();
+            let wall = wall_start.elapsed();
+            return (
+                outcome,
+                IslandTiming {
+                    wall,
+                    critical_path,
+                },
+            );
         }
 
         // merge, in island-index order
@@ -473,45 +512,16 @@ impl NsgaIslands {
         let (evaluator, config, objectives, population) = self.nsga.into_parts();
         let members = population.expect("population must be loaded before run()");
         let k = config.islands.count.min(members.len()).max(1);
-        if k <= 1 {
-            let mut runner = NsgaRunner::start(
-                Nsga2::new(evaluator, config)
-                    .with_objectives(objectives)
-                    .with_population(members),
-            );
-            let mut obs = |s: &FrontStats| {
-                observer(&IslandEvent::Front {
-                    island: 0,
-                    stats: *s,
-                })
-            };
-            while runner.step(&mut obs) {}
-            let outcome = runner.finish();
-            let wall = wall_start.elapsed();
-            return (
-                outcome,
-                IslandTiming {
-                    wall,
-                    critical_path: wall,
-                },
-            );
-        }
-
         let reference = objectives.reference();
         let initial_front = pareto_front_of(&members);
         let initial_pts: Vec<ObjectiveVector> =
             initial_front.iter().map(|p| p.objectives).collect();
         let initial_hv = hypervolume_vec(&initial_pts, &reference);
-        // round-robin by insertion order
-        let mut parts: Vec<Vec<Individual>> = (0..k).map(|_| Vec::new()).collect();
-        for (i, m) in members.into_iter().enumerate() {
-            parts[i % k].push(m);
-        }
         // equal total budget: every island runs the full generation count
         // on its 1/K-sized subpopulation, so the per-generation offspring
         // batch (λ = subpopulation size when `offspring` is 0) shrinks by
         // K and the total evaluation count matches the K = 1 run
-        let mut runners: Vec<NsgaRunner> = parts
+        let mut runners: Vec<NsgaRunner> = deal(members, k)
             .into_iter()
             .enumerate()
             .map(|(j, part)| {
@@ -529,54 +539,17 @@ impl NsgaIslands {
                 )
             })
             .collect();
-
-        let interval = config.islands.migration_interval;
-        let size = config.islands.migration_size;
-        let mut critical_path = Duration::ZERO;
-        while runners.iter().any(|r| !r.finished()) {
-            let mut chunks: Vec<(Vec<FrontStats>, Duration)> = Vec::with_capacity(k);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = runners
-                    .iter_mut()
-                    .map(|runner| {
-                        scope.spawn(move || {
-                            let wall_started = Instant::now();
-                            let cpu_started = thread_cpu_now();
-                            let mut events = Vec::new();
-                            runner.run_chunk(interval, &mut |s: &FrontStats| events.push(*s));
-                            (events, busy_time(wall_started, cpu_started))
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    chunks.push(handle.join().expect("island thread panicked"));
-                }
-            });
-            critical_path += chunks.iter().map(|(_, d)| *d).max().unwrap_or_default();
-            for (island, (events, _)) in chunks.iter().enumerate() {
-                for stats in events {
-                    observer(&IslandEvent::Front {
-                        island,
-                        stats: *stats,
-                    });
-                }
-            }
-            if size > 0 && runners.iter().any(|r| !r.finished()) {
-                let exports: Vec<Vec<Individual>> =
-                    runners.iter().map(|r| r.export_elite(size)).collect();
-                for (src, exported) in exports.into_iter().enumerate() {
-                    let dst = match config.islands.topology {
-                        Topology::Ring => (src + 1) % k,
-                    };
-                    let emigrants = exported.len();
-                    runners[dst].migrate_in(exported);
-                    observer(&IslandEvent::Migration {
-                        generation: runners[src].generations_run(),
-                        island: src,
-                        emigrants,
-                    });
-                }
-            }
+        let critical_path = run_epochs(&mut runners, config.islands, &mut observer);
+        if k == 1 {
+            let outcome = runners.pop().expect("one island").finish();
+            let wall = wall_start.elapsed();
+            return (
+                outcome,
+                IslandTiming {
+                    wall,
+                    critical_path,
+                },
+            );
         }
 
         // merge, in island-index order

@@ -35,8 +35,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::archive::ParetoArchive;
 use crate::individual::Individual;
+use crate::islands::{IslandEvent, IslandRunner};
 use crate::operators::{crossover, mutate};
-use crate::parallel::{cross_check, evaluate_all, evaluate_tasks, EvalTask};
+use crate::parallel::{cross_check, evaluate_all, evaluate_offspring, EvalTask};
 use crate::telemetry::{EvalCounts, ScatterPoint};
 use crate::{EvoError, Result};
 
@@ -52,9 +53,6 @@ pub struct NsgaConfig {
     pub crossover_prob: f64,
     /// RNG seed; equal seeds reproduce runs exactly.
     pub seed: u64,
-    /// Evaluate the initial population (and each generation's offspring
-    /// batch) on all cores.
-    pub parallel_init: bool,
     /// Island-model split (see [`crate::islands`]); the default single
     /// island runs the legacy loop untouched.
     pub islands: crate::config::IslandConfig,
@@ -67,7 +65,6 @@ impl Default for NsgaConfig {
             offspring: 0,
             crossover_prob: 0.5,
             seed: 0,
-            parallel_init: true,
             islands: crate::config::IslandConfig::default(),
         }
     }
@@ -430,7 +427,7 @@ impl Nsga2 {
                     source,
                 })?;
         }
-        let states = evaluate_all(&self.evaluator, &items, self.config.parallel_init);
+        let states = evaluate_all(&self.evaluator, &items, true);
         // the scalar score is unused by NSGA selection; Max is stored so
         // ScatterPoint labels remain meaningful in mixed reports
         let members = items
@@ -565,14 +562,42 @@ impl NsgaRunner {
         }
     }
 
+    /// Assemble the outcome; identical to what the one-shot loop returned.
+    pub(crate) fn finish(self) -> NsgaOutcome {
+        let mut archive_front = self.archive.front();
+        archive_front.sort_by(|a, b| a.il.partial_cmp(&b.il).expect("finite"));
+        let front_idx = front_indices(&self.pop);
+        NsgaOutcome {
+            front: front_idx
+                .iter()
+                .map(|&i| ScatterPoint::of(&self.pop[i]))
+                .collect(),
+            front_members: front_idx.into_iter().map(|i| self.pop[i].clone()).collect(),
+            initial_front: self.initial_front,
+            archive_front,
+            hypervolume_series: self.hv_series,
+            evaluations: self.eval_counts.total(),
+            eval_counts: self.eval_counts,
+            objectives: self.nsga.objectives,
+        }
+    }
+}
+
+impl IslandRunner for NsgaRunner {
+    type Stats = FrontStats;
+
+    fn event(island: usize, stats: FrontStats) -> IslandEvent {
+        IslandEvent::Front { island, stats }
+    }
+
     /// Whether every generation ran (or the schema degenerated).
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.halted || self.gen >= self.nsga.config.generations
     }
 
     /// Execute one generation unless the run is finished; returns whether
     /// a generation ran.
-    pub(crate) fn step<F: FnMut(&FrontStats)>(&mut self, observer: &mut F) -> bool {
+    fn step<F: FnMut(&FrontStats)>(&mut self, observer: &mut F) -> bool {
         if self.finished() {
             return false;
         }
@@ -633,7 +658,7 @@ impl NsgaRunner {
                 patch,
             })
             .collect();
-        let states = evaluate_tasks(&self.nsga.evaluator, &tasks, cfg.parallel_init);
+        let states = evaluate_offspring(&self.nsga.evaluator, &tasks);
         drop(tasks);
         for (((_, data, _, _), state), ordinal) in children
             .iter()
@@ -662,27 +687,13 @@ impl NsgaRunner {
         true
     }
 
-    /// Run at most `max` generations; returns how many actually ran.
-    pub(crate) fn run_chunk<F: FnMut(&FrontStats)>(
-        &mut self,
-        max: usize,
-        observer: &mut F,
-    ) -> usize {
-        let mut ran = 0;
-        while ran < max && self.step(observer) {
-            ran += 1;
-        }
-        ran
-    }
-
-    /// Generations executed so far.
-    pub(crate) fn generations_run(&self) -> usize {
+    fn generations_run(&self) -> usize {
         self.gen
     }
 
     /// Clones of the `count` best members by (rank ascending, crowding
     /// descending, index ascending) — the deterministic elite.
-    pub(crate) fn export_elite(&self, count: usize) -> Vec<Individual> {
+    fn export(&self, count: usize) -> Vec<Individual> {
         let (rank_of, crowd_of) = rank_and_crowd(&self.pop);
         let mut order: Vec<usize> = (0..self.pop.len()).collect();
         order.sort_by(|&a, &b| {
@@ -705,7 +716,7 @@ impl NsgaRunner {
     /// Replace the worst members (rank descending, crowding ascending,
     /// index descending — the deterministic anti-elite) with `immigrants`;
     /// at most `len - 1` are replaced so a native always survives.
-    pub(crate) fn migrate_in(&mut self, immigrants: Vec<Individual>) {
+    fn migrate_in(&mut self, immigrants: Vec<Individual>) {
         if immigrants.is_empty() {
             return;
         }
@@ -726,26 +737,6 @@ impl NsgaRunner {
         for (&slot, immigrant) in order.iter().zip(immigrants.into_iter().take(take)) {
             self.archive.offer(ScatterPoint::of(&immigrant));
             self.pop[slot] = immigrant;
-        }
-    }
-
-    /// Assemble the outcome; identical to what the one-shot loop returned.
-    pub(crate) fn finish(self) -> NsgaOutcome {
-        let mut archive_front = self.archive.front();
-        archive_front.sort_by(|a, b| a.il.partial_cmp(&b.il).expect("finite"));
-        let front_idx = front_indices(&self.pop);
-        NsgaOutcome {
-            front: front_idx
-                .iter()
-                .map(|&i| ScatterPoint::of(&self.pop[i]))
-                .collect(),
-            front_members: front_idx.into_iter().map(|i| self.pop[i].clone()).collect(),
-            initial_front: self.initial_front,
-            archive_front,
-            hypervolume_series: self.hv_series,
-            evaluations: self.eval_counts.total(),
-            eval_counts: self.eval_counts,
-            objectives: self.nsga.objectives,
         }
     }
 }

@@ -1,26 +1,30 @@
-//! Parallel fitness evaluation: the initial population, and per-generation
-//! offspring batches.
+//! The one executor of `cdp_core`: the initial population, each
+//! generation's offspring batch and each island epoch all run on it.
 //!
-//! Evaluating ~100 protections at ~O(n²) each dominates experiment startup;
-//! the evaluator is immutable after construction, so the work parallelizes
-//! embarrassingly with crossbeam's scoped threads (no `'static` bounds, no
-//! cloning of the evaluator). The same property covers the per-generation
-//! work: [`evaluate_tasks`] scores a mixed batch of full assessments and
-//! patch-based re-assessments ([`EvalTask`]), which is how the two
-//! crossover offspring of a scalar generation and the λ offspring of an
-//! NSGA-II generation run concurrently. Evaluation draws no RNG, so a
-//! parallel run is bit-identical to a serial one.
+//! Fitness evaluation dominates a run, and every piece of parallel work in
+//! this crate has one shape: run N independent tasks and return their
+//! results in order. `run_indexed` is that shape. Threads claim task
+//! indices from one counter, so tasks of unequal cost balance across the
+//! cores, and each result lands in its own index's slot, so the output
+//! never depends on scheduling. Evaluation draws no RNG, so a parallel
+//! batch is bit-identical to a serial one. [`evaluate_tasks`] scores a
+//! mixed batch of full assessments and patch-based re-assessments
+//! ([`EvalTask`]) on it.
 //!
 //! Offspring are always scored by patching a parent's cached state; the
 //! patched assessment equals a full one bit for bit. Debug builds check
 //! that on every 16th patched offspring of a run.
 
+use std::cell::Cell;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use cdp_dataset::SubTable;
 use cdp_metrics::{Assessment, EvalState, Evaluator, Patch};
 
-/// Row count under which spawning threads for an offspring pair costs more
-/// than it saves (thread startup is ~tens of µs; an assessment of a file
-/// this small is of the same order).
+/// Row count under which an offspring batch runs inline: handing a task
+/// to another thread costs about as much as assessing a file this small.
 pub const MIN_PARALLEL_EVAL_ROWS: usize = 256;
 
 /// Debug builds re-score every this-many-th patched offspring of a run
@@ -53,7 +57,7 @@ pub(crate) fn cross_check(
 
 /// One fitness evaluation to perform.
 pub enum EvalTask<'a> {
-    /// Full O(n²) assessment of a masked file.
+    /// Full assessment of a masked file.
     Full(&'a SubTable),
     /// Patch-based re-assessment from a cached parent state.
     Patch {
@@ -79,42 +83,95 @@ impl EvalTask<'_> {
     }
 }
 
-/// Evaluate a batch of tasks, preserving order. `parallel = false` (or a
-/// batch of one) degrades to a serial loop.
+thread_local! {
+    /// Whether this thread is running a task of a parallel batch.
+    static IN_BATCH: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Clears [`IN_BATCH`] when dropped, also when a task unwinds.
+struct InBatch;
+
+impl Drop for InBatch {
+    fn drop(&mut self) {
+        IN_BATCH.set(false);
+    }
+}
+
+/// The cores this process may run on, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Run tasks `0..n` and return their results in index order.
+///
+/// The calling thread and `min(cores, n) - 1` scoped workers each claim
+/// the next unclaimed index until none is left, and each result lands in
+/// its index's slot. A batch of fewer than two tasks or on one core runs
+/// inline on the calling thread, and so does a batch submitted from inside
+/// a task of a running batch: its parent already occupies every core.
+///
+/// # Panics
+/// Re-raises a task's panic once every thread of the batch has stopped.
+pub(crate) fn run_indexed<T, F>(n: usize, task: F) -> Vec<T>
+where
+    T: Send + Sync,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = if IN_BATCH.get() { 1 } else { cores().min(n) };
+    if threads < 2 {
+        return (0..n).map(task).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let work = || {
+        IN_BATCH.set(true);
+        let _in_batch = InBatch;
+        loop {
+            // the counter only hands out indices; the results travel
+            // through the slots and the scope's joins
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            assert!(slots[i].set(task(i)).is_ok(), "index {i} claimed twice");
+        }
+    };
+    crossbeam::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|_| work());
+        }
+        work();
+    })
+    .expect("the scope re-raises a worker's panic instead of returning it");
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index was claimed"))
+        .collect()
+}
+
+/// Evaluate a batch of tasks, preserving order: on the executor, or in a
+/// serial loop when `parallel` is false.
 pub fn evaluate_tasks(
     evaluator: &Evaluator,
     tasks: &[EvalTask<'_>],
     parallel: bool,
 ) -> Vec<EvalState> {
-    if !parallel || tasks.len() < 2 {
+    if !parallel {
         return tasks.iter().map(|t| t.run(evaluator)).collect();
     }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(tasks.len());
-    let chunk = tasks.len().div_ceil(workers);
-    let mut out: Vec<Option<EvalState>> = Vec::with_capacity(tasks.len());
-    out.resize_with(tasks.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        for (slot_chunk, task_chunk) in out.chunks_mut(chunk).zip(tasks.chunks(chunk)) {
-            scope.spawn(move |_| {
-                for (slot, task) in slot_chunk.iter_mut().zip(task_chunk.iter()) {
-                    *slot = Some(task.run(evaluator));
-                }
-            });
-        }
-    })
-    .expect("evaluation workers must not panic");
-    out.into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
+    run_indexed(tasks.len(), |i| tasks[i].run(evaluator))
+}
+
+/// Evaluate one generation's offspring: on the executor when the file has
+/// at least [`MIN_PARALLEL_EVAL_ROWS`] rows, inline otherwise.
+pub(crate) fn evaluate_offspring(evaluator: &Evaluator, tasks: &[EvalTask<'_>]) -> Vec<EvalState> {
+    let parallel = evaluator.prepared().n_rows() >= MIN_PARALLEL_EVAL_ROWS;
+    evaluate_tasks(evaluator, tasks, parallel)
 }
 
 /// Evaluate every named protection, preserving order. `parallel = false`
-/// degrades to a serial loop (used by the ablation bench as the baseline).
-/// A thin wrapper over [`evaluate_tasks`]: one chunked scoped-thread
-/// engine serves both the initial population and per-generation batches.
+/// degrades to a serial loop (the ablation bench's baseline).
 pub fn evaluate_all(
     evaluator: &Evaluator,
     items: &[(String, SubTable)],
@@ -127,9 +184,79 @@ pub fn evaluate_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EvoConfig, Evolution};
     use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
     use cdp_metrics::MetricConfig;
     use cdp_sdc::{build_population, SuiteConfig};
+
+    proptest::proptest! {
+        /// Batches below, at and above the core count: the output is the
+        /// serial map in index order, and every task runs exactly once.
+        #[test]
+        fn executor_output_is_the_serial_map_and_runs_each_task_once(n in 0usize..=17) {
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = run_indexed(n, |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                i * i + 1
+            });
+            let serial: Vec<usize> = (0..n).map(|i| i * i + 1).collect();
+            proptest::prop_assert_eq!(out, serial);
+            for (i, count) in runs.iter().enumerate() {
+                proptest::prop_assert_eq!(count.load(Ordering::Relaxed), 1, "task {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_submitted_from_a_task_runs_on_that_tasks_thread() {
+        let nested_inline = run_indexed(4, |_| {
+            let outer = std::thread::current().id();
+            run_indexed(3, |_| std::thread::current().id())
+                .into_iter()
+                .all(|inner| inner == outer)
+        });
+        assert_eq!(nested_inline, vec![true; 4]);
+    }
+
+    #[test]
+    fn a_panicking_task_panics_the_caller() {
+        let result = std::panic::catch_unwind(|| {
+            run_indexed(8, |i| {
+                assert_ne!(i, 5, "task 5 fails");
+                i
+            })
+        });
+        assert!(result.is_err());
+        // the caller leaves the batch even when a task unwinds
+        assert!(!IN_BATCH.get());
+    }
+
+    #[test]
+    fn executor_offspring_are_bit_identical_to_inline_offspring() {
+        // large enough that crossover offspring go to the executor at top
+        // level; inside an executor task the same pairs run inline
+        let rows = MIN_PARALLEL_EVAL_ROWS + 14;
+        let run = || {
+            let ds = DatasetKind::German.generate(&GeneratorConfig::seeded(19).with_records(rows));
+            let pop = build_population(&ds, &SuiteConfig::small(), 19).unwrap();
+            let ev = Evaluator::new(&ds.protected_subtable(), MetricConfig::default()).unwrap();
+            assert!(ev.prepared().n_rows() >= MIN_PARALLEL_EVAL_ROWS);
+            let cfg = EvoConfig::builder()
+                .iterations(14)
+                .mutation_rate(0.0)
+                .seed(19)
+                .build();
+            Evolution::new(ev, cfg)
+                .with_named_population(pop)
+                .unwrap()
+                .run()
+        };
+        let top = run();
+        for nested in run_indexed(2, |_| run()) {
+            assert_eq!(top.population.scores(), nested.population.scores());
+            assert_eq!(top.eval_counts, nested.eval_counts);
+        }
+    }
 
     #[test]
     fn parallel_matches_serial() {

@@ -60,7 +60,7 @@ impl ScatterPoint {
 /// population size and `incremental` the number of offspring scored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCounts {
-    /// Full O(n²) assessments.
+    /// Full assessments.
     pub full: usize,
     /// Patch-based re-assessments.
     pub incremental: usize,

@@ -257,30 +257,6 @@ fn patched_run_publishes_an_exact_winner_and_an_exact_eval_split() {
 }
 
 #[test]
-fn parallel_offspring_is_bit_identical_to_serial() {
-    // the file must be large enough that the parallel run actually takes
-    // the threaded branch (crossover_step gates on MIN_PARALLEL_EVAL_ROWS)
-    let rows = cdp_core::parallel::MIN_PARALLEL_EVAL_ROWS + 14;
-    let run = |parallel: bool| {
-        let (ev, pop) = setup(DatasetKind::German, rows, 19);
-        assert!(ev.prepared().n_rows() >= cdp_core::parallel::MIN_PARALLEL_EVAL_ROWS);
-        let cfg = EvoConfig::builder()
-            .iterations(14)
-            .mutation_rate(0.0)
-            .parallel_offspring(parallel)
-            .seed(19)
-            .build();
-        Evolution::new(ev, cfg)
-            .with_named_population(pop)
-            .unwrap()
-            .run()
-    };
-    let (a, b) = (run(false), run(true));
-    assert_eq!(a.population.scores(), b.population.scores());
-    assert_eq!(a.eval_counts, b.eval_counts);
-}
-
-#[test]
 fn adaptive_schedule_runs_and_reports_final_rate() {
     let (ev, pop) = setup(DatasetKind::Adult, 70, 21);
     let cfg = EvoConfig::builder()

@@ -426,8 +426,8 @@ impl ProtectionJob {
     }
 
     /// The scalar evolution configuration the job runs with. In NSGA-II
-    /// mode this is the *scalar view* of the shared knobs (seed, budget,
-    /// parallelism at their job values; everything else at its default) —
+    /// mode this is the *scalar view* of the shared knobs (seed, budget and
+    /// islands at their job values; everything else at its default) —
     /// what an otherwise-identical scalar job would use.
     pub fn evo_config(&self) -> EvoConfig {
         match self.mode {
@@ -435,7 +435,6 @@ impl ProtectionJob {
             OptimizerMode::Nsga(cfg) => {
                 let mut evo = EvoConfig {
                     seed: self.seed,
-                    parallel_init: cfg.parallel_init,
                     islands: cfg.islands,
                     ..EvoConfig::default()
                 };
@@ -754,7 +753,6 @@ impl ProtectionJobBuilder {
                 self.offspring = Some(cfg.offspring);
                 self.crossover_prob = Some(cfg.crossover_prob);
                 self.evo = EvoConfig {
-                    parallel_init: cfg.parallel_init,
                     islands: cfg.islands,
                     ..EvoConfig::default()
                 };
@@ -804,12 +802,6 @@ impl ProtectionJobBuilder {
     /// Leader-group fraction for crossover selection.
     pub fn leader_fraction(mut self, fraction: f64) -> Self {
         self.evo.leader_fraction = fraction;
-        self
-    }
-
-    /// Toggle parallel initial evaluation.
-    pub fn parallel_init(mut self, on: bool) -> Self {
-        self.evo.parallel_init = on;
         self
     }
 
@@ -932,7 +924,6 @@ impl ProtectionJobBuilder {
             // scalar-only knobs have no effect under Pareto selection;
             // reject them instead of silently dropping them
             let scalar_view = EvoConfig {
-                parallel_init: self.evo.parallel_init,
                 islands: self.evo.islands,
                 ..EvoConfig::default()
             };
@@ -963,7 +954,6 @@ impl ProtectionJobBuilder {
                 offspring: self.offspring.unwrap_or(defaults.offspring),
                 crossover_prob: self.crossover_prob.unwrap_or(defaults.crossover_prob),
                 seed: self.seed,
-                parallel_init: self.evo.parallel_init,
                 islands: self.evo.islands,
             };
             cfg.validate()?;
@@ -1063,7 +1053,6 @@ mod tests {
             .iterations(40)
             .offspring(6)
             .crossover_prob(0.8)
-            .parallel_init(false)
             .seed(11)
             .build()
             .unwrap();
@@ -1072,11 +1061,9 @@ mod tests {
         assert_eq!(cfg.offspring, 6);
         assert_eq!(cfg.crossover_prob, 0.8);
         assert_eq!(cfg.seed, 11);
-        assert!(!cfg.parallel_init);
         assert!(matches!(job.optimizer(), OptimizerMode::Nsga(_)));
         // the scalar view keeps the shared knobs
         assert_eq!(job.evo_config().seed, 11);
-        assert!(!job.evo_config().parallel_init);
     }
 
     #[test]
@@ -1086,7 +1073,6 @@ mod tests {
             offspring: 3,
             crossover_prob: 0.25,
             seed: 2,
-            parallel_init: true,
             islands: cdp_core::IslandConfig::default(),
         };
         let job = ProtectionJob::builder()

@@ -2,8 +2,8 @@
 //! event stream it emits.
 
 use cdp_core::{
-    evaluate_all, EvalCounts, Evolution, GenerationStats, IslandEvent, IslandModel, Nsga2,
-    ObjectiveVector, ScatterPoint,
+    evaluate_all, EvalCounts, GenerationStats, IslandEvent, IslandModel, ObjectiveVector,
+    ScatterPoint,
 };
 use cdp_dataset::{Attribute, Code, SubTable};
 use cdp_privacy::PrivacyReport;
@@ -17,7 +17,7 @@ use super::{PipelineError, Result};
 ///
 /// One stream serves every consumer — CLI progress lines, bench telemetry,
 /// the `cdp serve` push channel — instead of each re-wiring
-/// [`Evolution::run_with`] by hand.
+/// [`cdp_core::Evolution::run_with`] by hand.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobEvent {
     /// The data source resolved into a concrete table.
@@ -44,11 +44,10 @@ pub enum JobEvent {
         /// Number of protections entering the run.
         size: usize,
     },
-    /// One evolutionary iteration finished (forwarded from
-    /// [`Evolution::run_with`]; scalar mode).
+    /// One evolutionary iteration finished (scalar mode, one island).
     Generation(GenerationStats),
     /// One NSGA-II generation finished and the population front moved
-    /// (forwarded from [`Nsga2::run_with`]; NSGA-II mode).
+    /// (NSGA-II mode, one island).
     FrontAdvanced {
         /// Generation index, 1-based (0 is the initial population).
         generation: usize,
@@ -138,7 +137,7 @@ pub(crate) fn run_job<F: FnMut(&JobEvent)>(
                     PipelineError::InvalidJob(format!("protection `{name}` incompatible: {e}"))
                 })?;
             }
-            let states = evaluate_all(&evaluator, &population, evo_cfg.parallel_init);
+            let states = evaluate_all(&evaluator, &population, true);
             let points: Vec<ScatterPoint> = population
                 .iter()
                 .zip(&states)
@@ -163,13 +162,14 @@ pub(crate) fn run_job<F: FnMut(&JobEvent)>(
             };
             (JobOutcome::Scored, points, best)
         }
-        OptimizerMode::Scalar(evo_cfg) if evo_cfg.islands.count > 1 => {
+        OptimizerMode::Scalar(evo_cfg) => {
+            let islands = evo_cfg.islands.count;
             let mut model = IslandModel::scalar(evaluator.clone(), evo_cfg)
                 .with_named_population(population)?;
             if job.drop_fraction() > 0.0 {
                 model = model.drop_best_fraction(job.drop_fraction())?;
             }
-            let outcome = model.run_with(|e| observer(&island_event(e)));
+            let outcome = model.run_with(|e| observer(&island_event(e, islands)));
             observer(&JobEvent::EvolutionFinished {
                 iterations: outcome.iterations_run,
                 evaluations: outcome.eval_counts,
@@ -183,52 +183,11 @@ pub(crate) fn run_job<F: FnMut(&JobEvent)>(
             let points = outcome.final_points.clone();
             (JobOutcome::Scalar(outcome), points, best)
         }
-        OptimizerMode::Scalar(evo_cfg) => {
-            let mut evolution =
-                Evolution::new(evaluator.clone(), evo_cfg).with_named_population(population)?;
-            if job.drop_fraction() > 0.0 {
-                evolution = evolution.drop_best_fraction(job.drop_fraction())?;
-            }
-            let outcome = evolution.run_with(|g| observer(&JobEvent::Generation(*g)));
-            observer(&JobEvent::EvolutionFinished {
-                iterations: outcome.iterations_run,
-                evaluations: outcome.eval_counts,
-            });
-            let winner = outcome.population.best();
-            let best = BestProtection {
-                name: winner.name.clone(),
-                data: winner.data.clone(),
-                assessment: *winner.assessment(),
-            };
-            let points = outcome.final_points.clone();
-            (JobOutcome::Scalar(outcome), points, best)
-        }
-        OptimizerMode::Nsga(cfg) if cfg.islands.count > 1 => {
+        OptimizerMode::Nsga(cfg) => {
             let nsga_outcome = IslandModel::nsga(evaluator.clone(), cfg)
                 .with_objectives(job.objectives().clone())
                 .with_named_population(population)?
-                .run_with(|e| observer(&island_event(e)));
-            let front = Front::from_outcome(nsga_outcome);
-            observer(&JobEvent::EvolutionFinished {
-                iterations: front.generations_run(),
-                evaluations: front.eval_counts,
-            });
-            let best = front.knee().clone();
-            let points = front.points.clone();
-            (JobOutcome::Pareto(front), points, best)
-        }
-        OptimizerMode::Nsga(cfg) => {
-            let nsga_outcome = Nsga2::new(evaluator.clone(), cfg)
-                .with_objectives(job.objectives().clone())
-                .with_named_population(population)?
-                .run_with(|s| {
-                    observer(&JobEvent::FrontAdvanced {
-                        generation: s.generation,
-                        front_size: s.front_size,
-                        hypervolume: s.hypervolume,
-                        ideal: s.ideal,
-                    });
-                });
+                .run_with(|e| observer(&island_event(e, cfg.islands.count)));
             let front = Front::from_outcome(nsga_outcome);
             observer(&JobEvent::EvolutionFinished {
                 iterations: front.generations_run(),
@@ -266,9 +225,18 @@ pub(crate) fn run_job<F: FnMut(&JobEvent)>(
     })
 }
 
-/// Map a core island-scheduler event onto the job event stream.
-fn island_event(e: &IslandEvent) -> JobEvent {
+/// Map a core island-scheduler event onto the job event stream. A job
+/// configured with one island reports plain [`JobEvent::Generation`] and
+/// [`JobEvent::FrontAdvanced`] events.
+fn island_event(e: &IslandEvent, islands: usize) -> JobEvent {
     match e {
+        IslandEvent::Generation { stats, .. } if islands == 1 => JobEvent::Generation(*stats),
+        IslandEvent::Front { stats, .. } if islands == 1 => JobEvent::FrontAdvanced {
+            generation: stats.generation,
+            front_size: stats.front_size,
+            hypervolume: stats.hypervolume,
+            ideal: stats.ideal,
+        },
         IslandEvent::Generation { island, stats } => JobEvent::IslandGeneration {
             island: *island,
             stats: *stats,
