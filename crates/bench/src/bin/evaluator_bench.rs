@@ -185,8 +185,11 @@ fn micro_row(rows: usize, assess_reps: usize, seed: u64) -> MicroRow {
     }
     let ns_reassess_cell = t0.elapsed().as_nanos() as f64 / cell_reps as f64;
 
-    // quarter-of-the-file flat segments (the crossover path's shape)
+    // quarter-of-the-file flat segments (the crossover path's shape); the
+    // donor is assessed untimed first, so the loop meets warm pattern
+    // tables as a crossover between two population members does
     let other = masked_variant(&original, seed ^ 0x5EC);
+    std::hint::black_box(ev.assess(&other));
     let seg_reps = (assess_reps * 4).max(8);
     let seg_len = (masked.flat_len() / 4).max(1);
     let t0 = Instant::now();

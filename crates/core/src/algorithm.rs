@@ -225,9 +225,9 @@ impl Evolution {
     /// ([`crate::parallel::MIN_PARALLEL_EVAL_ROWS`]). Unlike the mutation
     /// path, each child pays one O(n) state clone inside
     /// [`cdp_metrics::Evaluator::reassess`]: both children may enter the
-    /// population, so owned states are required either way, and the clone
-    /// is <1% of the segment-relink work it rides along with (measured in
-    /// `BENCH_evaluator.json`).
+    /// population, so owned states are required either way. The clone is a
+    /// fixed number of flat copies whatever the pattern count (the masked
+    /// pattern index included), small beside the segment's relink work.
     fn crossover_step(
         &self,
         pop: &mut Population,

@@ -26,20 +26,52 @@
 //!   (e.g. bit-exact tie-breaking in record linkage) rely on this.
 //! * **Exact multiplicities.** `Σ multiplicity(live patterns) == n_rows` at
 //!   all times; [`PatternIndex::move_row`] maintains this incrementally in
-//!   `O(a)` hash work per call.
+//!   `O(a)` expected time per call.
+//! * **Key-free results.** The dictionary is an open-addressed table of
+//!   pattern ids (power-of-two length, at most half full, linear probing)
+//!   whose keys are the code tuples already stored per id; a probe compares
+//!   against those codes in place. The slot hash mixes in a per-process
+//!   random key, so no fixed input can force long probe chains. Nothing
+//!   iterates the slot table: ids, orders and every consumer's output are
+//!   the same whatever the key, and a clone is a few flat copies.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 use crate::{Code, SubTable};
 
 /// Id of a distinct pattern inside a [`PatternIndex`].
 pub type PatternId = u32;
 
+/// An unused slot of the dictionary table.
+const EMPTY: PatternId = PatternId::MAX;
+
+/// Slot count of a fresh dictionary table.
+const MIN_SLOTS: usize = 16;
+
+/// The per-process slot-hash key, drawn once from the standard library's
+/// randomly seeded hasher.
+fn hash_key() -> [u64; 2] {
+    static KEY: OnceLock<[u64; 2]> = OnceLock::new();
+    *KEY.get_or_init(|| {
+        let state = RandomState::new();
+        [state.hash_one(0u64), state.hash_one(1u64)]
+    })
+}
+
+/// The folded 128-bit product: the low and high halves of `a · b` xored.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    full as u64 ^ (full >> 64) as u64
+}
+
 /// Distinct-row index over a [`SubTable`]: pattern dictionary, row → pattern
 /// map, multiplicities and per-attribute inverted postings.
 ///
 /// See the module docs for the id-stability and ordering invariants.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PatternIndex {
     n_attrs: usize,
     /// Pattern codes, `n_attrs` per pattern: pattern `p` is
@@ -49,13 +81,46 @@ pub struct PatternIndex {
     mult: Vec<u32>,
     /// Pattern id of each row.
     row_pid: Vec<PatternId>,
-    /// Code tuple → pattern id.
-    lookup: HashMap<Vec<Code>, PatternId>,
+    /// Code tuple → pattern id: an open-addressed table of ids (or
+    /// [`EMPTY`]), power-of-two length, at most half full, probed linearly
+    /// from the tuple's slot hash. Never iterated.
+    slots: Vec<PatternId>,
+    /// The slot-hash key ([`hash_key`]).
+    key: [u64; 2],
     /// `postings[k][v]` = ids of every pattern (live or tombstoned) whose
     /// attribute `k` carries code `v`. Append-only; filter by multiplicity.
     postings: Vec<Vec<Vec<PatternId>>>,
     /// Number of patterns with non-zero multiplicity.
     n_live: usize,
+}
+
+impl Clone for PatternIndex {
+    fn clone(&self) -> Self {
+        PatternIndex {
+            n_attrs: self.n_attrs,
+            codes: self.codes.clone(),
+            mult: self.mult.clone(),
+            row_pid: self.row_pid.clone(),
+            slots: self.slots.clone(),
+            key: self.key,
+            postings: self.postings.clone(),
+            n_live: self.n_live,
+        }
+    }
+
+    /// Buffer-reusing copy: every field is a flat vector (or a vector of
+    /// per-code posting lists), so scratch evaluation states copy an index
+    /// without allocating once their capacities have grown to the source's.
+    fn clone_from(&mut self, src: &Self) {
+        self.n_attrs = src.n_attrs;
+        self.codes.clone_from(&src.codes);
+        self.mult.clone_from(&src.mult);
+        self.row_pid.clone_from(&src.row_pid);
+        self.slots.clone_from(&src.slots);
+        self.key = src.key;
+        self.postings.clone_from(&src.postings);
+        self.n_live = src.n_live;
+    }
 }
 
 impl PatternIndex {
@@ -97,7 +162,8 @@ impl PatternIndex {
             codes: Vec::new(),
             mult: Vec::new(),
             row_pid: Vec::with_capacity(n),
-            lookup: HashMap::new(),
+            slots: vec![EMPTY; MIN_SLOTS],
+            key: hash_key(),
             postings: cats.iter().map(|&c| vec![Vec::new(); c]).collect(),
             n_live: 0,
         };
@@ -117,7 +183,7 @@ impl PatternIndex {
     }
 
     /// Approximate heap footprint in bytes: dictionary, multiplicities,
-    /// row map, postings and the lookup table's keys.
+    /// row map, postings and the slot table.
     pub fn approx_bytes(&self) -> usize {
         let codes = self.codes.len() * std::mem::size_of::<Code>();
         let mult = self.mult.len() * std::mem::size_of::<u32>();
@@ -128,10 +194,8 @@ impl PatternIndex {
             .flatten()
             .map(|p| p.len() * std::mem::size_of::<PatternId>())
             .sum();
-        // lookup: one boxed code tuple plus table overhead per pattern
-        let lookup = self.lookup.len()
-            * (self.n_attrs * std::mem::size_of::<Code>() + std::mem::size_of::<usize>() * 2);
-        codes + mult + rows + postings + lookup
+        let slots = self.slots.len() * std::mem::size_of::<PatternId>();
+        codes + mult + rows + postings + slots
     }
 
     /// Number of attributes per pattern.
@@ -187,7 +251,7 @@ impl PatternIndex {
     /// The id of the pattern spelled by `codes`, if the index has one (live
     /// or tombstoned). `O(a)` expected time.
     pub fn find(&self, codes: &[Code]) -> Option<PatternId> {
-        self.lookup.get(codes).copied()
+        self.probe(codes).ok()
     }
 
     /// Ids of every pattern (live or dead) whose attribute `k` carries code
@@ -221,34 +285,66 @@ impl PatternIndex {
 
     /// Look up (or create, with multiplicity 0) the id of a code tuple.
     fn intern(&mut self, codes: &[Code]) -> PatternId {
-        if let Some(&pid) = self.lookup.get(codes) {
-            return pid;
-        }
+        let slot = match self.probe(codes) {
+            Ok(pid) => return pid,
+            Err(slot) => slot,
+        };
         let pid = self.mult.len() as PatternId;
         self.codes.extend_from_slice(codes);
         self.mult.push(0);
-        self.lookup.insert(codes.to_vec(), pid);
         for (k, &v) in codes.iter().enumerate() {
             self.postings[k][v as usize].push(pid);
+        }
+        if 2 * self.mult.len() > self.slots.len() {
+            self.grow();
+        } else {
+            self.slots[slot] = pid;
         }
         pid
     }
 
-    /// Clone-from with allocation reuse, mirroring `Clone::clone_from` but
-    /// spelled out so scratch evaluators don't re-allocate per generation.
-    pub fn clone_from_reuse(&mut self, source: &Self) {
-        self.n_attrs = source.n_attrs;
-        self.codes.clone_from(&source.codes);
-        self.mult.clone_from(&source.mult);
-        self.row_pid.clone_from(&source.row_pid);
-        self.lookup.clone_from(&source.lookup);
-        self.postings.clone_from(&source.postings);
-        self.n_live = source.n_live;
+    /// The slot of a code tuple: `Ok(id)` when a slot on its probe path
+    /// holds it, else `Err(slot)` for the first empty slot on that path.
+    /// Terminates because the table is at most half full.
+    #[inline]
+    fn probe(&self, codes: &[Code]) -> Result<PatternId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut h = self.key[0];
+        for chunk in codes.chunks(4) {
+            let word = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &c)| w | u64::from(c) << (16 * i));
+            h = folded_multiply(h ^ word, self.key[1]);
+        }
+        let mut slot = h as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                pid if self.codes_of(pid) == codes => return Ok(pid),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the slot table and re-insert every id (in id order; the ids
+    /// are distinct, so each lands on an empty slot).
+    fn grow(&mut self) {
+        let len = 2 * self.slots.len();
+        self.slots.clear();
+        self.slots.resize(len, EMPTY);
+        for pid in 0..self.mult.len() as PatternId {
+            let Err(slot) = self.probe(self.codes_of(pid)) else {
+                unreachable!("pattern ids name distinct code tuples")
+            };
+            self.slots[slot] = pid;
+        }
     }
 
     /// Check the internal invariants (test helper): multiplicities match the
     /// row map, every row's codes match its pattern, postings cover every
-    /// pattern exactly once per attribute.
+    /// pattern exactly once per attribute, and the slot table is at most
+    /// half full and finds every pattern under its own id.
     pub fn check_consistent(&self, sub: &SubTable) {
         assert_eq!(self.n_rows(), sub.n_rows());
         let mut counts = vec![0u32; self.n_patterns()];
@@ -274,6 +370,17 @@ impl PatternIndex {
                 }
             }
             assert!(seen.iter().all(|&s| s == 1), "postings not a partition");
+        }
+        assert!(
+            self.slots.len().is_power_of_two() && 2 * self.n_patterns() <= self.slots.len(),
+            "slot table over half full"
+        );
+        for pid in 0..self.n_patterns() as PatternId {
+            assert_eq!(
+                self.find(self.codes_of(pid)),
+                Some(pid),
+                "slot table lost {pid}"
+            );
         }
     }
 }
@@ -404,16 +511,16 @@ mod tests {
         let floor = idx.n_patterns() * 2 * std::mem::size_of::<Code>()
             + idx.n_patterns() * std::mem::size_of::<u32>()
             + idx.n_rows() * std::mem::size_of::<PatternId>();
-        assert!(idx.approx_bytes() > floor, "postings and lookup counted");
+        assert!(idx.approx_bytes() > floor, "postings and slots counted");
     }
 
     #[test]
-    fn clone_from_reuse_matches_clone() {
+    fn clone_from_matches_clone() {
         let s = sub(&[[0, 1], [2, 3], [0, 1]]);
         let idx = PatternIndex::build(&s);
         let other = sub(&[[4, 0], [4, 0], [1, 1]]);
         let mut scratch = PatternIndex::build(&other);
-        scratch.clone_from_reuse(&idx);
+        scratch.clone_from(&idx);
         scratch.check_consistent(&s);
         assert_eq!(scratch.n_patterns(), idx.n_patterns());
     }

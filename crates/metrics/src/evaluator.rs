@@ -31,9 +31,11 @@
 //!    drift to bound.
 //! 3. **Scratch reuse** — [`Evaluator::reassess_into`] writes the updated
 //!    state into a caller-owned scratch [`EvalState`] whose buffers are
-//!    recycled (`clone_from` is allocation-free once shapes match), so the
-//!    per-offspring cost is a handful of `memcpy`s plus the delta work —
-//!    not five fresh n-sized vectors per iteration.
+//!    recycled (`clone_from` is allocation-free once shapes match, the
+//!    masked [`PatternIndex`] included: its dictionary is a table of ids
+//!    over its own code array), so the per-offspring cost is a handful of
+//!    `memcpy`s plus the delta work — not five fresh n-sized vectors per
+//!    iteration.
 //! 4. **Blocked linkage** — DBRL and RSRL scan the *distinct patterns*
 //!    of a [`PatternIndex`] instead of all `n²` record pairs,
 //!    `O(n·a + p_m·p_o·a)` with `p ≤ Π_k c_k` independent of the row
@@ -62,9 +64,7 @@
 //! [`Evaluator::reassess_mutation`] remains as the single-cell
 //! convenience wrapper over the patch engine.
 
-use std::collections::HashMap;
-
-use cdp_dataset::{Code, PatternId, PatternIndex, SubTable};
+use cdp_dataset::{Code, PatternIndex, SubTable};
 
 use crate::contingency::ContingencyTables;
 use crate::dr::{cell_disclosed, disclosed_counts, id_value};
@@ -256,9 +256,12 @@ impl Clone for EvalState {
         }
     }
 
-    /// Field-wise buffer reuse: copying one state over another of the same
-    /// shape performs no heap allocation. [`Evaluator::reassess_into`]
-    /// relies on this to keep the evolution loop allocation-free.
+    /// Field-wise buffer reuse: every field, the masked pattern index
+    /// included, is a flat vector or a fixed-shape vector of them, so
+    /// copying one state over another of the same shape performs no heap
+    /// allocation once the destination's buffers have reached the source's
+    /// lengths. [`Evaluator::reassess_into`] relies on this to keep the
+    /// evolution loop allocation-free.
     fn clone_from(&mut self, src: &Self) {
         self.assessment = src.assessment;
         self.masked_tables.clone_from(&src.masked_tables);
@@ -266,7 +269,7 @@ impl Clone for EvalState {
         self.confusion.clone_from(&src.confusion);
         self.id_counts.clone_from(&src.id_counts);
         self.masked_stats.clone_from(&src.masked_stats);
-        self.masked_index.clone_from_reuse(&src.masked_index);
+        self.masked_index.clone_from(&src.masked_index);
         self.pattern_census.clone_from(&src.pattern_census);
         self.prl_model.clone_from(&src.prl_model);
         self.dbrl_credits.clone_from(&src.dbrl_credits);
@@ -510,12 +513,12 @@ impl Evaluator {
         );
 
         // DBRL: per-masked-record independent, touched rows only
-        let mut links: HashMap<PatternId, (f64, u64)> = HashMap::new();
+        let mut links: Vec<Option<(f64, u64)>> = vec![None; state.masked_index.n_patterns()];
         let mut q = vec![0 as Code; prep.n_attrs()];
         for &row in touched_rows {
             masked.read_row(row, &mut q);
             let pid = state.masked_index.pattern_of(row);
-            let (best, ties) = *links.entry(pid).or_insert_with(|| pattern_link(prep, &q));
+            let (best, ties) = *links[pid as usize].get_or_insert_with(|| pattern_link(prep, &q));
             let d_self = pattern_to_row_distance(prep, &q, row);
             state.dbrl_credits[row] = if (d_self - best).abs() <= DIST_EPS && ties > 0 {
                 1.0 / ties as f64
@@ -588,26 +591,15 @@ impl Evaluator {
             self.apply_single_cell(masked, cell, state);
             return;
         }
-        let mut cells = patch.resolve(prep.n_attrs());
-        cells.sort_unstable_by_key(|c| (c.row, c.attr));
-        // a duplicated cell would double-apply every integer delta below,
-        // silently corrupting counts that the bit-exactness contract builds
-        // on — the cells are already sorted, so the check is one cheap pass
-        assert!(
-            cells
-                .windows(2)
-                .all(|w| (w[0].row, w[0].attr) != (w[1].row, w[1].attr)),
-            "patch names the same cell twice"
-        );
-
-        // effective changes only: a patch may name cells that kept their value
-        let changed: Vec<(usize, usize, Code, Code)> = cells
-            .iter()
-            .filter_map(|c| {
-                let new = masked.get(c.row, c.attr);
-                (new != c.old).then_some((c.row, c.attr, c.old, new))
-            })
-            .collect();
+        // effective changes only, in (row, attr) order: a patch may name
+        // cells that kept their value
+        let mut changed: Vec<(usize, usize, Code, Code)> = Vec::with_capacity(patch.len());
+        patch.for_each_in_order(prep.n_attrs(), |c| {
+            let new = masked.get(c.row, c.attr);
+            if new != c.old {
+                changed.push((c.row, c.attr, c.old, new));
+            }
+        });
         if changed.is_empty() {
             return;
         }

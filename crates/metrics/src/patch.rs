@@ -59,7 +59,7 @@ impl Patch {
 
     /// An explicit cell list. At most one entry per cell: duplicates make
     /// the incremental updates double-apply and are a caller bug (checked
-    /// in debug builds at apply time).
+    /// at apply time).
     pub fn from_cells(cells: Vec<PatchCell>) -> Self {
         Patch {
             repr: Repr::Cells(cells),
@@ -117,6 +117,43 @@ impl Patch {
                 old: old[0],
             }),
             _ => None,
+        }
+    }
+
+    /// Visit every named cell once, in `(row, attr)` order, under a
+    /// row-major flat layout with `n_attrs` columns. A flat range is already
+    /// in that order and cannot name a cell twice, so it is walked in place;
+    /// an explicit list is resolved, sorted and checked.
+    ///
+    /// # Panics
+    /// When a cell list names the same cell twice: every incremental update
+    /// would apply twice, silently corrupting the integer counts the
+    /// bit-exactness contract builds on.
+    pub(crate) fn for_each_in_order(&self, n_attrs: usize, mut visit: impl FnMut(PatchCell)) {
+        match &self.repr {
+            Repr::Single(cell) => visit(*cell),
+            Repr::Cells(cells) => {
+                let mut cells = cells.clone();
+                cells.sort_unstable_by_key(|c| (c.row, c.attr));
+                assert!(
+                    cells
+                        .windows(2)
+                        .all(|w| (w[0].row, w[0].attr) != (w[1].row, w[1].attr)),
+                    "patch names the same cell twice"
+                );
+                cells.into_iter().for_each(visit);
+            }
+            Repr::Flat { start, old } => {
+                let (mut row, mut attr) = (start / n_attrs, start % n_attrs);
+                for &v in old {
+                    visit(PatchCell { row, attr, old: v });
+                    attr += 1;
+                    if attr == n_attrs {
+                        attr = 0;
+                        row += 1;
+                    }
+                }
+            }
         }
     }
 
@@ -187,6 +224,35 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn in_order_walk_of_a_flat_range_equals_its_resolution() {
+        // 3 attributes, flat 5..=10 crosses two row boundaries
+        let p = Patch::flat_range(5, 10, vec![1, 2, 3, 4, 5, 6]);
+        let mut walked = Vec::new();
+        p.for_each_in_order(3, |c| walked.push(c));
+        assert_eq!(walked, p.resolve(3));
+    }
+
+    #[test]
+    fn in_order_walk_sorts_a_cell_list() {
+        let cell = |row, attr| PatchCell { row, attr, old: 0 };
+        let p = Patch::from_cells(vec![cell(2, 0), cell(0, 1), cell(0, 0)]);
+        let mut walked = Vec::new();
+        p.for_each_in_order(2, |c| walked.push(c));
+        assert_eq!(walked, vec![cell(0, 0), cell(0, 1), cell(2, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "same cell twice")]
+    fn in_order_walk_rejects_a_repeated_cell() {
+        let cell = PatchCell {
+            row: 1,
+            attr: 0,
+            old: 3,
+        };
+        Patch::from_cells(vec![cell, cell]).for_each_in_order(2, |_| {});
     }
 
     #[test]

@@ -89,6 +89,13 @@ fn assert_linkage_matches_pairs_oracle(ev: &Evaluator, masked: &SubTable, assess
     );
 }
 
+/// The seven parts of an assessment as bit patterns, so `-0.0 != 0.0`
+/// and a NaN equals itself.
+fn assessment_bits(a: &Assessment) -> [u64; 7] {
+    let (il, dr) = (a.il_parts, a.dr_parts);
+    [il.ctbil, il.dbil, il.ebil, dr.id, dr.dbrl, dr.prl, dr.rsrl].map(f64::to_bits)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -195,5 +202,52 @@ proptest! {
                 step
             );
         }
+    }
+
+    /// Flat-range patches, the crossover shape the evaluator walks in
+    /// place, give the same state as the same cells handed over as an
+    /// explicit list (resolved, sorted and checked), and the same
+    /// assessment as a fresh `assess`. Ranges cover one cell, straddle a
+    /// row boundary, span the whole file, or fall anywhere.
+    #[test]
+    fn flat_range_patch_equals_cell_list_and_full(
+        a in 1usize..=4, n in 2usize..=40, shape in 0usize..4, seed in any::<u64>()
+    ) {
+        let original = random_subtable(a, n, seed);
+        let base = random_masking(&original, seed ^ 5);
+        let donor = random_masking(&original, seed ^ 6);
+        let ev = evaluator(&original);
+        let state = ev.assess(&base);
+        let flat = base.flat_len();
+        let mut rng = StdRng::seed_from_u64(seed ^ 7);
+        let (s, r) = match shape {
+            0 => {
+                let p = rng.gen_range(0..flat);
+                (p, p)
+            }
+            1 => {
+                let boundary = rng.gen_range(1..n) * a;
+                (boundary - rng.gen_range(1..=a), boundary + rng.gen_range(0..a))
+            }
+            2 => (0, flat - 1),
+            _ => {
+                let s = rng.gen_range(0..flat);
+                (s, rng.gen_range(s..flat))
+            }
+        };
+        let old: Vec<Code> = (s..=r).map(|p| base.get_flat(p)).collect();
+        let mut child = base.clone();
+        for p in s..=r {
+            child.set_flat(p, donor.get_flat(p));
+        }
+        let range = Patch::flat_range(s, r, old);
+        let cells = Patch::from_cells(range.resolve(a));
+        let by_range = ev.reassess(&state, &child, &range);
+        let by_cells = ev.reassess(&state, &child, &cells);
+        prop_assert_eq!(format!("{by_range:?}"), format!("{by_cells:?}"));
+        prop_assert_eq!(
+            assessment_bits(&by_range.assessment),
+            assessment_bits(&ev.assess(&child).assessment)
+        );
     }
 }

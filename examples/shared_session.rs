@@ -36,35 +36,63 @@ fn main() {
         .expect("valid job");
 
     // A SharedSession is cheap to clone; every clone sees the same cache.
+    // Each thread hands back its job's verdict and summary line, and the
+    // lines print in job order once every thread has joined, so the output
+    // does not depend on which thread finished (or prepared) first.
     let session = SharedSession::new();
-    let jobs = vec![
-        ("adult, 40 iters", adult(40)),
-        ("adult, 60 iters", adult(60)),
-        ("adult, 80 iters", adult(80)),
-        ("german, 60 iters", german),
+    let jobs = [
+        ("adult", "adult, 40 iters", adult(40)),
+        ("adult", "adult, 60 iters", adult(60)),
+        ("adult", "adult, 80 iters", adult(80)),
+        ("german", "german, 60 iters", german),
     ];
-    std::thread::scope(|scope| {
-        for (label, job) in &jobs {
-            let session = session.clone();
-            scope.spawn(move || {
-                let report = session
-                    .run_with(job, |event| {
-                        if let JobEvent::EvaluatorReady { reused } = event {
-                            let verdict = if *reused { "cache hit" } else { "prepared" };
-                            println!("{label}: evaluator {verdict}");
-                        }
-                    })
-                    .expect("job runs");
-                let best = &report.best;
-                println!(
-                    "{label}: best `{}` IL = {:.2}, DR = {:.2}",
-                    best.name,
-                    best.assessment.il(),
-                    best.assessment.dr()
-                );
-            });
-        }
+    let outcomes: Vec<(bool, String)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .iter()
+            .map(|(_, label, job)| {
+                let session = session.clone();
+                scope.spawn(move || {
+                    let mut reused = false;
+                    let report = session
+                        .run_with(job, |event| {
+                            if let JobEvent::EvaluatorReady { reused: r } = event {
+                                reused = *r;
+                            }
+                        })
+                        .expect("job runs");
+                    let best = &report.best;
+                    let line = format!(
+                        "{label}: best `{}` IL = {:.2}, DR = {:.2}",
+                        best.name,
+                        best.assessment.il(),
+                        best.assessment.dr()
+                    );
+                    (reused, line)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("job thread"))
+            .collect()
     });
+    for (_, line) in &outcomes {
+        println!("{line}");
+    }
+
+    // Which of the three Adult jobs prepared depends on thread timing; how
+    // many prepared and how many hit does not.
+    for original in ["adult", "german"] {
+        let reused: Vec<bool> = jobs
+            .iter()
+            .zip(&outcomes)
+            .filter(|((name, _, _), _)| *name == original)
+            .map(|(_, &(reused, _))| reused)
+            .collect();
+        let hits = reused.iter().filter(|&&r| r).count();
+        let prepared = reused.len() - hits;
+        println!("{original}: evaluator prepared {prepared} time(s), cache hit {hits} time(s)");
+    }
 
     // The ledger: 4 jobs, 2 distinct originals, 2 preparations total.
     let stats = session.stats();
