@@ -11,7 +11,9 @@
 //!    *warm* (the table already holds every pattern of the file), so the
 //!    table's saving is not misattributed; patch re-assessments run on a
 //!    warm evaluator, as inside an evolution, and their speedups are
-//!    against the warm full assessment.
+//!    against the warm full assessment. Each row also records the
+//!    assessed state's size (`state_bytes`, from `EvalState::approx_bytes`)
+//!    and whether its linkage parts equal the oracle scans (gate e).
 //! 2. **linkage** — all-pairs vs blocked DBRL credit scans per size, with
 //!    the distinct-pattern counts behind the blocked complexity bound. The
 //!    blocked scan is timed cold (fresh preparations) and warm.
@@ -60,8 +62,12 @@
 //! blocked-vs-all-pairs credit comparison is `==`-equal, and (d) at every
 //! size, every live masked pattern's PRL histogram served from the
 //! per-original link table equals a fresh scan and its RSRL box count
-//! equals the posting-list count — all four are bit-exactness contracts,
-//! so any difference at all is a regression.
+//! equals the posting-list count, and (e) at every size, the assessment's
+//! DBRL, PRL and RSRL parts equal `credits_value` of the per-record oracle
+//! scans (`dbrl_credits_blocked`, `PatternCensus::credits`,
+//! `rsrl_credits_blocked`) — the evaluator sums per-cell credits over the
+//! records instead of keeping those vectors. All five are bit-exactness
+//! contracts, so any difference at all is a regression.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -71,10 +77,12 @@ use cdp_core::{EvoConfig, Evolution, EvolutionOutcome, Nsga2, NsgaConfig};
 use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
 use cdp_dataset::{Code, PatternIndex, SubTable};
 use cdp_metrics::linkage::{
-    dbrl_credits, dbrl_credits_blocked, pattern_table_mismatches, rsrl_credits,
+    credits_value, dbrl_credits, dbrl_credits_blocked, pattern_table_mismatches, rsrl_credits,
     rsrl_credits_blocked, PatternCensus, PrlModel,
 };
-use cdp_metrics::{Evaluator, MaskedStats, MetricConfig, ObjectiveSet, Patch, PreparedOriginal};
+use cdp_metrics::{
+    EvalState, Evaluator, MaskedStats, MetricConfig, ObjectiveSet, Patch, PreparedOriginal,
+};
 use cdp_sdc::{build_population, build_population_from, SuiteConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,6 +150,35 @@ struct MicroRow {
     ns_assess_warm: f64,
     ns_reassess_cell: f64,
     ns_reassess_segment: f64,
+    /// [`cdp_metrics::EvalState::approx_bytes`] of the assessed file.
+    state_bytes: usize,
+    /// The assessment's DBRL, PRL and RSRL parts equal the oracle credit
+    /// vectors' values bit for bit.
+    parts_equal: bool,
+}
+
+/// Whether `state`'s DBRL, PRL and RSRL parts equal [`credits_value`] of
+/// the per-record oracle scans (`dbrl_credits_blocked`,
+/// `PatternCensus::credits`, `rsrl_credits_blocked`) on `masked`, bit for
+/// bit: the evaluator sums per-cell credits instead of keeping per-record
+/// vectors, and must reproduce the vectors' sums exactly.
+fn parts_match_oracles(ev: &Evaluator, masked: &SubTable, state: &EvalState) -> bool {
+    let prep = ev.prepared();
+    let cfg = ev.config();
+    let index = PatternIndex::build(masked);
+    let census = PatternCensus::build(prep, &index);
+    let model = PrlModel::fit_from_counts(prep, census.counts(), cfg.prl_em_iters);
+    let stats = MaskedStats::build(prep, masked);
+    let window = (cfg.rsrl_window_fraction * prep.n_rows() as f64).max(1.0);
+    let dr = state.assessment.dr_parts;
+    let oracles = [
+        (dr.dbrl, dbrl_credits_blocked(prep, masked, &index)),
+        (dr.prl, census.credits(&model, prep, masked, &index)),
+        (dr.rsrl, rsrl_credits_blocked(prep, &stats, &index, window)),
+    ];
+    oracles
+        .iter()
+        .all(|(part, credits)| part.to_bits() == credits_value(credits).to_bits())
 }
 
 fn micro_row(rows: usize, assess_reps: usize, seed: u64) -> MicroRow {
@@ -171,6 +208,8 @@ fn micro_row(rows: usize, assess_reps: usize, seed: u64) -> MicroRow {
 
     // single-cell patches into a reused scratch (the mutation path's shape)
     let state = ev.assess(&masked);
+    let state_bytes = state.approx_bytes();
+    let parts_equal = parts_match_oracles(&ev, &masked, &state);
     let mut scratch = state.clone();
     let cell_reps = (assess_reps * 16).max(32);
     let t0 = Instant::now();
@@ -211,6 +250,8 @@ fn micro_row(rows: usize, assess_reps: usize, seed: u64) -> MicroRow {
         ns_assess_warm,
         ns_reassess_cell,
         ns_reassess_segment,
+        state_bytes,
+        parts_equal,
     }
 }
 
@@ -559,7 +600,7 @@ fn measures_row(rows: usize, reps: usize, seed: u64) -> MeasureRow {
     let index = PatternIndex::build(&masked);
     let warm = PreparedOriginal::new(&original);
     let stats = MaskedStats::build(&warm, &masked);
-    let census = PatternCensus::build(&warm, &masked, &index);
+    let census = PatternCensus::build(&warm, &index);
     let model = PrlModel::fit_from_counts(&warm, census.counts(), cfg.prl_em_iters);
 
     type Block<'a> = Box<dyn Fn(&PreparedOriginal) + 'a>;
@@ -573,7 +614,7 @@ fn measures_row(rows: usize, reps: usize, seed: u64) -> MeasureRow {
         (
             "census",
             Box::new(|p| {
-                std::hint::black_box(PatternCensus::build(p, &masked, &index));
+                std::hint::black_box(PatternCensus::build(p, &index));
             }),
         ),
         (
@@ -588,8 +629,8 @@ fn measures_row(rows: usize, reps: usize, seed: u64) -> MeasureRow {
         ),
         (
             "prl_credits",
-            Box::new(|_| {
-                std::hint::black_box(census.credits(&model, &index));
+            Box::new(|p| {
+                std::hint::black_box(census.credits(&model, p, &masked, &index));
             }),
         ),
         (
@@ -709,7 +750,8 @@ fn main() {
             json,
             "    {{\"rows\": {}, \"ns_assess_cold\": {:.0}, \"ns_assess_warm\": {:.0}, \
              \"ns_reassess_cell\": {:.0}, \"ns_reassess_segment\": {:.0}, \
-             \"speedup_cell\": {:.1}, \"speedup_segment\": {:.1}}}{comma}",
+             \"speedup_cell\": {:.1}, \"speedup_segment\": {:.1}, \"state_bytes\": {}, \
+             \"parts_equal\": {}}}{comma}",
             row.rows,
             row.ns_assess_cold,
             row.ns_assess_warm,
@@ -717,6 +759,8 @@ fn main() {
             row.ns_reassess_segment,
             row.ns_assess_warm / row.ns_reassess_cell,
             row.ns_assess_warm / row.ns_reassess_segment,
+            row.state_bytes,
+            row.parts_equal,
         );
     }
     let _ = writeln!(json, "  ],");
@@ -828,7 +872,7 @@ fn main() {
     print!("{json}");
     eprintln!("wrote {}", args.out.display());
 
-    // four bit-exactness contracts: under --check-drift any difference at
+    // five bit-exactness contracts: under --check-drift any difference at
     // all (not merely above a tolerance) fails the run — after the JSON is
     // on disk, so CI still uploads the failing numbers
     if args.check_drift {
@@ -847,6 +891,17 @@ fn main() {
                  full recompute (max |Δ| = {exact_delta:e})"
             );
             failed = true;
+        }
+        for row in &micro {
+            if !row.parts_equal {
+                eprintln!(
+                    "DRIFT CHECK FAILED: an assessment's DBRL, PRL or RSRL part \
+                     differs from the oracle credit vectors' value at {} rows; \
+                     the per-cell credit sums must be bit-exact",
+                    row.rows
+                );
+                failed = true;
+            }
         }
         for row in &linkage {
             if row.credits_equal == Some(false) {

@@ -223,11 +223,13 @@ impl Evolution {
     /// [`cross_check`]). The two offspring evaluate as one executor batch
     /// when the file is large enough to amortize the hand-off
     /// ([`crate::parallel::MIN_PARALLEL_EVAL_ROWS`]). Unlike the mutation
-    /// path, each child pays one O(n) state clone inside
+    /// path, each child pays one state clone inside
     /// [`cdp_metrics::Evaluator::reassess`]: both children may enter the
     /// population, so owned states are required either way. The clone is a
-    /// fixed number of flat copies whatever the pattern count (the masked
-    /// pattern index included), small beside the segment's relink work.
+    /// fixed number of flat copies (36 at three attributes) whatever the
+    /// pattern or joint-cell count; its only O(n) parts are two `u32` row
+    /// maps (the masked pattern ids and the joint cell ids), small beside
+    /// the segment's relink work.
     fn crossover_step(
         &self,
         pop: &mut Population,

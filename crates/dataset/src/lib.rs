@@ -20,9 +20,9 @@
 //!   (the paper protects 3 attributes per dataset); this is the genotype the
 //!   evolutionary algorithm manipulates. Same contiguous columnar arena.
 //! * [`PatternIndex`] — dictionary-encoded deduplication of rows into
-//!   distinct patterns with multiplicities and per-attribute inverted
-//!   postings; the substrate for the blocked (sub-quadratic) record-linkage
-//!   scans in `cdp-metrics`.
+//!   distinct patterns with multiplicities, four flat vectors; the
+//!   substrate for the blocked (sub-quadratic) record-linkage scans in
+//!   `cdp-metrics`.
 //! * [`Hierarchy`] — generalization hierarchies used by global recoding and
 //!   top/bottom coding.
 //! * [`generators`] — seeded synthetic generators for the four UCI-shaped

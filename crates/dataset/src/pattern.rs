@@ -5,8 +5,7 @@
 //! than records — at most `Π_k c_k` (1568 for the paper's Adult selection of
 //! 16 × 7 × 14 categories) regardless of row count. A [`PatternIndex`] maps
 //! each row to the id of its distinct pattern and keeps, per pattern, the
-//! codes, the multiplicity (how many rows currently carry it) and
-//! per-attribute inverted postings. Any per-record computation whose result
+//! codes and the multiplicity (how many rows currently carry it). Any per-record computation whose result
 //! depends only on the record's own values then costs `O(p)` pattern
 //! evaluations plus an `O(n)` fan-out instead of `O(n)` full evaluations —
 //! this is what turns the all-pairs `O(n²·a)` linkage scans of the metrics
@@ -68,7 +67,7 @@ fn folded_multiply(a: u64, b: u64) -> u64 {
 }
 
 /// Distinct-row index over a [`SubTable`]: pattern dictionary, row → pattern
-/// map, multiplicities and per-attribute inverted postings.
+/// map and multiplicities, four flat vectors.
 ///
 /// See the module docs for the id-stability and ordering invariants.
 #[derive(Debug)]
@@ -87,9 +86,6 @@ pub struct PatternIndex {
     slots: Vec<PatternId>,
     /// The slot-hash key ([`hash_key`]).
     key: [u64; 2],
-    /// `postings[k][v]` = ids of every pattern (live or tombstoned) whose
-    /// attribute `k` carries code `v`. Append-only; filter by multiplicity.
-    postings: Vec<Vec<Vec<PatternId>>>,
     /// Number of patterns with non-zero multiplicity.
     n_live: usize,
 }
@@ -103,14 +99,13 @@ impl Clone for PatternIndex {
             row_pid: self.row_pid.clone(),
             slots: self.slots.clone(),
             key: self.key,
-            postings: self.postings.clone(),
             n_live: self.n_live,
         }
     }
 
-    /// Buffer-reusing copy: every field is a flat vector (or a vector of
-    /// per-code posting lists), so scratch evaluation states copy an index
-    /// without allocating once their capacities have grown to the source's.
+    /// Buffer-reusing copy: every field is a flat vector, so scratch
+    /// evaluation states copy an index without allocating once their
+    /// capacities have grown to the source's.
     fn clone_from(&mut self, src: &Self) {
         self.n_attrs = src.n_attrs;
         self.codes.clone_from(&src.codes);
@@ -118,7 +113,6 @@ impl Clone for PatternIndex {
         self.row_pid.clone_from(&src.row_pid);
         self.slots.clone_from(&src.slots);
         self.key = src.key;
-        self.postings.clone_from(&src.postings);
         self.n_live = src.n_live;
     }
 }
@@ -127,29 +121,17 @@ impl PatternIndex {
     /// Index every row of `sub`. `O(n·a)` expected time.
     pub fn build(sub: &SubTable) -> Self {
         let columns: Vec<&[Code]> = (0..sub.n_attrs()).map(|k| sub.column(k)).collect();
-        let cats: Vec<usize> = (0..sub.n_attrs())
-            .map(|k| sub.attr(k).n_categories())
-            .collect();
-        PatternIndex::index(&columns, &cats)
+        PatternIndex::from_columns(&columns)
     }
 
     /// Index the rows spelled by parallel code columns (row `r` is
-    /// `columns[k][r]` over `k`), with no schema at hand: each attribute's
-    /// postings cover the codes up to its column's largest. Ids, row map
-    /// and multiplicities are exactly those [`PatternIndex::build`] assigns
-    /// to a sub-table holding the same columns.
+    /// `columns[k][r]` over `k`), with no schema at hand. Ids, row map and
+    /// multiplicities are exactly those [`PatternIndex::build`] assigns to
+    /// a sub-table holding the same columns.
     ///
     /// # Panics
     /// When `columns` is empty or the columns differ in length.
     pub fn from_columns(columns: &[&[Code]]) -> Self {
-        let cats: Vec<usize> = columns
-            .iter()
-            .map(|col| col.iter().max().map_or(0, |&m| m as usize + 1))
-            .collect();
-        PatternIndex::index(columns, &cats)
-    }
-
-    fn index(columns: &[&[Code]], cats: &[usize]) -> Self {
         let a = columns.len();
         assert!(a > 0, "a pattern index needs at least one attribute");
         let n = columns[0].len();
@@ -164,7 +146,6 @@ impl PatternIndex {
             row_pid: Vec::with_capacity(n),
             slots: vec![EMPTY; MIN_SLOTS],
             key: hash_key(),
-            postings: cats.iter().map(|&c| vec![Vec::new(); c]).collect(),
             n_live: 0,
         };
         let mut buf = vec![0 as Code; a];
@@ -183,19 +164,13 @@ impl PatternIndex {
     }
 
     /// Approximate heap footprint in bytes: dictionary, multiplicities,
-    /// row map, postings and the slot table.
+    /// row map and the slot table.
     pub fn approx_bytes(&self) -> usize {
         let codes = self.codes.len() * std::mem::size_of::<Code>();
         let mult = self.mult.len() * std::mem::size_of::<u32>();
         let rows = self.row_pid.len() * std::mem::size_of::<PatternId>();
-        let postings: usize = self
-            .postings
-            .iter()
-            .flatten()
-            .map(|p| p.len() * std::mem::size_of::<PatternId>())
-            .sum();
         let slots = self.slots.len() * std::mem::size_of::<PatternId>();
-        codes + mult + rows + postings + slots
+        codes + mult + rows + slots
     }
 
     /// Number of attributes per pattern.
@@ -254,12 +229,6 @@ impl PatternIndex {
         self.probe(codes).ok()
     }
 
-    /// Ids of every pattern (live or dead) whose attribute `k` carries code
-    /// `v` — the inverted posting list. Filter by [`PatternIndex::multiplicity`].
-    pub fn postings(&self, k: usize, v: Code) -> &[PatternId] {
-        &self.postings[k][v as usize]
-    }
-
     /// Re-home `row` onto the pattern described by `new_codes` (its current
     /// values in the underlying sub-table). Returns `(old_pid, new_pid)`;
     /// the two are equal when the row's pattern did not actually change.
@@ -292,9 +261,6 @@ impl PatternIndex {
         let pid = self.mult.len() as PatternId;
         self.codes.extend_from_slice(codes);
         self.mult.push(0);
-        for (k, &v) in codes.iter().enumerate() {
-            self.postings[k][v as usize].push(pid);
-        }
         if 2 * self.mult.len() > self.slots.len() {
             self.grow();
         } else {
@@ -342,9 +308,8 @@ impl PatternIndex {
     }
 
     /// Check the internal invariants (test helper): multiplicities match the
-    /// row map, every row's codes match its pattern, postings cover every
-    /// pattern exactly once per attribute, and the slot table is at most
-    /// half full and finds every pattern under its own id.
+    /// row map, every row's codes match its pattern, and the slot table is
+    /// at most half full and finds every pattern under its own id.
     pub fn check_consistent(&self, sub: &SubTable) {
         assert_eq!(self.n_rows(), sub.n_rows());
         let mut counts = vec![0u32; self.n_patterns()];
@@ -361,16 +326,6 @@ impl PatternIndex {
             self.mult.iter().filter(|&&m| m > 0).count(),
             "live count drifted"
         );
-        for (k, per_code) in self.postings.iter().enumerate() {
-            let mut seen = vec![0u32; self.n_patterns()];
-            for (v, pids) in per_code.iter().enumerate() {
-                for &pid in pids {
-                    assert_eq!(self.codes_of(pid)[k], v as Code, "posting misfiled");
-                    seen[pid as usize] += 1;
-                }
-            }
-            assert!(seen.iter().all(|&s| s == 1), "postings not a partition");
-        }
         assert!(
             self.slots.len().is_power_of_two() && 2 * self.n_patterns() <= self.slots.len(),
             "slot table over half full"
@@ -427,19 +382,8 @@ mod tests {
             (&cols.codes, &cols.mult, &cols.row_pid),
             (&built.codes, &built.mult, &built.row_pid)
         );
-        assert_eq!(cols.postings(1, 3), built.postings(1, 3));
         assert_eq!(built.find(&[4, 0]), Some(2));
         assert_eq!(built.find(&[4, 1]), None);
-    }
-
-    #[test]
-    fn postings_invert_the_dictionary() {
-        let s = sub(&[[0, 1], [2, 3], [0, 3]]);
-        let idx = PatternIndex::build(&s);
-        assert_eq!(idx.postings(0, 0), &[0, 2]);
-        assert_eq!(idx.postings(0, 2), &[1]);
-        assert_eq!(idx.postings(1, 3), &[1, 2]);
-        assert!(idx.postings(1, 0).is_empty());
     }
 
     #[test]
@@ -511,7 +455,7 @@ mod tests {
         let floor = idx.n_patterns() * 2 * std::mem::size_of::<Code>()
             + idx.n_patterns() * std::mem::size_of::<u32>()
             + idx.n_rows() * std::mem::size_of::<PatternId>();
-        assert!(idx.approx_bytes() > floor, "postings and slots counted");
+        assert!(idx.approx_bytes() > floor, "slots counted");
     }
 
     #[test]

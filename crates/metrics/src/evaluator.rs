@@ -16,37 +16,50 @@
 //!    of re-scoring the whole file. Every measure derives from *integer*
 //!    sufficient statistics that admit exact deltas: CTBIL/DBIL/EBIL/ID
 //!    per changed cell (pair tables are corrected per touched *row* so
-//!    simultaneous changes to two attributes of one record stay exact),
-//!    DBRL by relinking the touched records (links are per-masked-record
-//!    independent), PRL from per-pattern agreement histograms
-//!    ([`crate::linkage::PatternCensus`]: a touched row shifts the census
-//!    by the difference of two histograms, the Fellegi–Sunter model refits
-//!    from the summed census — identical to a from-scratch fit — and the
-//!    credits recompute from one `(best weight, tie mass)` per live masked
-//!    pattern plus one comparison per record), and RSRL by re-crediting
-//!    exactly the masked patterns whose rank windows moved
+//!    simultaneous changes to two attributes of one record stay exact).
+//!    The linkage measures credit a record by its *joint cell* (masked
+//!    pattern, original pattern), so the state keeps one credit triple per
+//!    live cell and one cell id per record, and a touched record moves
+//!    cells: DBRL credits are fixed when a cell is created, PRL comes from
+//!    per-pattern agreement histograms ([`crate::linkage::PatternCensus`]:
+//!    a touched row shifts the census by the difference of two
+//!    histograms, the Fellegi–Sunter model refits from the summed census —
+//!    identical to a from-scratch fit — and the live cells' credits
+//!    recompute from one `(best weight, tie mass)` per live masked pattern
+//!    plus one comparison per cell), and RSRL re-credits exactly the cells
+//!    of the masked patterns whose rank windows moved
 //!    ([`MaskedStats::apply_patch`] reports every midrank shift, touched
-//!    row or not). A patched state therefore equals the full recompute
-//!    bit for bit — no frozen-weights or stale-midrank approximation, no
-//!    drift to bound.
+//!    row or not). Each linkage part is then one pass summing the
+//!    records' cell credits in row order — the same `f64`s in the same
+//!    order as the per-record credit vectors of the oracle scans. A
+//!    patched state therefore equals the full recompute bit for bit — no
+//!    frozen-weights or stale-midrank approximation, no drift to bound.
 //! 3. **Scratch reuse** — [`Evaluator::reassess_into`] writes the updated
 //!    state into a caller-owned scratch [`EvalState`] whose buffers are
 //!    recycled (`clone_from` is allocation-free once shapes match, the
-//!    masked [`PatternIndex`] included: its dictionary is a table of ids
-//!    over its own code array), so the per-offspring cost is a handful of
-//!    `memcpy`s plus the delta work — not five fresh n-sized vectors per
-//!    iteration.
+//!    masked [`PatternIndex`] and the joint cells included: each is a few
+//!    flat vectors, its dictionary a table of ids over its own keys), so
+//!    the per-offspring cost is a handful of `memcpy`s plus the delta
+//!    work. The only n-sized buffers a state holds are two `u32` row
+//!    maps: masked pattern ids and joint cell ids.
 //! 4. **Blocked linkage** — DBRL and RSRL scan the *distinct patterns*
 //!    of a [`PatternIndex`] instead of all `n²` record pairs,
 //!    `O(n·a + p_m·p_o·a)` with `p ≤ Π_k c_k` independent of the row
 //!    count, and the PRL census is built the same way; the state carries a
 //!    masked-side index that every patch moves rows through
 //!    ([`PatternIndex::move_row`]), so the delta path and the full path
-//!    stay on the same sufficient statistics. Credits are
+//!    stay on the same sufficient statistics. The joint cells are built
+//!    one original pattern at a time (the preparation groups the records
+//!    by original pattern), a cell's DBRL credit from its masked
+//!    pattern's link and one pattern-to-pattern distance. The parts are
 //!    `assert_eq!`-identical to the all-pairs reference scans
-//!    ([`crate::linkage::dbrl_credits`], [`crate::linkage::rsrl_credits`]),
-//!    which remain as the test and bench oracle — see [`crate::linkage`]
-//!    for the exactness argument.
+//!    ([`crate::linkage::dbrl`], [`crate::linkage::prl`],
+//!    [`crate::linkage::rsrl`]) and to the per-record blocked credits
+//!    ([`crate::linkage::dbrl_credits_blocked`],
+//!    [`crate::linkage::PatternCensus::credits`],
+//!    [`crate::linkage::rsrl_credits_blocked`]), which remain as the test
+//!    and bench oracles — see [`crate::linkage`] for the exactness
+//!    argument.
 //! 5. **Per-original pattern tables** — a masked pattern's DBRL link and
 //!    its PRL agreement histogram depend only on the pattern and the
 //!    original, so [`PreparedOriginal`] holds one write-once slot with
@@ -54,7 +67,9 @@
 //!    [`crate::LINK_TABLE_MAX_SLOTS`]). A pattern is scanned the first time
 //!    any assessment meets it and read from its slot ever after — across
 //!    the initial population, every patch, and (through the shared `Arc`)
-//!    every clone of the evaluator, so every job on a cached original. An
+//!    every clone of the evaluator, so every job on a cached original;
+//!    evaluation states read the histograms there instead of copying
+//!    them. An
 //!    RSRL candidate count is a box count over the original's joint counts
 //!    in rank coordinates, a prefix-sum grid over the same space built at
 //!    preparation: `2^a` lookups per masked pattern. A slot holds the
@@ -72,14 +87,27 @@ use crate::il::{
     build_confusion, dbil_accs, dbil_sum_from_accs, dbil_value, ebil_from_confusion,
     update_confusion,
 };
-use crate::linkage::{
-    credits_value, dbrl_credits_blocked, pattern_link, pattern_to_row_distance,
-    rsrl_credits_blocked, CandidatePools, PatternCensus, PrlModel, DIST_EPS,
-};
+use crate::linkage::{sum_value, CandidatePools, JointCells, LinkMemo, PatternCensus, PrlModel};
 use crate::patch::{Patch, PatchCell};
 use crate::prepared::{MaskedStats, MovedCategory, PreparedOriginal};
 use crate::score::ScoreAggregator;
 use crate::{MetricError, Result};
+
+/// The placeholder headline of a state whose statistics are not yet
+/// summed up (see [`Evaluator::refresh_assessment`]).
+const UNSCORED: Assessment = Assessment {
+    il_parts: IlBreakdown {
+        ctbil: 0.0,
+        dbil: 0.0,
+        ebil: 0.0,
+    },
+    dr_parts: DrBreakdown {
+        id: 0.0,
+        dbrl: 0.0,
+        prl: 0.0,
+        rsrl: 0.0,
+    },
+};
 
 /// Tunable measure parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,12 +225,18 @@ impl Assessment {
 /// An assessment together with the sufficient statistics that make
 /// patch-based updates cheap.
 ///
-/// Memory: dominated by the three per-record credit vectors (DBRL, PRL,
-/// RSRL: `3·n_rows` `f64`s, 2.4 MB at 100k rows), then the per-record
-/// masked pattern ids and PRL self-patterns (`n_rows` `u32`s each). The
-/// PRL histograms are per *distinct* masked pattern id, `2^a` `u32`s each
-/// (`a` = protected attributes): a few tens of KB at Adult's 1568-pattern
-/// space, whatever the row count.
+/// Memory ([`EvalState::approx_bytes`]): per record, one masked pattern
+/// id and one joint cell id (`2·n_rows` `u32`s, 0.8 MB at 100k rows);
+/// per live joint cell, 40 bytes (its two pattern ids, record count,
+/// agreement bits and three `f64` credits) plus its slot-table share,
+/// 2–4 `u32`s. Tombstoned cells are dropped once they outnumber a quarter
+/// of the live ones. The PRL histograms are read from the preparation's
+/// link table; only above its cap does a state copy them, `2^a` `u32`s
+/// per *distinct* masked pattern id (`a` = protected attributes). The
+/// live cells number at least the larger of the two live pattern counts
+/// and at most the row count: at 100k Adult rows, 1.6k for a
+/// microaggregation (a 0.92 MB state) and 44k for a PRAM at θ = 0.7
+/// (3.1 MB).
 #[derive(Debug)]
 pub struct EvalState {
     /// The headline numbers.
@@ -218,12 +252,30 @@ pub struct EvalState {
     masked_index: PatternIndex,
     pattern_census: PatternCensus,
     prl_model: PrlModel,
-    dbrl_credits: Vec<f64>,
-    prl_credits: Vec<f64>,
-    rsrl_credits: Vec<f64>,
+    /// The joint (masked pattern, original pattern) cells: each record's
+    /// cell id, and per cell the DBRL, PRL and RSRL credits its records
+    /// share.
+    cells: JointCells,
 }
 
 impl EvalState {
+    /// Approximate heap footprint in bytes, counted the way
+    /// [`PreparedOriginal::approx_bytes`] counts: each buffer's length
+    /// times its element size (capacity slack and vector headers are not
+    /// counted).
+    pub fn approx_bytes(&self) -> usize {
+        let u32s = self.id_counts.len() + self.confusion.iter().map(Vec::len).sum::<usize>();
+        let weights = self.prl_model.agree_weight.len() + self.prl_model.disagree_weight.len();
+        self.masked_tables.approx_bytes()
+            + self.dbil_accs.len() * std::mem::size_of::<u64>()
+            + u32s * std::mem::size_of::<u32>()
+            + self.masked_stats.approx_bytes()
+            + self.masked_index.approx_bytes()
+            + self.pattern_census.approx_bytes()
+            + weights * std::mem::size_of::<f64>()
+            + self.cells.approx_bytes()
+    }
+
     /// The per-attribute original→masked confusion matrices
     /// (`conf[k][o*c + v]`, `c` = category count of attribute `k`) — the
     /// channel view the ε-leakage objective reads.
@@ -250,9 +302,7 @@ impl Clone for EvalState {
             masked_index: self.masked_index.clone(),
             pattern_census: self.pattern_census.clone(),
             prl_model: self.prl_model.clone(),
-            dbrl_credits: self.dbrl_credits.clone(),
-            prl_credits: self.prl_credits.clone(),
-            rsrl_credits: self.rsrl_credits.clone(),
+            cells: self.cells.clone(),
         }
     }
 
@@ -272,9 +322,7 @@ impl Clone for EvalState {
         self.masked_index.clone_from(&src.masked_index);
         self.pattern_census.clone_from(&src.pattern_census);
         self.prl_model.clone_from(&src.prl_model);
-        self.dbrl_credits.clone_from(&src.dbrl_credits);
-        self.prl_credits.clone_from(&src.prl_credits);
-        self.rsrl_credits.clone_from(&src.rsrl_credits);
+        self.cells.clone_from(&src.cells);
     }
 }
 
@@ -339,51 +387,34 @@ impl Evaluator {
         debug_assert!(self.prep.check_compatible(masked).is_ok());
         let prep = &self.prep;
 
-        let masked_tables = ContingencyTables::build(masked);
-        let accs = dbil_accs(prep, masked);
-        let confusion = build_confusion(prep, masked);
-        let id_counts = disclosed_counts(prep, masked, self.cfg.interval_fraction);
         let masked_stats = MaskedStats::build(prep, masked);
         let masked_index = PatternIndex::build(masked);
-        let pattern_census = PatternCensus::build(prep, masked, &masked_index);
+        let pattern_census = PatternCensus::build(prep, &masked_index);
         let prl_model =
             PrlModel::fit_from_counts(prep, pattern_census.counts(), self.cfg.prl_em_iters);
+        let mut cells = JointCells::build(prep, &masked_index);
+        cells.credit_prl(prep, &pattern_census, &prl_model, &masked_index);
+        let window = self.rsrl_window();
+        let mut pools = CandidatePools::new(prep, masked_index.n_patterns());
+        for (pid, q, _) in masked_index.iter_live() {
+            pools.pool(prep, &masked_stats, pid, q, window);
+        }
+        cells.credit_rsrl(prep, &pools);
 
-        let dbrl_cr = dbrl_credits_blocked(prep, masked, &masked_index);
-        let prl_cr = pattern_census.credits(&prl_model, &masked_index);
-        let rsrl_cr = rsrl_credits_blocked(prep, &masked_stats, &masked_index, self.rsrl_window());
-
-        let assessment = Assessment {
-            il_parts: IlBreakdown {
-                ctbil: prep.tables().distance(&masked_tables),
-                dbil: dbil_value(
-                    dbil_sum_from_accs(prep, &accs),
-                    prep.n_rows(),
-                    prep.n_attrs(),
-                ),
-                ebil: ebil_from_confusion(prep, &confusion),
-            },
-            dr_parts: DrBreakdown {
-                id: id_value(prep, &id_counts),
-                dbrl: credits_value(&dbrl_cr),
-                prl: credits_value(&prl_cr),
-                rsrl: credits_value(&rsrl_cr),
-            },
-        };
-        EvalState {
-            assessment,
-            masked_tables,
-            dbil_accs: accs,
-            confusion,
-            id_counts,
+        let mut state = EvalState {
+            assessment: UNSCORED,
+            masked_tables: ContingencyTables::build(masked),
+            dbil_accs: dbil_accs(prep, masked),
+            confusion: build_confusion(prep, masked),
+            id_counts: disclosed_counts(prep, masked, self.cfg.interval_fraction),
             masked_stats,
             masked_index,
             pattern_census,
             prl_model,
-            dbrl_credits: dbrl_cr,
-            prl_credits: prl_cr,
-            rsrl_credits: rsrl_cr,
-        }
+            cells,
+        };
+        self.refresh_assessment(&mut state);
+        state
     }
 
     /// Re-assess after a single-cell mutation: the single-cell wrapper
@@ -461,44 +492,37 @@ impl Evaluator {
 
     /// Move every touched row to its new bucket in the masked pattern
     /// index, shifting the PRL census by the corresponding histogram
-    /// differences. Must run *after* `masked` holds the new values and
+    /// differences, and into its new joint cell (a new cell gets its DBRL
+    /// credit here). Must run *after* `masked` holds the new values and
     /// before [`Evaluator::relink`] reads the index.
     fn repattern(&self, masked: &SubTable, touched_rows: &[usize], state: &mut EvalState) {
         let prep = &self.prep;
         let mut buf = vec![0 as Code; prep.n_attrs()];
+        let mut links = LinkMemo::new();
         for &row in touched_rows {
             masked.read_row(row, &mut buf);
             let (old_pid, new_pid) = state.masked_index.move_row(row, &buf);
-            state.pattern_census.row_moved(
-                prep,
-                masked,
-                &state.masked_index,
-                row,
-                old_pid,
-                new_pid,
-            );
+            let index = &state.masked_index;
+            state
+                .pattern_census
+                .row_moved(prep, index, old_pid, new_pid);
+            state.cells.move_row(prep, index, row, &mut links);
         }
     }
 
     /// Exact relinking after the sufficient statistics (including the
-    /// masked pattern index and census — see [`Evaluator::repattern`])
-    /// moved: PRL refits from the census and re-credits every record from
-    /// integer pattern data, DBRL relinks the touched rows, and RSRL
-    /// re-credits the records of the touched rows' patterns and of every
-    /// pattern holding a category whose rank window changed. Re-credited
-    /// rows sharing a masked pattern share one pattern-level DBRL link and
-    /// one RSRL candidate pool.
-    fn relink(
-        &self,
-        masked: &SubTable,
-        touched_rows: &[usize],
-        moved: &[MovedCategory],
-        state: &mut EvalState,
-    ) {
+    /// masked pattern index, census and joint cells — see
+    /// [`Evaluator::repattern`]) moved: PRL refits from the census and
+    /// re-credits every live cell from integer pattern data, and RSRL
+    /// re-credits the cells of the touched rows, or (when a category's
+    /// rank window changed) every cell of a pattern holding such a
+    /// category. DBRL credits are fixed per cell, so the touched rows'
+    /// cells already carry theirs.
+    fn relink(&self, touched_rows: &[usize], moved: &[MovedCategory], state: &mut EvalState) {
         let prep = &self.prep;
 
         // PRL: the census already moved with the index; an EM refit over
-        // 2^a patterns and a per-pattern credit sweep — bit-identical to a
+        // 2^a patterns and a per-cell credit sweep — bit-identical to a
         // full fit+link, because census and histograms are identical
         // integers
         state.prl_model.refit_from_counts(
@@ -506,29 +530,13 @@ impl Evaluator {
             state.pattern_census.counts(),
             self.cfg.prl_em_iters,
         );
-        state.pattern_census.credits_into(
-            &state.prl_model,
-            &state.masked_index,
-            &mut state.prl_credits,
-        );
-
-        // DBRL: per-masked-record independent, touched rows only
-        let mut links: Vec<Option<(f64, u64)>> = vec![None; state.masked_index.n_patterns()];
-        let mut q = vec![0 as Code; prep.n_attrs()];
-        for &row in touched_rows {
-            masked.read_row(row, &mut q);
-            let pid = state.masked_index.pattern_of(row);
-            let (best, ties) = *links[pid as usize].get_or_insert_with(|| pattern_link(prep, &q));
-            let d_self = pattern_to_row_distance(prep, &q, row);
-            state.dbrl_credits[row] = if (d_self - best).abs() <= DIST_EPS && ties > 0 {
-                1.0 / ties as f64
-            } else {
-                0.0
-            };
-        }
+        let index = &state.masked_index;
+        state
+            .cells
+            .credit_prl(prep, &state.pattern_census, &state.prl_model, index);
 
         // RSRL: a midrank move only matters when it changes the window's
-        // run of compatible categories; re-credit exactly the masked
+        // run of compatible categories; re-pool exactly the masked
         // patterns holding a category whose run changed, plus the patterns
         // the touched rows moved into
         let window = self.rsrl_window();
@@ -540,7 +548,6 @@ impl Evaluator {
             })
             .map(|mc| (mc.attr, mc.cat))
             .collect();
-        let index = &state.masked_index;
         let mut pools = CandidatePools::new(prep, index.n_patterns());
         for &row in touched_rows {
             let pid = index.pattern_of(row);
@@ -549,16 +556,17 @@ impl Evaluator {
             }
         }
         if shifted.is_empty() {
-            let rows = touched_rows.iter().copied();
-            pools.credit_rows(prep, index, rows, &mut state.rsrl_credits);
+            for &row in touched_rows {
+                let c = state.cells.cell_of(row);
+                state.cells.credit_rsrl_cell(prep, &pools, c);
+            }
         } else {
             for (pid, q, _) in index.iter_live() {
                 if !pools.is_pooled(pid) && shifted.iter().any(|&(k, v)| q[k] == v) {
                     pools.pool(prep, &state.masked_stats, pid, q, window);
                 }
             }
-            let rows = 0..prep.n_rows();
-            pools.credit_rows(prep, index, rows, &mut state.rsrl_credits);
+            state.cells.credit_rsrl(prep, &pools);
         }
 
         self.refresh_assessment(state);
@@ -580,7 +588,7 @@ impl Evaluator {
             .apply_row_patch(masked, row, &[(k, old)]);
         let moved = state.masked_stats.apply_patch(prep, [(k, old, new)]);
         self.repattern(masked, &[row], state);
-        self.relink(masked, &[row], &moved, state);
+        self.relink(&[row], &moved, state);
     }
 
     /// The patch engine: update `state` (already a copy of the pre-patch
@@ -591,55 +599,56 @@ impl Evaluator {
             self.apply_single_cell(masked, cell, state);
             return;
         }
-        // effective changes only, in (row, attr) order: a patch may name
-        // cells that kept their value
-        let mut changed: Vec<(usize, usize, Code, Code)> = Vec::with_capacity(patch.len());
-        patch.for_each_in_order(prep.n_attrs(), |c| {
-            let new = masked.get(c.row, c.attr);
-            if new != c.old {
-                changed.push((c.row, c.attr, c.old, new));
-            }
-        });
-        if changed.is_empty() {
-            return;
-        }
-
-        // exact per-cell updates: DBIL, the EBIL confusion channel, and
-        // interval disclosure
-        for &(row, k, old, new) in &changed {
-            self.apply_cell_deltas(state, row, k, old, new);
-        }
-
-        // exact contingency updates, one batched call per touched row (so
-        // two attributes changing in one record keep the pair tables exact)
+        // one walk over the effective changes in (row, attr) order (a patch
+        // may name cells that kept their value): the exact per-cell
+        // updates (DBIL, the EBIL confusion channel, interval disclosure),
+        // and one batched contingency update per touched row, so two
+        // attributes changing in one record keep the pair tables exact
         let mut touched_rows: Vec<usize> = Vec::new();
         let mut row_buf: Vec<(usize, Code)> = Vec::with_capacity(prep.n_attrs());
-        let mut i = 0;
-        while i < changed.len() {
-            let row = changed[i].0;
-            row_buf.clear();
-            while i < changed.len() && changed[i].0 == row {
-                row_buf.push((changed[i].1, changed[i].2));
-                i += 1;
+        let mut stat_changes: Vec<(usize, Code, Code)> = Vec::new();
+        patch.for_each_in_order(prep.n_attrs(), |c| {
+            let new = masked.get(c.row, c.attr);
+            if new == c.old {
+                return;
             }
-            state.masked_tables.apply_row_patch(masked, row, &row_buf);
-            touched_rows.push(row);
-        }
+            if touched_rows.last() != Some(&c.row) {
+                if let Some(&prev) = touched_rows.last() {
+                    state.masked_tables.apply_row_patch(masked, prev, &row_buf);
+                    row_buf.clear();
+                }
+                touched_rows.push(c.row);
+            }
+            self.apply_cell_deltas(state, c.row, c.attr, c.old, new);
+            row_buf.push((c.attr, c.old));
+            stat_changes.push((c.attr, c.old, new));
+        });
+        let Some(&last) = touched_rows.last() else {
+            return;
+        };
+        state.masked_tables.apply_row_patch(masked, last, &row_buf);
 
         // masked-side rank statistics: one rank rebuild per touched
         // attribute, reporting every midrank that moved
-        let moved = state
-            .masked_stats
-            .apply_patch(prep, changed.iter().map(|&(_, k, old, new)| (k, old, new)));
+        let moved = state.masked_stats.apply_patch(prep, stat_changes);
 
         self.repattern(masked, &touched_rows, state);
-        self.relink(masked, &touched_rows, &moved, state);
+        // a patch of many rows may leave many tombstones; compacting costs
+        // O(rows), small beside such a patch (single cells never compact)
+        state.cells.compact();
+        self.relink(&touched_rows, &moved, state);
     }
 
     /// Recompute the headline numbers from the (already updated)
-    /// sufficient statistics.
+    /// sufficient statistics. The three linkage parts come from one pass
+    /// over the records in row order, summing each record's cell credits:
+    /// the same `f64`s in the same order as the oracles' per-record credit
+    /// vectors, so each part equals their [`crate::linkage::credits_value`]
+    /// bit for bit.
     fn refresh_assessment(&self, state: &mut EvalState) {
         let prep = &self.prep;
+        let n = prep.n_rows();
+        let [dbrl, prl, rsrl] = state.cells.credit_sums();
         state.assessment = Assessment {
             il_parts: IlBreakdown {
                 ctbil: prep.tables().distance(&state.masked_tables),
@@ -652,9 +661,9 @@ impl Evaluator {
             },
             dr_parts: DrBreakdown {
                 id: id_value(prep, &state.id_counts),
-                dbrl: credits_value(&state.dbrl_credits),
-                prl: credits_value(&state.prl_credits),
-                rsrl: credits_value(&state.rsrl_credits),
+                dbrl: sum_value(dbrl, n),
+                prl: sum_value(prl, n),
+                rsrl: sum_value(rsrl, n),
             },
         };
     }
@@ -667,6 +676,7 @@ mod tests {
     use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn setup(n: usize) -> (Evaluator, SubTable) {
         let s = DatasetKind::Adult
@@ -966,6 +976,108 @@ mod tests {
         assert_eq!(
             ev.prepared().link_table_fill(),
             fresh.prepared().link_table_fill()
+        );
+    }
+
+    /// (masked codes, original pattern) → (count, agreement bits, credit
+    /// bits) of each live joint cell.
+    type LiveCells = BTreeMap<(Vec<Code>, u32), (u32, u32, [u64; 3])>;
+
+    /// The live joint cells of a state, keyed by codes: cell and masked
+    /// pattern ids depend on the state's history, the codes do not.
+    fn live_cells(state: &EvalState) -> LiveCells {
+        state
+            .cells
+            .iter_live()
+            .map(|((m, o), count, agree, credit)| {
+                let codes = state.masked_index.codes_of(m).to_vec();
+                ((codes, o), (count, agree, credit.map(f64::to_bits)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn patched_joint_cells_equal_a_fresh_assessment() {
+        // random chains of cell-list and flat-range patches: rows leave
+        // cells (tombstones), revive them and open new ones, and
+        // compaction renumbers them, yet the live cells, their counts and
+        // their credits equal a fresh assessment's
+        let (ev, s) = setup(240);
+        let mut rng = StdRng::seed_from_u64(21);
+        let flat = s.flat_len();
+        for chain in 0..6 {
+            let mut m = s.clone();
+            let mut state = ev.assess(&m);
+            for step in 0..12 {
+                let patch = if rng.gen_bool(0.5) {
+                    let mut cells = Vec::new();
+                    let mut seen = std::collections::HashSet::new();
+                    for _ in 0..rng.gen_range(1..=6) {
+                        let (row, k) = (rng.gen_range(0..m.n_rows()), rng.gen_range(0..3));
+                        if seen.insert((row, k)) {
+                            let old = m.get(row, k);
+                            // draws from few codes, so cells empty and revive
+                            let c = (ev.prepared().cats(k) as u16).min(3);
+                            m.set(row, k, rng.gen_range(0..c));
+                            cells.push(PatchCell { row, attr: k, old });
+                        }
+                    }
+                    Patch::from_cells(cells)
+                } else {
+                    let start = rng.gen_range(0..flat);
+                    let end = (start + rng.gen_range(0..flat / 3)).min(flat - 1);
+                    let old: Vec<Code> = (start..=end).map(|p| m.get_flat(p)).collect();
+                    for p in start..=end {
+                        let k = p % m.n_attrs();
+                        let c = (ev.prepared().cats(k) as u16).min(3);
+                        m.set_flat(p, rng.gen_range(0..c));
+                    }
+                    Patch::flat_range(start, end, old)
+                };
+                state = ev.reassess(&state, &m, &patch);
+                // a patch of several cells compacts: tombstones stay at
+                // most a quarter of the live cells
+                let live = state.cells.iter_live().count();
+                if patch.len() > 1 {
+                    assert!(4 * (state.cells.len() - live) <= live, "step {step}");
+                }
+                let fresh = ev.assess(&m);
+                assert_eq!(
+                    live_cells(&state),
+                    live_cells(&fresh),
+                    "chain {chain}, step {step}"
+                );
+                assert_eq!(
+                    state.assessment, fresh.assessment,
+                    "chain {chain}, step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn state_bytes_per_row_stay_small_at_20k_rows() {
+        // 8 bytes a row of row maps (the masked pattern index's and the
+        // cell ids), plus tables sized by patterns and cells: about 8
+        // bytes a row more for this lightly perturbed file's 2.4k cells and
+        // 1.5k masked patterns. Per-record credit vectors and self-patterns
+        // would add 28 bytes a row.
+        let (ev, s) = setup(20_000);
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut m = s.clone();
+        for r in 0..m.n_rows() {
+            if rng.gen_bool(0.05) {
+                let k = rng.gen_range(0..m.n_attrs());
+                let c = ev.prepared().cats(k) as u16;
+                m.set(r, k, rng.gen_range(0..c));
+            }
+        }
+        let state = ev.assess(&m);
+        let per_row = state.approx_bytes() as f64 / m.n_rows() as f64;
+        assert!(per_row <= 20.0, "{per_row:.2} bytes per row");
+        assert!(
+            per_row >= 8.0,
+            "{per_row:.2} bytes per row: row maps uncounted"
         );
     }
 

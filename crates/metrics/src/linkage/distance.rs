@@ -50,7 +50,7 @@
 
 use cdp_dataset::{Code, PatternIndex, SubTable};
 
-use crate::linkage::{credits_value, pattern_facts, DIST_EPS};
+use crate::linkage::{credits_value, pattern_facts, tie_credit, DIST_EPS};
 use crate::prepared::PreparedOriginal;
 
 /// Re-identification credit of masked record `i` (0, or `1/|ties|`).
@@ -88,13 +88,14 @@ pub fn dbrl_credits(prep: &PreparedOriginal, masked: &SubTable) -> Vec<f64> {
         .collect()
 }
 
-/// Distance of masked pattern `q` to original record `j`, folded in
-/// attribute order — the same fold the all-pairs scan performs.
+/// Distance of masked pattern `q` to original pattern `p`, folded in
+/// attribute order — the same fold the all-pairs scan performs for any
+/// record pair carrying the two patterns.
 #[inline]
-pub(crate) fn pattern_to_row_distance(prep: &PreparedOriginal, q: &[Code], j: usize) -> f64 {
+pub(crate) fn pattern_distance(prep: &PreparedOriginal, q: &[Code], p: &[Code]) -> f64 {
     let mut d = 0.0;
-    for (k, &x) in q.iter().enumerate() {
-        d += prep.cell_distance(k, x, prep.orig().get(j, k));
+    for (k, (&x, &y)) in q.iter().zip(p).enumerate() {
+        d += prep.cell_distance(k, x, y);
     }
     d
 }
@@ -149,13 +150,9 @@ pub fn dbrl_credit_blocked(prep: &PreparedOriginal, masked: &SubTable, i: usize)
     let a = prep.n_attrs();
     let mut q = vec![0 as Code; a];
     masked.read_row(i, &mut q);
-    let (best, ties) = pattern_link(prep, &q);
-    let d_self = pattern_to_row_distance(prep, &q, i);
-    if (d_self - best).abs() <= DIST_EPS && ties > 0 {
-        1.0 / ties as f64
-    } else {
-        0.0
-    }
+    let mut p = vec![0 as Code; a];
+    prep.orig().read_row(i, &mut p);
+    tie_credit(pattern_distance(prep, &q, &p), pattern_link(prep, &q))
 }
 
 /// Blocked equivalent of [`dbrl_credits`], sharing one pattern-vs-pattern
@@ -170,17 +167,13 @@ pub fn dbrl_credits_blocked(
     for (pid, q, _) in index.iter_live() {
         link[pid as usize] = Some(pattern_link(prep, q));
     }
-    let mut q = vec![0 as Code; a];
+    let (mut q, mut p) = (vec![0 as Code; a], vec![0 as Code; a]);
     (0..prep.n_rows())
         .map(|i| {
-            let (best, ties) = link[index.pattern_of(i) as usize].expect("live pattern");
+            let link = link[index.pattern_of(i) as usize].expect("live pattern");
             masked.read_row(i, &mut q);
-            let d_self = pattern_to_row_distance(prep, &q, i);
-            if (d_self - best).abs() <= DIST_EPS && ties > 0 {
-                1.0 / ties as f64
-            } else {
-                0.0
-            }
+            prep.orig().read_row(i, &mut p);
+            tie_credit(pattern_distance(prep, &q, &p), link)
         })
         .collect()
 }
@@ -261,13 +254,7 @@ pub fn dbrl_topk_blocked(
         let mut dists: Vec<(f64, u64)> = prep
             .pattern_index()
             .iter_live()
-            .map(|(_, p, mult)| {
-                let mut d = 0.0;
-                for k2 in 0..a {
-                    d += prep.cell_distance(k2, q[k2], p[k2]);
-                }
-                (d, u64::from(mult))
-            })
+            .map(|(_, p, mult)| (pattern_distance(prep, q, p), u64::from(mult)))
             .collect();
         dists.sort_by(|x, y| x.0.total_cmp(&y.0));
         let ds: Vec<f64> = dists.iter().map(|&(d, _)| d).collect();
@@ -279,14 +266,15 @@ pub fn dbrl_topk_blocked(
         }
         table[pid as usize] = Some((ds, cum));
     }
-    let mut q = vec![0 as Code; a];
+    let (mut q, mut p) = (vec![0 as Code; a], vec![0 as Code; a]);
     let hits = (0..n)
         .filter(|&i| {
             let (ds, cum) = table[index.pattern_of(i) as usize]
                 .as_ref()
                 .expect("live pattern");
             masked.read_row(i, &mut q);
-            let d_self = pattern_to_row_distance(prep, &q, i);
+            prep.orig().read_row(i, &mut p);
+            let d_self = pattern_distance(prep, &q, &p);
             // originals with d + eps < d_self form a sorted prefix
             let cut = ds.partition_point(|&d| d + DIST_EPS < d_self);
             let strictly_closer = if cut == 0 { 0 } else { cum[cut - 1] };

@@ -12,20 +12,29 @@
 //!
 //! Each measure exposes per-record credits (`1/|ties|` when the true record
 //! is among the best candidates, else 0); the measure value is the mean
-//! credit × 100. Per-record granularity is what allows the incremental
-//! evaluator to relink *exactly* the records a patch affects:
+//! credit × 100. A record's credit reads its own masked values and its
+//! own original values and nothing else of the record, so it is a function
+//! of its *joint cell* (masked pattern, original pattern). The evaluator
+//! keeps one credit triple per live cell of that joint table and one cell
+//! id per record (`JointCells`), sums the records' cell credits in row
+//! order — the same `f64`s in the same order as the per-record credit
+//! vectors of the scans here, which remain as oracles — and after a patch
+//! recomputes exactly the cells that can change:
 //!
-//! * DBRL credits depend only on the record's own masked values — touched
-//!   records relink, nothing else can change;
+//! * a DBRL credit depends only on the cell's two patterns and the
+//!   original — it is fixed when the cell is created, and a touched record
+//!   merely moves cells;
 //! * PRL credits are a function of integer agreement-pattern histograms
 //!   ([`PatternCensus`], one per distinct masked pattern) — a touched
 //!   record moves the census by the difference of two histograms, the
 //!   Fellegi–Sunter model refits from the summed census (identical to a
-//!   from-scratch fit), and every credit is recomputed from one
-//!   `(best weight, tie mass)` per live masked pattern in O(p_m·2^a + n);
-//! * RSRL credits depend on the masked midranks of the record's own
+//!   from-scratch fit), and every live cell's credit is recomputed from
+//!   one `(best weight, tie mass)` per live masked pattern and the cell's
+//!   agreement bits, in O(p_m·2^a + cells);
+//! * RSRL credits depend on the masked midranks of the cell's masked
 //!   values — `MaskedStats::apply_patch` reports every midrank that moved,
-//!   and the holders of categories whose rank window changed re-credit.
+//!   and the cells of patterns holding a category whose rank window
+//!   changed re-credit.
 //!
 //! A patched evaluation is therefore bit-identical to a full one; there is
 //! no frozen-weights or stale-midrank approximation left to bound.
@@ -38,6 +47,7 @@
 //! against those scans.
 
 mod distance;
+mod joint;
 mod probabilistic;
 mod rankswap_aware;
 
@@ -51,7 +61,8 @@ pub use rankswap_aware::{
     rsrl_credits_blocked,
 };
 
-pub(crate) use distance::{pattern_link, pattern_to_row_distance};
+pub(crate) use distance::{pattern_distance, pattern_link};
+pub(crate) use joint::{JointCells, LinkMemo};
 pub(crate) use rankswap_aware::CandidatePools;
 
 use std::borrow::Cow;
@@ -124,12 +135,29 @@ pub fn pattern_table_mismatches(
 /// "exactly equal" and the grouped scan order cannot change any credit.
 pub(crate) const DIST_EPS: f64 = 1e-12;
 
+/// A record's linkage credit: `1/ties` when its own score (the distance
+/// or weight to its true source) ties the best score, which `ties`
+/// candidate records reach, else 0.
+#[inline]
+pub(crate) fn tie_credit(own: f64, (best, ties): (f64, u64)) -> f64 {
+    if (own - best).abs() <= DIST_EPS && ties > 0 {
+        1.0 / ties as f64
+    } else {
+        0.0
+    }
+}
+
 /// Mean per-record credit scaled to `[0, 100]`.
 pub fn credits_value(credits: &[f64]) -> f64 {
-    if credits.is_empty() {
+    sum_value(credits.iter().sum(), credits.len())
+}
+
+/// [`credits_value`] of `n` credits summing (in row order) to `sum`.
+pub(crate) fn sum_value(sum: f64, n: usize) -> f64 {
+    if n == 0 {
         0.0
     } else {
-        100.0 * credits.iter().sum::<f64>() / credits.len() as f64
+        100.0 * sum / n as f64
     }
 }
 

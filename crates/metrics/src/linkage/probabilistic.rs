@@ -15,7 +15,9 @@
 //! records' code tuples, so duplicate masked rows share a histogram), plus
 //! the multiplicity-weighted global sum, and a record's credit needs only
 //! its pattern's `(best weight, tie mass)` and the weight of its own
-//! self-pattern. A histogram depends only on (masked pattern, original):
+//! self-pattern (the agreement of its masked and original patterns, so
+//! the evaluator keeps it per cell of [`crate::linkage`]'s joint table).
+//! A histogram depends only on (masked pattern, original):
 //! it is scanned from the *original* side's [`PatternIndex`] (`O(p_o·a)`)
 //! the first time any assessment against that original meets the pattern,
 //! and served from the preparation's link table ever after
@@ -25,11 +27,12 @@
 //! row between masked patterns shifts the census by the difference of two
 //! histograms, the model refits from the summed census (identical to a
 //! from-scratch fit), and the credits are recomputed from one
-//! `(best, ties)` per live masked pattern plus one comparison per record.
+//! `(best, ties)` per live masked pattern plus one comparison per joint
+//! cell.
 
 use cdp_dataset::{Code, PatternId, PatternIndex, SubTable};
 
-use crate::linkage::{credits_value, pattern_histogram, DIST_EPS};
+use crate::linkage::{credits_value, pattern_facts, tie_credit, DIST_EPS};
 use crate::prepared::PreparedOriginal;
 
 /// Fitted Fellegi–Sunter weights.
@@ -217,6 +220,22 @@ pub(super) fn histogram_scan(prep: &PreparedOriginal, q: &[Code]) -> Vec<u32> {
     hist
 }
 
+/// The agreement histogram of masked pattern `pid` of `index`: the link
+/// table's slot, or `local` (a census's copies, `n_bins` per id) above the
+/// table's cap.
+fn histogram<'a>(
+    local: &'a [u32],
+    n_bins: usize,
+    prep: &'a PreparedOriginal,
+    index: &PatternIndex,
+    pid: PatternId,
+) -> &'a [u32] {
+    match pattern_facts(prep, index.codes_of(pid)) {
+        Some(facts) => &facts.hist,
+        None => &local[pid as usize * n_bins..][..n_bins],
+    }
+}
+
 #[inline]
 fn pattern(prep: &PreparedOriginal, masked: &SubTable, i: usize, j: usize) -> usize {
     let mut p = 0usize;
@@ -229,15 +248,16 @@ fn pattern(prep: &PreparedOriginal, masked: &SubTable, i: usize, j: usize) -> us
 }
 
 /// The integer sufficient statistic of PRL: one `2^a`-bin agreement-pattern
-/// histogram per **distinct masked pattern**, the multiplicity-weighted sum
-/// over all records (the EM census over the `n²` pairs), and each record's
-/// cached self-pattern.
+/// histogram per **distinct masked pattern**, and the multiplicity-weighted
+/// sum over all records (the EM census over the `n²` pairs).
 ///
-/// Histogram rows are keyed by the masked [`PatternIndex`]'s pattern ids.
-/// Ids never recycle, so a histogram, once copied in (from the link table,
-/// or one `O(p_o·a)` sweep of the original's pattern index above its cap),
-/// stays valid across arbitrary row moves — including a pattern emptying
-/// out and later reviving.
+/// A histogram depends only on the masked pattern and the original, so it
+/// is read from the preparation's link table, shared by every state;
+/// above the table's cap the census keeps its own copy, keyed by the
+/// masked [`PatternIndex`]'s pattern ids (one `O(p_o·a)` sweep of the
+/// original's pattern index per id). Ids never recycle, so a copy stays
+/// valid across arbitrary row moves — including a pattern emptying out
+/// and later reviving.
 ///
 /// All counts are integers, so incrementally maintained instances are
 /// *identical* — not merely close — to freshly built ones, which is what
@@ -245,6 +265,7 @@ fn pattern(prep: &PreparedOriginal, masked: &SubTable, i: usize, j: usize) -> us
 #[derive(Debug)]
 pub struct PatternCensus {
     n_patterns: usize,
+    /// Above the link table's cap only (empty below it):
     /// `hist[pid * n_patterns + p]` = #original records whose agreement
     /// pattern against masked pattern `pid` is `p`. Grown lazily as the
     /// masked index assigns ids.
@@ -252,8 +273,6 @@ pub struct PatternCensus {
     /// Multiplicity-weighted sums of `hist`: the EM census over all `n²`
     /// pairs.
     census: Vec<u64>,
-    /// `pattern(i, i)` per masked record.
-    self_pattern: Vec<u32>,
 }
 
 impl Clone for PatternCensus {
@@ -262,7 +281,6 @@ impl Clone for PatternCensus {
             n_patterns: self.n_patterns,
             hist: self.hist.clone(),
             census: self.census.clone(),
-            self_pattern: self.self_pattern.clone(),
         }
     }
 
@@ -271,20 +289,18 @@ impl Clone for PatternCensus {
         self.n_patterns = src.n_patterns;
         self.hist.clone_from(&src.hist);
         self.census.clone_from(&src.census);
-        self.self_pattern.clone_from(&src.self_pattern);
     }
 }
 
 impl PatternCensus {
     /// Build the histograms of every distinct masked pattern of `index`
-    /// (which must index `masked`) against the original —
-    /// `O(p_m·2^a + n·a)` once the link table holds the patterns, plus
+    /// (the masked file's pattern index) against the original —
+    /// `O(p_m·2^a)` once the link table holds the patterns, plus
     /// `O(p_o·a)` per pattern it meets first; the pair scan is `O(n²·a)`.
     ///
     /// # Panics
     /// Panics when the file has more than 20 protected attributes.
-    pub fn build(prep: &PreparedOriginal, masked: &SubTable, index: &PatternIndex) -> Self {
-        let n = prep.n_rows();
+    pub fn build(prep: &PreparedOriginal, index: &PatternIndex) -> Self {
         let a = prep.n_attrs();
         assert!(a <= 20, "pattern census needs 2^a space, a = {a}");
         let n_patterns = 1usize << a;
@@ -292,30 +308,24 @@ impl PatternCensus {
             n_patterns,
             hist: Vec::new(),
             census: vec![0u64; n_patterns],
-            self_pattern: vec![0u32; n],
         };
         out.ensure_patterns(prep, index);
         for (pid, _, mult) in index.iter_live() {
-            let base = pid as usize * n_patterns;
-            for p in 0..n_patterns {
-                out.census[p] += u64::from(mult) * u64::from(out.hist[base + p]);
-            }
-        }
-        // column by column: the same bits as `pattern(i, i)` per record
-        for k in 0..a {
-            let column = masked.column(k).iter().zip(prep.orig().column(k));
-            for (sp, (x, y)) in out.self_pattern.iter_mut().zip(column) {
-                *sp |= u32::from(x == y) << k;
+            let hist = histogram(&out.hist, n_patterns, prep, index, pid);
+            for (total, &h) in out.census.iter_mut().zip(hist) {
+                *total += u64::from(mult) * u64::from(h);
             }
         }
         out
     }
 
-    /// Copy in the histogram of every masked pattern id not yet covered
-    /// (ids are assigned sequentially and never recycled, so one length
-    /// check suffices), each from [`pattern_histogram`]: a link-table
-    /// read, or a scan the first time the original meets the pattern.
+    /// Above the link table's cap, copy in the histogram of every masked
+    /// pattern id not yet covered (ids are assigned sequentially and never
+    /// recycled, so one length check suffices), each from one scan.
     fn ensure_patterns(&mut self, prep: &PreparedOriginal, index: &PatternIndex) {
+        if prep.has_link_table() {
+            return;
+        }
         let np = self.n_patterns;
         let have = self.hist.len() / np;
         let want = index.n_patterns();
@@ -325,35 +335,38 @@ impl PatternCensus {
         self.hist.resize(want * np, 0);
         for pid in have..want {
             let q = index.codes_of(pid as PatternId);
-            self.hist[pid * np..][..np].copy_from_slice(&pattern_histogram(prep, q));
+            self.hist[pid * np..][..np].copy_from_slice(&histogram_scan(prep, q));
         }
     }
 
     /// Account for one row having moved from masked pattern `old_pid` to
     /// `new_pid` (as reported by [`PatternIndex::move_row`], which must run
-    /// first): the census shifts by the difference of the two histograms,
-    /// and the row's self-pattern is recomputed. `O(2^a + a)`, plus one
-    /// `O(p_o·a)` scan when the original has never met the new pattern.
+    /// first): the census shifts by the difference of the two histograms.
+    /// `O(2^a)`, plus one `O(p_o·a)` scan when the original has never met
+    /// the new pattern.
     pub fn row_moved(
         &mut self,
         prep: &PreparedOriginal,
-        masked: &SubTable,
         index: &PatternIndex,
-        row: usize,
         old_pid: PatternId,
         new_pid: PatternId,
     ) {
         if old_pid != new_pid {
             self.ensure_patterns(prep, index);
             let np = self.n_patterns;
-            let ob = old_pid as usize * np;
-            let nb = new_pid as usize * np;
-            for p in 0..np {
-                self.census[p] -= u64::from(self.hist[ob + p]);
-                self.census[p] += u64::from(self.hist[nb + p]);
+            let old = histogram(&self.hist, np, prep, index, old_pid);
+            let new = histogram(&self.hist, np, prep, index, new_pid);
+            for (p, total) in self.census.iter_mut().enumerate() {
+                *total -= u64::from(old[p]);
+                *total += u64::from(new[p]);
             }
         }
-        self.self_pattern[row] = pattern(prep, masked, row, row) as u32;
+    }
+
+    /// Approximate heap footprint in bytes: histograms and census.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.hist.len() * std::mem::size_of::<u32>()
+            + self.census.len() * std::mem::size_of::<u64>()
     }
 
     /// The global pattern census (the EM sufficient statistic).
@@ -361,11 +374,17 @@ impl PatternCensus {
         &self.census
     }
 
-    /// `(best weight, tie mass)` of masked pattern `pid`: the maximal
-    /// weight over its histogram's occupied bins, and how many original
-    /// records reach it.
-    fn best_link(&self, weights: &[f64], pid: PatternId) -> (f64, u64) {
-        let row = &self.hist[pid as usize * self.n_patterns..][..self.n_patterns];
+    /// `(best weight, tie mass)` of masked pattern `pid` (an id of
+    /// `index`): the maximal weight over its histogram's occupied bins,
+    /// and how many original records reach it.
+    pub(crate) fn best_link(
+        &self,
+        prep: &PreparedOriginal,
+        index: &PatternIndex,
+        weights: &[f64],
+        pid: PatternId,
+    ) -> (f64, u64) {
+        let row = histogram(&self.hist, self.n_patterns, prep, index, pid);
         let mut best = f64::NEG_INFINITY;
         let mut ties = 0u64;
         for (p, &c) in row.iter().enumerate() {
@@ -383,47 +402,45 @@ impl PatternCensus {
         (best, ties)
     }
 
-    /// Re-identification credit of the masked records carrying pattern
-    /// `pid`, given record `i`'s self-pattern and the per-pattern weights
-    /// of a fitted model (see [`PrlModel::pattern_weights`]).
-    pub fn credit(&self, weights: &[f64], pid: PatternId, i: usize) -> f64 {
-        let (best, ties) = self.best_link(weights, pid);
-        let self_w = weights[self.self_pattern[i] as usize];
-        if (self_w - best).abs() <= DIST_EPS && ties > 0 {
-            1.0 / ties as f64
-        } else {
-            0.0
-        }
+    /// Re-identification credit of a masked record carrying pattern `pid`
+    /// (an id of `index`) whose agreement pattern with its own original
+    /// record is `self_pattern`, given the per-pattern weights of a fitted
+    /// model (see [`PrlModel::pattern_weights`]).
+    pub fn credit(
+        &self,
+        prep: &PreparedOriginal,
+        index: &PatternIndex,
+        weights: &[f64],
+        pid: PatternId,
+        self_pattern: u32,
+    ) -> f64 {
+        let link = self.best_link(prep, index, weights, pid);
+        tie_credit(weights[self_pattern as usize], link)
     }
 
-    /// Credits of every masked record, written into `out` (recycled).
-    /// `(best, ties)` is found once per live masked pattern, exactly as
-    /// [`PatternCensus::credit`] finds it, and each record then compares
-    /// only its own self-pattern weight: `O(p_m·2^a + n)`.
-    pub fn credits_into(&self, model: &PrlModel, index: &PatternIndex, out: &mut Vec<f64>) {
+    /// Credits of every record of `masked` (indexed by `index`), the
+    /// per-record oracle of the evaluator's per-cell credits: `(best,
+    /// ties)` once per live masked pattern, then each record's
+    /// self-pattern read from the two files. `O(p_m·2^a + n·a)`.
+    pub fn credits(
+        &self,
+        model: &PrlModel,
+        prep: &PreparedOriginal,
+        masked: &SubTable,
+        index: &PatternIndex,
+    ) -> Vec<f64> {
         let a = model.agree_weight.len();
         let weights = model.pattern_weights(a);
         let mut links = vec![(f64::NEG_INFINITY, 0u64); index.n_patterns()];
         for (pid, _, _) in index.iter_live() {
-            links[pid as usize] = self.best_link(&weights, pid);
+            links[pid as usize] = self.best_link(prep, index, &weights, pid);
         }
-        out.clear();
-        out.extend(self.self_pattern.iter().enumerate().map(|(i, &sp)| {
-            let (best, ties) = links[index.pattern_of(i) as usize];
-            let self_w = weights[sp as usize];
-            if (self_w - best).abs() <= DIST_EPS && ties > 0 {
-                1.0 / ties as f64
-            } else {
-                0.0
-            }
-        }));
-    }
-
-    /// Credits of every masked record.
-    pub fn credits(&self, model: &PrlModel, index: &PatternIndex) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.credits_into(model, index, &mut out);
-        out
+        (0..prep.n_rows())
+            .map(|i| {
+                let self_w = weights[pattern(prep, masked, i, i)];
+                tie_credit(self_w, links[index.pattern_of(i) as usize])
+            })
+            .collect()
     }
 }
 
@@ -467,6 +484,7 @@ pub fn prl(prep: &PreparedOriginal, masked: &SubTable, em_iters: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linkage::pattern_histogram;
     use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
     use cdp_dataset::{Attribute, Code, Schema};
     use rand::rngs::StdRng;
@@ -593,8 +611,8 @@ mod tests {
         }
         // the census-driven credits are finite probabilities, too
         let index = PatternIndex::build(&masked);
-        let census = PatternCensus::build(&p, &masked, &index);
-        for c in census.credits(&model, &index) {
+        let census = PatternCensus::build(&p, &index);
+        for c in census.credits(&model, &p, &masked, &index) {
             assert!((0.0..=1.0).contains(&c));
         }
     }
@@ -614,7 +632,7 @@ mod tests {
         }
         let direct = PrlModel::fit(&p, &m, 15);
         let index = PatternIndex::build(&m);
-        let census = PatternCensus::build(&p, &m, &index);
+        let census = PatternCensus::build(&p, &index);
         let via_census = PrlModel::fit_from_counts(&p, census.counts(), 15);
         assert_eq!(direct.agree_weight, via_census.agree_weight);
         assert_eq!(direct.disagree_weight, via_census.disagree_weight);
@@ -636,7 +654,7 @@ mod tests {
             }
         }
         let index = PatternIndex::build(&m);
-        let census = PatternCensus::build(&p, &m, &index);
+        let census = PatternCensus::build(&p, &index);
         let mut pairwise = vec![0u64; 1 << p.n_attrs()];
         for i in 0..p.n_rows() {
             for j in 0..p.n_rows() {
@@ -652,7 +670,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut m = s.clone();
         let mut index = PatternIndex::build(&m);
-        let mut census = PatternCensus::build(&p, &m, &index);
+        let mut census = PatternCensus::build(&p, &index);
         let mut buf = vec![0u16; m.n_attrs()];
         for _ in 0..20 {
             let row = rng.gen_range(0..m.n_rows());
@@ -661,17 +679,17 @@ mod tests {
             m.set(row, k, rng.gen_range(0..c));
             m.read_row(row, &mut buf);
             let (old_pid, new_pid) = index.move_row(row, &buf);
-            census.row_moved(&p, &m, &index, row, old_pid, new_pid);
+            census.row_moved(&p, &index, old_pid, new_pid);
         }
         // the incrementally maintained census and credits are identical to
         // a from-scratch build over the final file
         let fresh_index = PatternIndex::build(&m);
-        let fresh = PatternCensus::build(&p, &m, &fresh_index);
+        let fresh = PatternCensus::build(&p, &fresh_index);
         assert_eq!(census.counts(), fresh.counts());
         let model = PrlModel::fit_from_counts(&p, census.counts(), 15);
         assert_eq!(
-            census.credits(&model, &index),
-            fresh.credits(&model, &fresh_index)
+            census.credits(&model, &p, &m, &index),
+            fresh.credits(&model, &p, &m, &fresh_index)
         );
     }
 
@@ -725,7 +743,7 @@ mod tests {
         for redraw in [0.0, 0.2, 0.6, 1.0] {
             let mut m = s.clone();
             let mut index = PatternIndex::build(&m);
-            let mut census = PatternCensus::build(&p, &m, &index);
+            let mut census = PatternCensus::build(&p, &index);
             let mut buf = vec![0u16; m.n_attrs()];
             // moved rows leave tombstoned and revived pattern ids behind
             for r in 0..m.n_rows() {
@@ -736,15 +754,21 @@ mod tests {
                 }
                 m.read_row(r, &mut buf);
                 let (old_pid, new_pid) = index.move_row(r, &buf);
-                census.row_moved(&p, &m, &index, r, old_pid, new_pid);
+                census.row_moved(&p, &index, old_pid, new_pid);
             }
             let model = PrlModel::fit_from_counts(&p, census.counts(), 15);
             let weights = model.pattern_weights(p.n_attrs());
             let per_record: Vec<u64> = (0..m.n_rows())
-                .map(|i| census.credit(&weights, index.pattern_of(i), i).to_bits())
+                .map(|i| {
+                    let self_pattern = pattern(&p, &m, i, i) as u32;
+                    let pid = index.pattern_of(i);
+                    census
+                        .credit(&p, &index, &weights, pid, self_pattern)
+                        .to_bits()
+                })
                 .collect();
             let per_pattern: Vec<u64> = census
-                .credits(&model, &index)
+                .credits(&model, &p, &m, &index)
                 .iter()
                 .map(|c| c.to_bits())
                 .collect();
@@ -767,7 +791,10 @@ mod tests {
         }
         let model = PrlModel::fit(&p, &m, 15);
         let index = PatternIndex::build(&m);
-        let census = PatternCensus::build(&p, &m, &index);
-        assert_eq!(census.credits(&model, &index), prl_credits(&model, &p, &m));
+        let census = PatternCensus::build(&p, &index);
+        assert_eq!(
+            census.credits(&model, &p, &m, &index),
+            prl_credits(&model, &p, &m)
+        );
     }
 }

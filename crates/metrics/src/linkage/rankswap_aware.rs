@@ -110,13 +110,13 @@ pub fn rsrl_credits(
 }
 
 /// Count the original records whose every attribute is rank-compatible,
-/// via the original [`PatternIndex`]: pick the attribute whose compatible
+/// via the posting lists of the original's patterns
+/// ([`PreparedOriginal`] keeps them): pick the attribute whose compatible
 /// posting lists are shortest (the *blocking key*), walk only those
 /// postings, and check the remaining attributes per distinct pattern. The
 /// count is an integer — `Σ multiplicity` over compatible patterns equals
 /// the number of compatible records exactly.
 fn count_candidates(prep: &PreparedOriginal, compat: &[Vec<bool>]) -> u64 {
-    let idx = prep.pattern_index();
     let mut pivot = 0usize;
     let mut best_mass = usize::MAX;
     for (k, ok) in compat.iter().enumerate() {
@@ -124,30 +124,27 @@ fn count_candidates(prep: &PreparedOriginal, compat: &[Vec<bool>]) -> u64 {
             .iter()
             .enumerate()
             .filter(|&(_, &b)| b)
-            .map(|(v, _)| idx.postings(k, v as Code).len())
+            .map(|(v, _)| prep.postings(k, v as Code).len())
             .sum();
         if mass < best_mass {
             best_mass = mass;
             pivot = k;
         }
     }
+    let idx = prep.pattern_index();
     let mut cand = 0u64;
     for (v, &ok) in compat[pivot].iter().enumerate() {
         if !ok {
             continue;
         }
-        'pid: for &pid in idx.postings(pivot, v as Code) {
-            let mult = idx.multiplicity(pid);
-            if mult == 0 {
-                continue;
-            }
+        'pid: for &pid in prep.postings(pivot, v as Code) {
             let codes = idx.codes_of(pid);
             for (k, ok2) in compat.iter().enumerate() {
                 if k != pivot && !ok2[codes[k] as usize] {
                     continue 'pid;
                 }
             }
-            cand += u64::from(mult);
+            cand += u64::from(idx.multiplicity(pid));
         }
     }
     cand
@@ -225,38 +222,28 @@ impl CandidatePools {
         self.share[pid as usize].is_some()
     }
 
-    /// Credit of masked record `i` carrying pattern `pid`, or `None` when
-    /// `pid` is not pooled: `1/candidates` when original record `i` itself
-    /// survives every attribute's window (`a` run checks), else 0.
+    /// Credit of a masked record carrying pattern `pid` whose original
+    /// record carries original pattern `orig_pid`, or `None` when `pid` is
+    /// not pooled: `1/candidates` when the original record survives every
+    /// attribute's window (`a` run checks), else 0.
     #[inline]
-    fn credit(&self, prep: &PreparedOriginal, pid: PatternId, i: usize) -> Option<f64> {
+    pub(crate) fn credit(
+        &self,
+        prep: &PreparedOriginal,
+        pid: PatternId,
+        orig_pid: PatternId,
+    ) -> Option<f64> {
         let share = self.share[pid as usize]?;
         let runs = &self.runs[pid as usize * self.a..][..self.a];
-        let coords = prep.pattern_rank_coords(prep.pattern_index().pattern_of(i));
+        let coords = prep.pattern_rank_coords(orig_pid);
         // branch-free: whether a record survives is data-dependent, so a
-        // branch per attribute (or per record) would mispredict
+        // branch per attribute (or per cell) would mispredict
         let mut self_in = true;
         for (&(lo, hi), &x) in runs.iter().zip(coords) {
             self_in &= (lo <= x) & (x < hi);
         }
         // `share` or +0.0, bit for bit (`share` is finite and ≥ 0)
         Some(share * f64::from(u8::from(self_in)))
-    }
-
-    /// Credit each record of `rows` whose pattern (in `index`) is pooled,
-    /// into `credits[row]`; records of unpooled patterns keep their credit.
-    pub(crate) fn credit_rows(
-        &self,
-        prep: &PreparedOriginal,
-        index: &PatternIndex,
-        rows: impl IntoIterator<Item = usize>,
-        credits: &mut [f64],
-    ) {
-        for i in rows {
-            if let Some(credit) = self.credit(prep, index.pattern_of(i), i) {
-                credits[i] = credit;
-            }
-        }
     }
 }
 
@@ -276,7 +263,8 @@ pub fn rsrl_credit_blocked(
     masked.read_row(i, &mut q);
     let mut pools = CandidatePools::new(prep, 1);
     pools.pool(prep, stats, 0, &q, window);
-    pools.credit(prep, 0, i).expect("pooled")
+    let orig_pid = prep.pattern_index().pattern_of(i);
+    pools.credit(prep, 0, orig_pid).expect("pooled")
 }
 
 /// Blocked equivalent of [`rsrl_credits`]: the window runs and candidate
@@ -293,9 +281,13 @@ pub fn rsrl_credits_blocked(
     for (pid, q, _) in index.iter_live() {
         pools.pool(prep, stats, pid, q, window);
     }
-    let mut credits = vec![0.0; prep.n_rows()];
-    pools.credit_rows(prep, index, 0..prep.n_rows(), &mut credits);
-    credits
+    let original = prep.pattern_index();
+    (0..prep.n_rows())
+        .map(|i| {
+            let credit = pools.credit(prep, index.pattern_of(i), original.pattern_of(i));
+            credit.expect("live patterns are pooled")
+        })
+        .collect()
 }
 
 /// RSRL of a masked file, in `[0, 100]`. `window_fraction` is the intruder's

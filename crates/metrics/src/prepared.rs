@@ -53,6 +53,13 @@ pub struct PreparedOriginal {
     /// `pattern_coord[pid·a + k]`: the rank coordinate of attribute `k` of
     /// original pattern `pid`.
     pattern_coord: Vec<u32>,
+    /// Inverted postings of the pattern index: `postings[k]` groups the
+    /// pattern ids by their code of attribute `k`. The above-cap RSRL
+    /// candidate count walks them.
+    postings: Vec<Groups>,
+    /// The records grouped by their pattern id: the joint cells of a
+    /// masked file are built one original pattern at a time.
+    pattern_rows: Groups,
     /// Lazily filled [`PatternFacts`] per masked pattern (see
     /// [`LinkTable`]) and the RSRL rank box; `None` when the pattern
     /// space exceeds [`LINK_TABLE_MAX_SLOTS`]. Behind an `Arc`, so clones
@@ -67,6 +74,48 @@ pub struct PreparedOriginal {
 /// the low thousands (Adult 1568, German 180); wider inputs keep the
 /// per-call scans, with identical results.
 pub const LINK_TABLE_MAX_SLOTS: usize = 1 << 16;
+
+/// The items `0..n` grouped by a key, CSR-style: the items with key `v`
+/// are `items[start[v]..start[v + 1]]`, in increasing order.
+#[derive(Debug, Clone)]
+struct Groups {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Groups {
+    /// Group items `0..n` by `key(i) < n_keys`: a counting sort.
+    ///
+    /// # Panics
+    /// When `n` exceeds `u32::MAX` (items are stored as `u32`).
+    fn new(n_keys: usize, n: usize, key: impl Fn(usize) -> usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "{n} items exceed the u32 range");
+        let mut start = vec![0u32; n_keys + 1];
+        for i in 0..n {
+            start[key(i) + 1] += 1;
+        }
+        for v in 0..n_keys {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0; n];
+        for i in 0..n {
+            let at = &mut fill[key(i)];
+            items[*at as usize] = i as u32;
+            *at += 1;
+        }
+        Groups { start, items }
+    }
+
+    #[inline]
+    fn get(&self, v: usize) -> &[u32] {
+        &self.items[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    fn approx_bytes(&self) -> usize {
+        (self.start.len() + self.items.len()) * std::mem::size_of::<u32>()
+    }
+}
 
 /// Everything about one masked pattern's linkage that depends only on the
 /// pattern and the original, computed by the scans it replaces.
@@ -311,6 +360,15 @@ impl PreparedOriginal {
                     .map(|(&x, coord)| coord[usize::from(x)])
             })
             .collect();
+        let p_o = pattern_index.n_patterns();
+        let postings = (0..a)
+            .map(|k| {
+                Groups::new(cats[k], p_o, |pid| {
+                    usize::from(pattern_index.codes_of(pid as PatternId)[k])
+                })
+            })
+            .collect();
+        let pattern_rows = Groups::new(p_o, n, |row| pattern_index.pattern_of(row) as usize);
         let link_table = LinkTable::new(&cats, || {
             let extents: Vec<usize> = rank_span.iter().map(Vec::len).collect();
             RankBox::build(&pattern_index, &rank_coord, &extents)
@@ -333,13 +391,15 @@ impl PreparedOriginal {
             rank_coord,
             rank_span,
             pattern_coord,
+            postings,
+            pattern_rows,
         }
     }
 
     /// Approximate heap footprint in bytes: the retained original arena
     /// plus every derived component (marginals, probabilities, rank stats,
-    /// contingency tables, the pattern index, the distance bounds, the rank
-    /// coordinates, the link table's allocated slots, filled or not, with
+    /// contingency tables, the pattern index with its postings and row
+    /// groups, the distance bounds, the rank coordinates, the link table's allocated slots, filled or not, with
     /// the histograms of the filled ones, and the rank box). The session cache
     /// reports this per cached original.
     pub fn approx_bytes(&self) -> usize {
@@ -365,6 +425,12 @@ impl PreparedOriginal {
             + scalars
             + self.tables.approx_bytes()
             + self.pattern_index.approx_bytes()
+            + self
+                .postings
+                .iter()
+                .map(Groups::approx_bytes)
+                .sum::<usize>()
+            + self.pattern_rows.approx_bytes()
             + self.link_table.as_ref().map_or(0, |t| t.approx_bytes())
     }
 
@@ -488,11 +554,28 @@ impl PreparedOriginal {
         &self.pattern_coord[pid as usize * a..][..a]
     }
 
+    /// Ids of the original patterns whose attribute `k` carries code `v`
+    /// (the inverted posting list), in id order.
+    pub(crate) fn postings(&self, k: usize, v: Code) -> &[PatternId] {
+        self.postings[k].get(usize::from(v))
+    }
+
+    /// The records carrying original pattern `pid`, in row order.
+    pub(crate) fn pattern_rows(&self, pid: PatternId) -> &[u32] {
+        self.pattern_rows.get(pid as usize)
+    }
+
     /// #original records inside every run of `runs` (one per attribute,
     /// from [`PreparedOriginal::rank_window`]), counted in the rank box;
     /// `None` when the pattern space is above [`LINK_TABLE_MAX_SLOTS`].
     pub(crate) fn rank_box_count(&self, runs: &[(u32, u32)]) -> Option<u64> {
         Some(self.link_table.as_ref()?.rank_box.count(runs))
+    }
+
+    /// Whether the pattern space is within [`LINK_TABLE_MAX_SLOTS`], so
+    /// the link table and the rank box exist.
+    pub(crate) fn has_link_table(&self) -> bool {
+        self.link_table.is_some()
     }
 
     /// `(slots, filled)` of the link table; `(0, 0)` when the pattern space
@@ -564,6 +647,13 @@ impl Clone for MaskedStats {
 }
 
 impl MaskedStats {
+    /// Approximate heap footprint in bytes: counts and rank starts.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let counts: usize = self.counts.iter().map(Vec::len).sum();
+        let starts: usize = self.rank_start.iter().map(Vec::len).sum();
+        counts * std::mem::size_of::<u32>() + starts * std::mem::size_of::<usize>()
+    }
+
     /// Build the masked-side statistics.
     pub fn build(prep: &PreparedOriginal, masked: &SubTable) -> Self {
         let a = prep.n_attrs();
@@ -750,6 +840,38 @@ mod tests {
             let psum: f64 = p.probs(k).iter().sum();
             assert!((psum - 1.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn postings_and_row_groups_invert_the_pattern_index() {
+        let s = sub();
+        let p = PreparedOriginal::new(&s);
+        let index = p.pattern_index();
+        for k in 0..p.n_attrs() {
+            let mut seen = vec![0u32; index.n_patterns()];
+            for v in 0..p.cats(k) {
+                let ids = p.postings(k, v as Code);
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "id order");
+                for &pid in ids {
+                    assert_eq!(index.codes_of(pid)[k], v as Code, "posting misfiled");
+                    seen[pid as usize] += 1;
+                }
+            }
+            assert!(seen.iter().all(|&s| s == 1), "postings not a partition");
+        }
+        let mut rows: Vec<u32> = (0..index.n_patterns() as PatternId)
+            .flat_map(|pid| {
+                let group = p.pattern_rows(pid);
+                assert_eq!(group.len(), index.multiplicity(pid) as usize);
+                assert!(group.iter().all(|&r| index.pattern_of(r as usize) == pid));
+                group.to_vec()
+            })
+            .collect();
+        rows.sort_unstable();
+        assert!(
+            rows.iter().copied().eq(0..p.n_rows() as u32),
+            "rows not a partition"
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! offspring, measured with a counting global allocator.
 //!
 //! [`EvalState::clone_from`] between two states of the same shape must not
-//! allocate, and a [`PatternIndex`] clone must make a number of allocations
-//! bounded by the index's shape (attributes and categories), not by its
-//! pattern count. The copies go through `std::hint::black_box`: without it
+//! allocate, a [`PatternIndex`] clone makes one allocation per flat field
+//! whatever its pattern count, and an [`EvalState::clone`] makes a pinned
+//! number of allocations set by the attribute count alone. The copies go through `std::hint::black_box`: without it
 //! the optimizer may elide them, and the count would read falsely low.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -114,11 +114,8 @@ fn pattern_index_clone_allocations_do_not_grow_with_patterns() {
     let few = PatternIndex::build(&adult(150));
     let many = PatternIndex::build(&masked(&adult(1000), 3));
     assert!(many.n_patterns() > 4 * few.n_patterns());
-    // codes, multiplicities, row map, slots, the posting table, one list
-    // per attribute and one per category
-    let sub = adult(1);
-    let cats: usize = (0..sub.n_attrs()).map(|k| sub.attr(k).n_categories()).sum();
-    let bound = 5 + sub.n_attrs() + cats;
+    // codes, multiplicities, row map and slots: four flat vectors
+    let bound = 4;
     for index in [&few, &many] {
         let n = allocations_in(|| drop(black_box(black_box(index).clone())));
         assert!(
@@ -127,4 +124,19 @@ fn pattern_index_clone_allocations_do_not_grow_with_patterns() {
             index.n_patterns()
         );
     }
+}
+
+#[test]
+fn eval_state_clone_allocation_count_is_pinned() {
+    // every crossover child pays one state clone. At Adult's 3 attributes:
+    // contingency tables 9 (2 outer vectors, 3 single and 3 pair tables,
+    // category counts), DBIL accumulators 1, confusion 4, interval counts
+    // 1, masked rank statistics 8, masked pattern index 4, PRL census 1
+    // (its histograms are read from the preparation's link table), PRL
+    // weights 2, joint cells 6 — none per pattern or per cell
+    let original = adult(1000);
+    let ev = Evaluator::new(&original, MetricConfig::default()).unwrap();
+    let state = ev.assess(&masked(&original, 4));
+    let n = allocations_in(|| drop(black_box(black_box(&state).clone())));
+    assert_eq!(n, 36, "EvalState::clone allocated {n} times");
 }

@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use cdp_dataset::{Attribute, Code, PatternIndex, Schema, SubTable};
 use cdp_metrics::linkage::{
-    dbrl, dbrl_credits, dbrl_credits_blocked, dbrl_topk, dbrl_topk_blocked, rsrl, rsrl_credits,
-    rsrl_credits_blocked,
+    dbrl, dbrl_credits, dbrl_credits_blocked, dbrl_topk, dbrl_topk_blocked, prl, rsrl,
+    rsrl_credits, rsrl_credits_blocked,
 };
 use cdp_metrics::{
     Assessment, Evaluator, MaskedStats, MetricConfig, Patch, PatchCell, PreparedOriginal,
@@ -72,15 +72,21 @@ fn evaluator(original: &SubTable) -> Evaluator {
     Evaluator::new(original, MetricConfig::default()).unwrap()
 }
 
-/// The DBRL and RSRL parts of `assessment` (an assessment of `masked`)
-/// equal the all-pairs reference scans of `masked`, bit for bit.
+/// The DBRL, PRL and RSRL parts of `assessment` (an assessment of
+/// `masked`) equal the all-pairs reference scans of `masked`, bit for bit.
 fn assert_linkage_matches_pairs_oracle(ev: &Evaluator, masked: &SubTable, assessment: &Assessment) {
     let prep = ev.prepared();
-    let window = MetricConfig::default().rsrl_window_fraction;
+    let cfg = MetricConfig::default();
+    let window = cfg.rsrl_window_fraction;
     assert_eq!(
         assessment.dr_parts.dbrl.to_bits(),
         dbrl(prep, masked).to_bits(),
         "DBRL vs all-pairs"
+    );
+    assert_eq!(
+        assessment.dr_parts.prl.to_bits(),
+        prl(prep, masked, cfg.prl_em_iters).to_bits(),
+        "PRL vs all-pairs"
     );
     assert_eq!(
         assessment.dr_parts.rsrl.to_bits(),

@@ -49,7 +49,8 @@ pub struct SessionStats {
     /// Approximate resident size of the cache, in bytes: the retained
     /// original arenas plus, per prepared slot, every component of the
     /// prepared state — marginal counts/probabilities, rank statistics,
-    /// contingency tables, the pattern index with its postings, and the
+    /// contingency tables, the pattern index with its postings and row
+    /// groups, and the
     /// evaluator's retained copy of the original.
     pub approx_bytes: usize,
     /// Per-slot detail, in registration order — one entry per cached
