@@ -1,7 +1,7 @@
 //! Delta-vs-full evaluation benchmark: the perf baseline for the
 //! `Evaluator::assess` / `Evaluator::reassess` hot path.
 //!
-//! Six sections, written as `BENCH_evaluator.json`:
+//! Seven sections, written as `BENCH_evaluator.json`:
 //!
 //! 1. **micro** — per-dataset-size cost of a full assessment vs a
 //!    single-cell and a quarter-segment patch re-assessment (ns/op and the
@@ -38,12 +38,20 @@
 //!    repetitions).
 //! 6. **measures** — the public building blocks of one assessment, timed
 //!    one by one on a masked Adult file at 1k/20k/100k rows: the masked
-//!    `PatternIndex::build`, `PatternCensus::build`,
-//!    `PrlModel::fit_from_counts`, the PRL credits, `dbrl_credits_blocked`
-//!    and `rsrl_credits_blocked`. Each is timed *cold* (every repetition
+//!    `PatternIndex::build`, `PatternCensus::build` and
+//!    `PrlModel::fit_from_counts`. Each is timed *cold* (every repetition
 //!    against its own fresh preparation, so its per-original table starts
 //!    empty) and *warm* (the table already holds every pattern of the
-//!    file); each figure is the best of a few repetitions.
+//!    file); each figure is the best of a few repetitions. The per-record
+//!    credit scans are oracles no assessment runs, so they are not timed
+//!    here; timing each block *inside* `assess` waits for the detail
+//!    timing switch of ROADMAP item 5.
+//! 7. **timing** — the paper's in-text generation-cost table
+//!    (`cdp_bench::measure_timing`) on Adult, 1k rows, the paper suite:
+//!    per generation kind, the generation's and its fitness calls' thread
+//!    CPU time, the fitness share and the crossover/mutation ratio, for
+//!    the paper's method (a full evaluation per child, `full`) and for
+//!    what the optimizer runs (a patch from the parent's state, `patched`).
 //!
 //! ```text
 //! cargo run --release -p cdp_bench --bin evaluator_bench -- \
@@ -73,6 +81,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use cdp_bench::{measure_timing, TimingRow};
 use cdp_core::{EvoConfig, Evolution, EvolutionOutcome, Nsga2, NsgaConfig};
 use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
 use cdp_dataset::{Code, PatternIndex, SubTable};
@@ -481,6 +490,26 @@ fn evo_json(run: &EvoRun) -> String {
     )
 }
 
+/// Rows of the generation-cost table's Adult file (the paper's size).
+const TIMING_ROWS: usize = 1000;
+
+fn timing_json(row: &TimingRow) -> String {
+    let (m, x) = (&row.mutation, &row.crossover);
+    format!(
+        "{{\"ms_mutation\": {:.4}, \"ms_mutation_fitness\": {:.4}, \
+         \"fitness_share_mutation\": {:.4}, \"ms_crossover\": {:.4}, \
+         \"ms_crossover_fitness\": {:.4}, \"fitness_share_crossover\": {:.4}, \
+         \"crossover_over_mutation\": {:.2}}}",
+        m.generation_ms,
+        m.fitness_ms,
+        m.fitness_share(),
+        x.generation_ms,
+        x.fitness_ms,
+        x.fitness_share(),
+        row.crossover_to_mutation_ratio()
+    )
+}
+
 struct MaskAuditRow {
     rows: usize,
     /// Masking ms per family, for the family's whole paper-suite sweep.
@@ -596,12 +625,9 @@ fn measures_row(rows: usize, reps: usize, seed: u64) -> MeasureRow {
         .protected_subtable();
     let masked = masked_variant(&original, seed);
     let cfg = MetricConfig::default();
-    let window = (cfg.rsrl_window_fraction * rows as f64).max(1.0);
     let index = PatternIndex::build(&masked);
     let warm = PreparedOriginal::new(&original);
-    let stats = MaskedStats::build(&warm, &masked);
     let census = PatternCensus::build(&warm, &index);
-    let model = PrlModel::fit_from_counts(&warm, census.counts(), cfg.prl_em_iters);
 
     type Block<'a> = Box<dyn Fn(&PreparedOriginal) + 'a>;
     let blocks: Vec<(&'static str, Block)> = vec![
@@ -625,24 +651,6 @@ fn measures_row(rows: usize, reps: usize, seed: u64) -> MeasureRow {
                     census.counts(),
                     cfg.prl_em_iters,
                 ));
-            }),
-        ),
-        (
-            "prl_credits",
-            Box::new(|p| {
-                std::hint::black_box(census.credits(&model, p, &masked, &index));
-            }),
-        ),
-        (
-            "dbrl_credits_blocked",
-            Box::new(|p| {
-                std::hint::black_box(dbrl_credits_blocked(p, &masked, &index));
-            }),
-        ),
-        (
-            "rsrl_credits_blocked",
-            Box::new(|p| {
-                std::hint::black_box(rsrl_credits_blocked(p, &stats, &index, window));
             }),
         ),
     ];
@@ -707,6 +715,15 @@ fn main() {
         eprintln!("measures: {rows} rows …");
         measures.push(measures_row(rows, reps, args.seed));
     }
+
+    let timing_generations = if args.quick { 50 } else { 1000 };
+    eprintln!("timing: {TIMING_ROWS} rows …");
+    let timing = measure_timing(
+        DatasetKind::Adult,
+        Some(TIMING_ROWS),
+        timing_generations,
+        args.seed,
+    );
 
     // the acceptance-criteria run: paper suite, 250 iterations (reduced
     // under --quick so CI smoke stays in seconds)
@@ -826,6 +843,15 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"timing\": {{");
+    let _ = writeln!(
+        json,
+        "    \"dataset\": \"adult\", \"records\": {TIMING_ROWS}, \"suite\": \"paper\", \
+         \"generations\": {timing_generations}, \"clock\": \"thread_cpu\","
+    );
+    let _ = writeln!(json, "    \"full\": {},", timing_json(&timing.full));
+    let _ = writeln!(json, "    \"patched\": {}", timing_json(&timing.patched));
+    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"exactness_max_abs_delta\": {exact_delta:e},");
     if let Some((two, three, obj_records, obj_gens)) = &objectives_bench {
         let _ = writeln!(json, "  \"objectives\": {{");

@@ -108,7 +108,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         match target.as_str() {
             "timing" => {
                 println!("measuring generation cost decomposition (Adult)...");
-                let t = measure_timing(DatasetKind::Adult, records, 5, seed);
+                let t = measure_timing(DatasetKind::Adult, records, 200, seed);
                 let md = t.to_markdown();
                 println!("{md}");
                 summary_md.push_str("## Timing table\n\n");

@@ -3,7 +3,8 @@
 //! # cdp-bench
 //!
 //! Experiment harness regenerating **every table and figure** of the
-//! paper's evaluation (§3), plus Criterion micro-benchmarks.
+//! paper's evaluation (§3), and the benchmark binaries that commit the
+//! repo's per-layer numbers (`evaluator_bench`, `islands_bench`).
 //!
 //! * Figures 1–16 — per dataset × fitness function: the initial/final
 //!   (IL, DR) dispersion plot and the max/mean/min score evolution.
@@ -32,4 +33,4 @@ pub use extensions::{
 pub use harness::{ExperimentConfig, FigureOutput, Harness, RobustnessReport, SummaryRow};
 pub use plot::{line_plot, scatter_plot};
 pub use report::{markdown_table, write_csv};
-pub use timing::{measure_timing, TimingReport};
+pub use timing::{measure_timing, GenerationCost, TimingReport, TimingRow};

@@ -536,7 +536,7 @@ impl JobSpec {
                     ..cdp_core::IslandConfig::default()
                 };
                 if cfg.islands != expected_islands {
-                    return Err(unrepresentable("a migration_size/topology override"));
+                    return Err(unrepresentable("a migration_size override"));
                 }
             }
         }

@@ -8,14 +8,6 @@ use crate::selection::SelectionWeighting;
 use crate::stop::StopCondition;
 use crate::{EvoError, Result};
 
-/// Migration topology of an island-model run (see [`crate::islands`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Topology {
-    /// Directed ring: island `k` exports to island `(k + 1) mod K`.
-    #[default]
-    Ring,
-}
-
 /// Island-model knobs shared by both optimizers: how many islands a run
 /// splits into and how they exchange members (see [`crate::islands`] for
 /// the scheduler and its determinism contract). The default (`count` = 1)
@@ -29,8 +21,6 @@ pub struct IslandConfig {
     /// Members each island exports per migration; `0` disables migration
     /// (islands still run independently and merge at the end).
     pub migration_size: usize,
-    /// Who sends to whom.
-    pub topology: Topology,
 }
 
 impl Default for IslandConfig {
@@ -39,7 +29,6 @@ impl Default for IslandConfig {
             count: 1,
             migration_interval: 10,
             migration_size: 2,
-            topology: Topology::Ring,
         }
     }
 }

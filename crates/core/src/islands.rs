@@ -9,10 +9,10 @@
 //! — so island 0 of any run, and the single island of a `K = 1` run,
 //! replays the legacy single-population stream bit for bit. Every
 //! [`IslandConfig::migration_interval`] generations the islands stop at a
-//! barrier and exchange members along the configured [`Topology`] (ring
-//! by default: island `k` exports its [`IslandConfig::migration_size`]
-//! best/elite members to island `(k + 1) mod K`, which replaces its worst
-//! members, all tie-breaks deterministic). When every island exhausts its
+//! barrier and exchange members along a directed ring: island `k` exports
+//! its [`IslandConfig::migration_size`] best/elite members to island
+//! `(k + 1) mod K`, which replaces its worst members, all tie-breaks
+//! deterministic. When every island exhausts its
 //! budget the results merge deterministically, in island-index order:
 //! scalar mode concatenates the final populations (the global best is the
 //! merged population's minimum, ties kept in island order) and unions the
@@ -47,7 +47,8 @@ use cdp_metrics::Evaluator;
 
 use crate::algorithm::{Evolution, EvolutionOutcome, EvolutionRunner};
 use crate::archive::ParetoArchive;
-use crate::config::{EvoConfig, IslandConfig, Topology};
+use crate::clock::CpuStopwatch;
+use crate::config::{EvoConfig, IslandConfig};
 use crate::individual::Individual;
 use crate::parallel::run_indexed;
 use cdp_metrics::{ObjectiveSet, ObjectiveVector};
@@ -113,48 +114,6 @@ pub struct IslandTiming {
     pub critical_path: Duration,
 }
 
-/// CPU time consumed by the calling thread (`CLOCK_THREAD_CPUTIME_ID`).
-/// Unlike wall elapsed, this excludes time the thread spent descheduled,
-/// so when K islands share fewer than K cores each island's busy
-/// time still reflects only its own compute and the per-epoch maximum
-/// remains a faithful critical-path sample. `None` where the clock is
-/// unavailable — callers fall back to wall elapsed.
-#[cfg(target_os = "linux")]
-fn thread_cpu_now() -> Option<Duration> {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-    extern "C" {
-        // libc is already linked by std; no crate dependency involved
-        fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
-    }
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-    let mut ts = Timespec {
-        tv_sec: 0,
-        tv_nsec: 0,
-    };
-    // SAFETY: `ts` is a valid, writable `timespec`-layout struct and the
-    // clock id is a compile-time constant the kernel accepts.
-    (unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } == 0)
-        .then(|| Duration::new(ts.tv_sec.max(0) as u64, ts.tv_nsec as u32))
-}
-
-#[cfg(not(target_os = "linux"))]
-fn thread_cpu_now() -> Option<Duration> {
-    None
-}
-
-/// One island's busy time for an epoch: thread CPU time when measurable,
-/// wall elapsed otherwise.
-fn busy_time(wall_started: Instant, cpu_started: Option<Duration>) -> Duration {
-    match (cpu_started, thread_cpu_now()) {
-        (Some(a), Some(b)) => b.saturating_sub(a),
-        _ => wall_started.elapsed(),
-    }
-}
-
 /// One island's resumable optimizer run, as the epoch loop drives it.
 pub(crate) trait IslandRunner: Send {
     /// What one generation reports to observers.
@@ -205,7 +164,7 @@ fn deal<T>(members: Vec<T>, k: usize) -> Vec<Vec<T>> {
 /// each generation's event as it finishes. K ≥ 2 islands advance one
 /// migration interval per epoch, one executor task per island; then, on
 /// the calling thread and in island order, their events replay and
-/// migrants move along the topology.
+/// migrants move one step along the ring.
 fn run_epochs<R: IslandRunner>(
     runners: &mut [R],
     islands: IslandConfig,
@@ -222,13 +181,12 @@ fn run_epochs<R: IslandRunner>(
         let tasks: Vec<Mutex<&mut R>> = runners.iter_mut().map(Mutex::new).collect();
         let epochs = run_indexed(k, |j| {
             let mut runner = tasks[j].lock().expect("only island j's task locks it");
-            let wall_started = Instant::now();
-            let cpu_started = thread_cpu_now();
+            let busy = CpuStopwatch::start();
             let mut events = Vec::new();
             runner.run_chunk(islands.migration_interval, &mut |s: &R::Stats| {
                 events.push(*s)
             });
-            (events, busy_time(wall_started, cpu_started))
+            (events, busy.elapsed())
         });
         drop(tasks);
         critical_path += epochs.iter().map(|(_, d)| *d).max().unwrap_or_default();
@@ -245,9 +203,7 @@ fn run_epochs<R: IslandRunner>(
                 .map(|r| r.export(islands.migration_size))
                 .collect();
             for (src, exported) in exports.into_iter().enumerate() {
-                let dst = match islands.topology {
-                    Topology::Ring => (src + 1) % k,
-                };
+                let dst = (src + 1) % k;
                 let emigrants = exported.len();
                 runners[dst].migrate_in(exported);
                 observer(&IslandEvent::Migration {
@@ -884,7 +840,6 @@ mod tests {
                 count: k,
                 migration_interval: interval,
                 migration_size: size,
-                ..IslandConfig::default()
             };
             let iters = 12;
             let out = IslandModel::scalar(ev, scalar_cfg(seed, iters, islands))

@@ -51,6 +51,7 @@ mod selection;
 mod stop;
 mod telemetry;
 
+pub mod clock;
 pub mod islands;
 pub mod nsga;
 pub mod operators;
@@ -60,7 +61,7 @@ pub use adaptive::{OperatorSchedule, OperatorStats};
 pub use algorithm::{Evolution, EvolutionOutcome, ScoreSummary};
 pub use archive::ParetoArchive;
 pub use cdp_metrics::{ObjectiveSet, ObjectiveVector};
-pub use config::{EvoConfig, EvoConfigBuilder, IslandConfig, Topology};
+pub use config::{EvoConfig, EvoConfigBuilder, IslandConfig};
 pub use error::{EvoError, Result};
 pub use individual::Individual;
 pub use islands::{IslandEvent, IslandModel, IslandTiming};

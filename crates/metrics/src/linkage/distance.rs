@@ -178,123 +178,9 @@ pub fn dbrl_credits_blocked(
         .collect()
 }
 
-/// Top-`k` variant (extension, the LD-kNN attack): masked record `i` is
-/// considered re-identified when its true source ranks among the `k`
-/// nearest originals (fewer than `k` records strictly closer).
-///
-/// **`k = 1` reduction:** `dbrl_topk_disclosed(i, 1)` holds iff
-/// `dbrl_credit(i) > 0` — nobody strictly closer than the true source means
-/// the source is in the minimal-distance tie set, which is exactly the
-/// positive-credit condition (the credit merely divides by the tie count).
-/// Pinned by `top1_disclosure_iff_positive_credit` below, so the blocked
-/// rewrite cannot silently change top-k semantics.
-pub fn dbrl_topk_disclosed(prep: &PreparedOriginal, masked: &SubTable, i: usize, k: usize) -> bool {
-    let n = prep.n_rows();
-    let a = prep.n_attrs();
-    let mut d_self = 0.0;
-    for kx in 0..a {
-        d_self += prep.cell_distance(kx, masked.get(i, kx), prep.orig().get(i, kx));
-    }
-    let mut strictly_closer = 0usize;
-    for j in 0..n {
-        if j == i {
-            continue;
-        }
-        let mut d = 0.0;
-        for kx in 0..a {
-            d += prep.cell_distance(kx, masked.get(i, kx), prep.orig().get(j, kx));
-        }
-        if d + DIST_EPS < d_self {
-            strictly_closer += 1;
-            if strictly_closer >= k {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Share of records disclosed by the top-`k` attack, in `[0, 100]`
-/// (all-pairs reference scan).
-pub fn dbrl_topk(prep: &PreparedOriginal, masked: &SubTable, k: usize) -> f64 {
-    let n = prep.n_rows();
-    if n == 0 {
-        return 0.0;
-    }
-    let hits = (0..n)
-        .filter(|&i| dbrl_topk_disclosed(prep, masked, i, k.max(1)))
-        .count();
-    100.0 * hits as f64 / n as f64
-}
-
-/// Blocked equivalent of [`dbrl_topk`]: per distinct masked pattern, the
-/// multiplicity-weighted distances to the distinct original patterns are
-/// sorted once; each record then answers "how many originals are strictly
-/// closer than my source" with one binary search.
-///
-/// The strictly-closer count needs no self-exclusion: original record `i`
-/// contributes distance `d_self` itself, and `d_self + DIST_EPS < d_self`
-/// is never true — identical to the reference scan's `j != i` skip.
-pub fn dbrl_topk_blocked(
-    prep: &PreparedOriginal,
-    masked: &SubTable,
-    index: &PatternIndex,
-    k: usize,
-) -> f64 {
-    let n = prep.n_rows();
-    if n == 0 {
-        return 0.0;
-    }
-    let k = k.max(1);
-    let a = prep.n_attrs();
-    // per masked pattern: distances to original patterns, sorted, with
-    // cumulative multiplicity
-    let mut table: Vec<Option<(Vec<f64>, Vec<u64>)>> = vec![None; index.n_patterns()];
-    for (pid, q, _) in index.iter_live() {
-        let mut dists: Vec<(f64, u64)> = prep
-            .pattern_index()
-            .iter_live()
-            .map(|(_, p, mult)| (pattern_distance(prep, q, p), u64::from(mult)))
-            .collect();
-        dists.sort_by(|x, y| x.0.total_cmp(&y.0));
-        let ds: Vec<f64> = dists.iter().map(|&(d, _)| d).collect();
-        let mut cum = Vec::with_capacity(ds.len());
-        let mut acc = 0u64;
-        for &(_, m) in &dists {
-            acc += m;
-            cum.push(acc);
-        }
-        table[pid as usize] = Some((ds, cum));
-    }
-    let (mut q, mut p) = (vec![0 as Code; a], vec![0 as Code; a]);
-    let hits = (0..n)
-        .filter(|&i| {
-            let (ds, cum) = table[index.pattern_of(i) as usize]
-                .as_ref()
-                .expect("live pattern");
-            masked.read_row(i, &mut q);
-            prep.orig().read_row(i, &mut p);
-            let d_self = pattern_distance(prep, &q, &p);
-            // originals with d + eps < d_self form a sorted prefix
-            let cut = ds.partition_point(|&d| d + DIST_EPS < d_self);
-            let strictly_closer = if cut == 0 { 0 } else { cum[cut - 1] };
-            (strictly_closer as usize) < k
-        })
-        .count();
-    100.0 * hits as f64 / n as f64
-}
-
 /// DBRL of a masked file, in `[0, 100]` (all-pairs reference scan).
 pub fn dbrl(prep: &PreparedOriginal, masked: &SubTable) -> f64 {
     credits_value(&dbrl_credits(prep, masked))
-}
-
-/// DBRL of a masked file via the blocked scan (builds a pattern index of
-/// the masked file internally; callers with one at hand should prefer
-/// [`dbrl_credits_blocked`]).
-pub fn dbrl_blocked(prep: &PreparedOriginal, masked: &SubTable) -> f64 {
-    let index = PatternIndex::build(masked);
-    credits_value(&dbrl_credits_blocked(prep, masked, &index))
 }
 
 #[cfg(test)]
@@ -374,48 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn topk_widens_with_k() {
-        let (p, s) = prep_and_sub(120);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut m = s.clone();
-        for r in 0..m.n_rows() {
-            if rng.gen_bool(0.6) {
-                m.set(r, 0, rng.gen_range(0..16));
-            }
-        }
-        let k1 = dbrl_topk(&p, &m, 1);
-        let k5 = dbrl_topk(&p, &m, 5);
-        let k50 = dbrl_topk(&p, &m, 50);
-        assert!(k1 <= k5 && k5 <= k50, "{k1} <= {k5} <= {k50} violated");
-        assert!((0.0..=100.0).contains(&k50));
-    }
-
-    #[test]
-    fn topk_identity_discloses_everything() {
-        let (p, s) = prep_and_sub(80);
-        // with k >= 1 every identity record has no one strictly closer
-        assert_eq!(dbrl_topk(&p, &s, 1), 100.0);
-    }
-
-    #[test]
-    fn top1_disclosure_iff_positive_credit() {
-        // the k = 1 reduction stated in the dbrl_topk_disclosed docs:
-        // disclosed at k = 1  <=>  the source is in the minimal tie set
-        // <=>  dbrl_credit > 0
-        let (p, s) = prep_and_sub(120);
-        for seed in 0..3u64 {
-            let m = scrambled(&p, &s, 0.5, 10 + seed);
-            for i in 0..m.n_rows() {
-                assert_eq!(
-                    dbrl_topk_disclosed(&p, &m, i, 1),
-                    dbrl_credit(&p, &m, i) > 0.0,
-                    "record {i}, seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn credit_is_record_local() {
         // changing record 5 must not change record 9's credit
         let (p, s) = prep_and_sub(80);
@@ -442,18 +286,6 @@ mod tests {
         let m = scrambled(&p, &s, 0.5, 33);
         for i in 0..m.n_rows() {
             assert_eq!(dbrl_credit_blocked(&p, &m, i), dbrl_credit(&p, &m, i));
-        }
-    }
-
-    #[test]
-    fn blocked_topk_matches_all_pairs_exactly() {
-        let (p, s) = prep_and_sub(130);
-        for seed in 0..3u64 {
-            let m = scrambled(&p, &s, 0.4, 40 + seed);
-            let index = PatternIndex::build(&m);
-            for k in [1, 3, 10, 100] {
-                assert_eq!(dbrl_topk_blocked(&p, &m, &index, k), dbrl_topk(&p, &m, k));
-            }
         }
     }
 
@@ -498,12 +330,5 @@ mod tests {
             // clones share the table: a fresh clone sees every fill
             assert_eq!(p.clone().link_table_fill(), (space, space));
         }
-    }
-
-    #[test]
-    fn blocked_value_matches_scan_value() {
-        let (p, s) = prep_and_sub(110);
-        let m = scrambled(&p, &s, 0.6, 55);
-        assert_eq!(dbrl_blocked(&p, &m), dbrl(&p, &m));
     }
 }

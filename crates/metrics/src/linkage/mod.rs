@@ -51,14 +51,10 @@ mod joint;
 mod probabilistic;
 mod rankswap_aware;
 
-pub use distance::{
-    dbrl, dbrl_blocked, dbrl_credit, dbrl_credit_blocked, dbrl_credits, dbrl_credits_blocked,
-    dbrl_topk, dbrl_topk_blocked, dbrl_topk_disclosed,
-};
+pub use distance::{dbrl, dbrl_credit, dbrl_credit_blocked, dbrl_credits, dbrl_credits_blocked};
 pub use probabilistic::{prl, prl_credit, prl_credits, PatternCensus, PrlModel};
 pub use rankswap_aware::{
-    compatible_categories, rsrl, rsrl_credit, rsrl_credit_blocked, rsrl_credits,
-    rsrl_credits_blocked,
+    compatible_categories, rsrl, rsrl_credit, rsrl_credits, rsrl_credits_blocked,
 };
 
 pub(crate) use distance::{pattern_distance, pattern_link};

@@ -247,26 +247,6 @@ impl CandidatePools {
     }
 }
 
-/// Blocked equivalent of [`rsrl_credit`]: the candidate count of record
-/// `i`'s pattern is a box count over the original's rank grid (`O(2^a)`
-/// after the `O(a·log c)` window setup) instead of a scan of all `n`
-/// records. Credits are identical — the candidate count is an exact
-/// integer either way.
-pub fn rsrl_credit_blocked(
-    prep: &PreparedOriginal,
-    stats: &MaskedStats,
-    masked: &SubTable,
-    i: usize,
-    window: f64,
-) -> f64 {
-    let mut q = vec![0 as Code; prep.n_attrs()];
-    masked.read_row(i, &mut q);
-    let mut pools = CandidatePools::new(prep, 1);
-    pools.pool(prep, stats, 0, &q, window);
-    let orig_pid = prep.pattern_index().pattern_of(i);
-    pools.credit(prep, 0, orig_pid).expect("pooled")
-}
-
 /// Blocked equivalent of [`rsrl_credits`]: the window runs and candidate
 /// count are computed once per distinct masked pattern of `index` (which
 /// must index the masked file behind `stats`), then fanned out to the
@@ -527,12 +507,6 @@ mod tests {
                 rsrl_credits_blocked(&p, &stats, &index, window),
                 rsrl_credits(&p, &stats, &m, window)
             );
-            for i in (0..m.n_rows()).step_by(7) {
-                assert_eq!(
-                    rsrl_credit_blocked(&p, &stats, &m, i, window),
-                    rsrl_credit(&p, &stats, &m, i, window)
-                );
-            }
         }
     }
 }

@@ -88,29 +88,23 @@ fn summaries_report_non_regressing_scores() {
 
 #[test]
 fn timing_reproduces_the_papers_structure() {
-    // Wall-clock assertions run alongside the whole parallel test suite, so
-    // thresholds are deliberately loose; the tight version of this check is
-    // the `generation_cost` Criterion bench and the `reproduce timing`
-    // target, both run without contention.
-    // A single measurement can land in a contention spike (the suite runs
-    // on few cores); re-measure a couple of times before declaring failure.
-    let mut t = measure_timing(DatasetKind::Adult, Some(120), 8, 1);
-    for retry in 0..3 {
-        if t.fitness_share_mutation() > 0.5 && t.crossover_to_mutation_ratio() > 1.0 {
-            break;
-        }
-        t = measure_timing(DatasetKind::Adult, Some(120), 8 + retry, 1);
-    }
+    // The report reads the thread's CPU clock and times the fitness calls
+    // inside the generations they belong to, so the suite running alongside
+    // steals nothing from either figure and one measurement suffices; the
+    // committed figures come from the `timing` section of `evaluator_bench`
+    // and the `reproduce timing` target.
+    let report = measure_timing(DatasetKind::Adult, Some(120), 8, 1);
+    let t = &report.full;
     assert!(
-        t.fitness_share_mutation() > 0.5,
+        t.mutation.fitness_share() > 0.5,
         "fitness share {:.2}",
-        t.fitness_share_mutation()
+        t.mutation.fitness_share()
     );
     assert!(
         t.crossover_to_mutation_ratio() > 1.0,
         "ratio {:.2}",
         t.crossover_to_mutation_ratio()
     );
-    let md = t.to_markdown();
+    let md = report.to_markdown();
     assert!(md.contains("120.34 s")); // the paper column is present
 }
