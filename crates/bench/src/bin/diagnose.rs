@@ -1,5 +1,6 @@
 //! Dataset diagnostics: verify that the synthetic stand-ins carry the
-//! structure the substitution argument (DESIGN.md §5) relies on.
+//! structure that lets them replace the UCI files (skewed, associated
+//! marginals at the paper's cardinalities: all the measures read).
 //!
 //! For each of the paper's four datasets, prints per-protected-attribute
 //! cardinalities, marginal entropy, skew, the pairwise Cramér's V
@@ -7,7 +8,7 @@
 //! k-anonymity) of the protected sub-table.
 //!
 //! ```text
-//! cargo run --release -p cdp-bench --bin diagnose [--records N] [--seed S]
+//! cargo run --release -p cdp_bench --bin diagnose [--records N] [--seed S]
 //! ```
 
 use cdp_dataset::generators::{DatasetKind, GeneratorConfig};

@@ -3,11 +3,11 @@
 //! population size, per dataset.
 //!
 //! The paper never states its iteration budget; this sweep shows where the
-//! curves flatten, justifying the default used by `reproduce`
-//! (EXPERIMENTS.md "Divergences & notes").
+//! curves flatten, which is what justifies the 1000-iteration default of
+//! `reproduce`.
 //!
 //! ```text
-//! cargo run --release -p cdp-bench --bin sweep -- [--records N] [--seed S] [--out DIR]
+//! cargo run --release -p cdp_bench --bin sweep -- [--records N] [--seed S] [--out DIR]
 //! ```
 //! Writes `convergence.csv` (iterations sweep) and `popsize.csv`
 //! (population-fraction sweep) under the output directory.

@@ -14,7 +14,7 @@
 //!   the share spent in the fitness function.
 //! * The §3.1/§3.2/§3.3 improvement summaries.
 //!
-//! Run `cargo run -p cdp-bench --release --bin reproduce -- all` to emit
+//! Run `cargo run -p cdp_bench --release --bin reproduce -- all` to emit
 //! CSVs, ASCII plots and markdown summaries under `results/`. Individual
 //! targets: `fig1`…`fig20`, `timing`, `summary-eq1`, `summary-eq2`,
 //! `summary-robust`.

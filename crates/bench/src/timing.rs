@@ -29,10 +29,10 @@ use std::time::Duration;
 
 use cdp_core::clock::CpuStopwatch;
 use cdp_core::operators::{crossover, mutate};
-use cdp_core::EvoConfig;
+use cdp_core::select_proportional;
 use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
 use cdp_dataset::SubTable;
-use cdp_metrics::{EvalState, Evaluator, MetricConfig, Patch};
+use cdp_metrics::{EvalState, Evaluator, MetricConfig, Patch, ScoreAggregator};
 use cdp_sdc::{build_population, SuiteConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -161,7 +161,6 @@ impl TimingReport {
 /// assessed state.
 struct Parents {
     evaluator: Evaluator,
-    config: EvoConfig,
     data: Vec<SubTable>,
     states: Vec<EvalState>,
     scores: Vec<f64>,
@@ -189,7 +188,7 @@ impl Parents {
             None => self.evaluator.evaluate(child),
         };
         *fitness += clock.elapsed();
-        assessment.score(self.config.aggregator)
+        assessment.score(ScoreAggregator::Max)
     }
 
     /// `generations` mutation generations: proportional selection,
@@ -199,7 +198,7 @@ impl Parents {
         let mut fitness = Duration::ZERO;
         let clock = CpuStopwatch::start();
         for _ in 0..generations {
-            let i = self.config.selection.select(&self.scores, rng);
+            let i = select_proportional(&self.scores, rng);
             let mut child = self.data[i].clone();
             let Some(mu) = mutate(&mut child, rng) else {
                 continue;
@@ -212,14 +211,14 @@ impl Parents {
     }
 
     /// `generations` crossover generations: two proportional selections,
-    /// two-point crossover, Deterministic Crowding pairing and duels.
+    /// two-point crossover, Deterministic Crowding duels.
     fn crossover(&self, patched: bool, generations: usize, rng: &mut StdRng) -> GenerationCost {
         let mut scratch = self.states[0].clone();
         let mut fitness = Duration::ZERO;
         let clock = CpuStopwatch::start();
         for _ in 0..generations {
-            let i = self.config.selection.select(&self.scores, rng);
-            let j = self.config.selection.select(&self.scores, rng);
+            let i = select_proportional(&self.scores, rng);
+            let j = select_proportional(&self.scores, rng);
             let (x, y) = (&self.data[i], &self.data[j]);
             let (z1, z2, (s, r)) = crossover(x, y, rng);
             let patch = |parent: &SubTable| {
@@ -229,13 +228,7 @@ impl Parents {
             let (patch1, patch2) = (patch(x), patch(y));
             let score1 = self.score(i, &z1, patch1.as_ref(), &mut scratch, &mut fitness);
             let score2 = self.score(j, &z2, patch2.as_ref(), &mut scratch, &mut fitness);
-            let straight = self.config.replacement.pair_straight(x, y, &z1, &z2);
-            let (c1, c2) = if straight {
-                (score1, score2)
-            } else {
-                (score2, score1)
-            };
-            std::hint::black_box((c1 < self.scores[i], c2 < self.scores[j]));
+            std::hint::black_box((score1 < self.scores[i], score2 < self.scores[j]));
         }
         GenerationCost::per_generation(clock.elapsed(), fitness, generations)
     }
@@ -264,7 +257,6 @@ pub fn measure_timing(
     let pop = build_population(&ds, &SuiteConfig::paper(kind), seed).expect("paper suite");
     let evaluator =
         Evaluator::new(&ds.protected_subtable(), MetricConfig::default()).expect("evaluator");
-    let config = EvoConfig::default();
     // untimed: every parent's state, which also puts the population's
     // patterns into the evaluator's per-original tables
     let states: Vec<EvalState> = pop.iter().map(|m| evaluator.assess(&m.data)).collect();
@@ -272,9 +264,8 @@ pub fn measure_timing(
         evaluator,
         scores: states
             .iter()
-            .map(|s| s.assessment.score(config.aggregator))
+            .map(|s| s.assessment.score(ScoreAggregator::Max))
             .collect(),
-        config,
         data: pop.into_iter().map(|m| m.data).collect(),
         states,
     };

@@ -512,11 +512,13 @@ impl JobSpec {
                     ));
                 }
                 // the grammar carries fitness/iters/drop/seed plus the
-                // islands/mig pair; every other evolution knob must sit at
-                // its default
-                let mut expected = cdp_core::EvoConfig {
+                // islands/mig pair; the other two evolution knobs (the
+                // mutation rate, the migration size) must sit at their
+                // defaults
+                let expected = cdp_core::EvoConfig {
                     aggregator: evo.aggregator,
                     seed: job.seed(),
+                    iterations: job.iterations().max(1),
                     islands: cdp_core::IslandConfig {
                         count: evo.islands.count,
                         migration_interval: evo.islands.migration_interval,
@@ -524,7 +526,6 @@ impl JobSpec {
                     },
                     ..cdp_core::EvoConfig::default()
                 };
-                expected.stop.max_iterations = job.iterations().max(1);
                 if evo != expected {
                     return Err(unrepresentable("a non-default evolution knob"));
                 }

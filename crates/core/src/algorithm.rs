@@ -5,7 +5,6 @@ use cdp_metrics::{EvalState, Evaluator, Patch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::adaptive::OperatorStats;
 use crate::archive::ParetoArchive;
 use crate::config::EvoConfig;
 use crate::individual::Individual;
@@ -14,7 +13,7 @@ use crate::operators::{crossover, mutate, OperatorKind};
 use crate::parallel::{cross_check, evaluate_all, evaluate_offspring, EvalTask};
 use crate::population::Population;
 use crate::replacement::offspring_wins;
-use crate::selection::select_leader;
+use crate::selection::{select_leader, select_proportional};
 use crate::telemetry::{EvalCounts, GenerationStats, ScatterPoint, Trace};
 use crate::{EvoError, Result};
 
@@ -168,7 +167,7 @@ impl Evolution {
         rng: &mut StdRng,
         ctx: &mut StepCtx,
     ) -> bool {
-        let i = self.config.selection.select(pop.scores(), rng);
+        let i = select_proportional(pop.scores(), rng);
         let parent = pop.get(i);
         let mut child_data = parent.data.clone();
         let Some(mu) = mutate(&mut child_data, rng) else {
@@ -237,9 +236,8 @@ impl Evolution {
         rng: &mut StdRng,
         ctx: &mut StepCtx,
     ) -> bool {
-        let nb = self.config.leader_group(pop.len());
-        let i1 = select_leader(pop.len(), nb, rng);
-        let i2 = self.config.selection.select(pop.scores(), rng);
+        let i1 = select_leader(pop.len(), rng);
+        let i2 = select_proportional(pop.scores(), rng);
 
         let (z1_data, z2_data, (s, r)) = crossover(&pop.get(i1).data, &pop.get(i2).data, rng);
         // each child shares its frame parent's file outside [s, r]: patch
@@ -267,32 +265,24 @@ impl Evolution {
         cross_check(&self.evaluator, n, &z2_data, &states[1].assessment);
         let z2_state = states.pop().expect("two states");
         let z1_state = states.pop().expect("two states");
-        let z1 = Individual::new(
+        let c1 = Individual::new(
             pop.get(i1).name.clone(),
             z1_data,
             z1_state,
             self.config.aggregator,
         );
-        let z2 = Individual::new(
+        let c2 = Individual::new(
             pop.get(i2).name.clone(),
             z2_data,
             z2_state,
             self.config.aggregator,
         );
 
-        archive.offer(ScatterPoint::of(&z1));
-        archive.offer(ScatterPoint::of(&z2));
+        archive.offer(ScatterPoint::of(&c1));
+        archive.offer(ScatterPoint::of(&c2));
 
-        // Deterministic Crowding: pair offspring with parents, then elitist
-        // duels within each pair.
-        let straight = self.config.replacement.pair_straight(
-            &pop.get(i1).data,
-            &pop.get(i2).data,
-            &z1.data,
-            &z2.data,
-        );
-        let (c1, c2) = if straight { (z1, z2) } else { (z2, z1) };
-
+        // Deterministic Crowding: each child duels the parent whose frame
+        // it carries
         if i1 == i2 {
             // degenerate draw: both offspring duel the same parent; the
             // better offspring gets the single slot if it wins
@@ -335,10 +325,7 @@ pub(crate) struct EvolutionRunner {
     trace: Trace,
     initial: Vec<ScatterPoint>,
     archive: ParetoArchive,
-    best: f64,
-    since_improvement: usize,
     t: usize,
-    op_stats: OperatorStats,
     ctx: StepCtx,
 }
 
@@ -352,8 +339,7 @@ impl EvolutionRunner {
             .population
             .take()
             .expect("population must be loaded before run()");
-        let cfg = evolution.config;
-        let rng = StdRng::seed_from_u64(cfg.seed ^ 0xE70_A160);
+        let rng = StdRng::seed_from_u64(evolution.config.seed ^ 0xE70_A160);
         let mut trace = Trace::default();
         let initial = pop.scatter();
         let mut archive = ParetoArchive::new();
@@ -361,8 +347,6 @@ impl EvolutionRunner {
             archive.offer(point.clone());
         }
         trace.record(0, pop.scores(), None, false);
-        let best = pop.best().score();
-        let op_stats = OperatorStats::new(cfg.operator_schedule, cfg.mutation_rate);
         EvolutionRunner {
             evolution,
             pop,
@@ -370,10 +354,7 @@ impl EvolutionRunner {
             trace,
             initial,
             archive,
-            best,
-            since_improvement: 0,
             t: 0,
-            op_stats,
             ctx: StepCtx::new(),
         }
     }
@@ -388,7 +369,6 @@ impl EvolutionRunner {
             trace: self.trace,
             iterations_run: self.t,
             pareto_front: self.archive.front(),
-            final_mutation_rate: self.op_stats.mutation_rate(),
             eval_counts,
             population: self.pop,
         }
@@ -402,21 +382,18 @@ impl IslandRunner for EvolutionRunner {
         IslandEvent::Generation { island, stats }
     }
 
-    /// Whether the stop condition already holds.
+    /// Whether the iteration budget is spent.
     fn finished(&self) -> bool {
-        self.evolution
-            .config
-            .stop
-            .should_stop(self.t, self.since_improvement)
+        self.t >= self.evolution.config.iterations
     }
 
-    /// Execute one iteration unless the stop condition holds; returns
-    /// whether an iteration ran.
+    /// Execute one iteration unless the budget is spent; returns whether
+    /// an iteration ran.
     fn step<F: FnMut(&GenerationStats)>(&mut self, observer: &mut F) -> bool {
         if self.finished() {
             return false;
         }
-        let (op, accepted) = if self.rng.gen::<f64>() < self.op_stats.mutation_rate() {
+        let (op, accepted) = if self.rng.gen::<f64>() < self.evolution.config.mutation_rate {
             (
                 OperatorKind::Mutation,
                 self.evolution.mutation_step(
@@ -437,15 +414,7 @@ impl IslandRunner for EvolutionRunner {
                 ),
             )
         };
-        self.op_stats.record(op, accepted);
         self.t += 1;
-        let new_best = self.pop.best().score();
-        if new_best + 1e-12 < self.best {
-            self.best = new_best;
-            self.since_improvement = 0;
-        } else {
-            self.since_improvement += 1;
-        }
         self.trace
             .record(self.t, self.pop.scores(), Some(op), accepted);
         observer(self.trace.last().expect("just recorded"));
@@ -465,9 +434,7 @@ impl IslandRunner for EvolutionRunner {
     }
 
     /// Replace the worst members with `immigrants` (at most `len - 1`, so
-    /// at least one native always survives), then resort. An immigrant
-    /// that beats the island's best resets the stagnation counter exactly
-    /// like a native improvement would.
+    /// at least one native always survives), then resort.
     fn migrate_in(&mut self, immigrants: Vec<Individual>) {
         let n = self.pop.len();
         let take = immigrants.len().min(n.saturating_sub(1));
@@ -475,11 +442,6 @@ impl IslandRunner for EvolutionRunner {
             self.pop.replace_unsorted(n - 1 - j, immigrant);
         }
         self.pop.resort();
-        let new_best = self.pop.best().score();
-        if new_best + 1e-12 < self.best {
-            self.best = new_best;
-            self.since_improvement = 0;
-        }
     }
 }
 
@@ -538,9 +500,6 @@ pub struct EvolutionOutcome {
     /// Non-dominated (IL, DR) points over everything evaluated in the run
     /// (extension; sorted by IL ascending).
     pub pareto_front: Vec<ScatterPoint>,
-    /// Mutation rate at the end of the run (differs from the configured
-    /// rate only under the adaptive operator schedule).
-    pub final_mutation_rate: f64,
     /// Fitness evaluations performed, split into full assessments (initial
     /// population included) and patch-based re-assessments.
     pub eval_counts: EvalCounts,

@@ -2,10 +2,6 @@
 
 use cdp_metrics::ScoreAggregator;
 
-use crate::adaptive::OperatorSchedule;
-use crate::replacement::ReplacementPolicy;
-use crate::selection::SelectionWeighting;
-use crate::stop::StopCondition;
 use crate::{EvoError, Result};
 
 /// Island-model knobs shared by both optimizers: how many islands a run
@@ -54,7 +50,10 @@ impl IslandConfig {
     }
 }
 
-/// All knobs of Algorithm 1 plus this implementation's extensions.
+/// The knobs of Algorithm 1 plus the island split.
+///
+/// Selection (score-proportional, Eq. 3), the leader group `Nb` and the
+/// parent–child crowding pairing are fixed: the paper gives one of each.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvoConfig {
     /// RNG seed; the whole run is deterministic given seed + population.
@@ -62,19 +61,11 @@ pub struct EvoConfig {
     /// Fitness aggregator (the paper's Eq. 1 `Mean` or Eq. 2 `Max`).
     pub aggregator: ScoreAggregator,
     /// Probability of a mutation generation (vs crossover); 0.5 in the
-    /// paper. The starting rate when `operator_schedule` is adaptive.
+    /// paper.
     pub mutation_rate: f64,
-    /// Fixed rate (paper) or adaptive pursuit (extension).
-    pub operator_schedule: OperatorSchedule,
-    /// Leader-group size `Nb` as a fraction of the population (`Nb =
-    /// max(2, ⌈N·f⌉)`); the paper leaves `Nb` unspecified.
-    pub leader_fraction: f64,
-    /// Resolution of the Eq. 3 ambiguity.
-    pub selection: SelectionWeighting,
-    /// Crossover offspring/parent pairing.
-    pub replacement: ReplacementPolicy,
-    /// Termination.
-    pub stop: StopCondition,
+    /// Iteration budget: the paper leaves `stopping(P(t))` abstract; the
+    /// loop runs exactly this many generations.
+    pub iterations: usize,
     /// Island-model split (see [`crate::islands`]); the default single
     /// island runs the legacy loop untouched.
     pub islands: IslandConfig,
@@ -86,11 +77,7 @@ impl Default for EvoConfig {
             seed: 0,
             aggregator: ScoreAggregator::Max,
             mutation_rate: 0.5,
-            operator_schedule: OperatorSchedule::Fixed,
-            leader_fraction: 0.1,
-            selection: SelectionWeighting::InverseScore,
-            replacement: ReplacementPolicy::IndexPairedCrowding,
-            stop: StopCondition::default(),
+            iterations: 1000,
             islands: IslandConfig::default(),
         }
     }
@@ -112,24 +99,13 @@ impl EvoConfig {
                 self.mutation_rate
             )));
         }
-        if !(self.leader_fraction > 0.0 && self.leader_fraction <= 1.0) {
-            return Err(EvoError::InvalidConfig(format!(
-                "leader_fraction must lie in (0,1], got {}",
-                self.leader_fraction
-            )));
-        }
-        if self.stop.max_iterations == 0 {
+        if self.iterations == 0 {
             return Err(EvoError::InvalidConfig(
-                "max_iterations must be at least 1".into(),
+                "iterations must be at least 1".into(),
             ));
         }
         self.islands.validate()?;
         Ok(())
-    }
-
-    /// Leader-group size for a population of `n`.
-    pub fn leader_group(&self, n: usize) -> usize {
-        ((n as f64 * self.leader_fraction).ceil() as usize).clamp(2.min(n), n.max(1))
     }
 }
 
@@ -154,43 +130,13 @@ impl EvoConfigBuilder {
 
     /// Iteration budget.
     pub fn iterations(mut self, n: usize) -> Self {
-        self.cfg.stop.max_iterations = n;
-        self
-    }
-
-    /// Early-stop stagnation window.
-    pub fn stagnation(mut self, window: usize) -> Self {
-        self.cfg.stop.stagnation = Some(window);
+        self.cfg.iterations = n;
         self
     }
 
     /// Probability of a mutation generation.
     pub fn mutation_rate(mut self, rate: f64) -> Self {
         self.cfg.mutation_rate = rate;
-        self
-    }
-
-    /// Operator schedule (fixed by default, adaptive as an extension).
-    pub fn operator_schedule(mut self, schedule: OperatorSchedule) -> Self {
-        self.cfg.operator_schedule = schedule;
-        self
-    }
-
-    /// Leader-group fraction.
-    pub fn leader_fraction(mut self, f: f64) -> Self {
-        self.cfg.leader_fraction = f;
-        self
-    }
-
-    /// Selection weighting.
-    pub fn selection(mut self, s: SelectionWeighting) -> Self {
-        self.cfg.selection = s;
-        self
-    }
-
-    /// Crossover replacement pairing.
-    pub fn replacement(mut self, r: ReplacementPolicy) -> Self {
-        self.cfg.replacement = r;
         self
     }
 
@@ -234,18 +180,15 @@ mod tests {
             .seed(42)
             .aggregator(ScoreAggregator::Mean)
             .iterations(123)
-            .stagnation(17)
             .mutation_rate(0.7)
-            .leader_fraction(0.2)
-            .selection(SelectionWeighting::Rank)
-            .replacement(ReplacementPolicy::DistancePairedCrowding)
             .islands(4)
             .migration_interval(25)
             .migration_size(3)
             .build();
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.stop.max_iterations, 123);
-        assert_eq!(cfg.stop.stagnation, Some(17));
+        assert_eq!(cfg.aggregator, ScoreAggregator::Mean);
+        assert_eq!(cfg.iterations, 123);
+        assert_eq!(cfg.mutation_rate, 0.7);
         assert_eq!(cfg.islands.count, 4);
         assert_eq!(cfg.islands.migration_interval, 25);
         assert_eq!(cfg.islands.migration_size, 3);
@@ -262,14 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn leader_group_bounds() {
-        let cfg = EvoConfig::default(); // fraction 0.1
-        assert_eq!(cfg.leader_group(110), 11);
-        assert_eq!(cfg.leader_group(10), 2); // at least 2 when possible
-        assert_eq!(cfg.leader_group(1), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "invalid EvoConfig")]
     fn builder_panics_on_bad_rate() {
         let _ = EvoConfig::builder().mutation_rate(1.5).build();
@@ -277,8 +212,10 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_iterations() {
-        let mut cfg = EvoConfig::default();
-        cfg.stop.max_iterations = 0;
+        let cfg = EvoConfig {
+            iterations: 0,
+            ..EvoConfig::default()
+        };
         assert!(cfg.validate().is_err());
     }
 }

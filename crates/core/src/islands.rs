@@ -318,7 +318,7 @@ impl ScalarIslands {
         let parts = deal(pop.into_members(), k);
         // equal total budget: the configured iteration count splits across
         // islands (remainder to the low indices)
-        let total_iters = config.stop.max_iterations;
+        let total_iters = config.iterations;
         let shares: Vec<usize> = parts.iter().map(Vec::len).collect();
         let mut runners: Vec<EvolutionRunner> = parts
             .into_iter()
@@ -326,8 +326,7 @@ impl ScalarIslands {
             .map(|(j, part)| {
                 let mut island_cfg = config;
                 island_cfg.seed = config.seed ^ island_hash(j);
-                island_cfg.stop.max_iterations =
-                    (total_iters / k + usize::from(j < total_iters % k)).max(1);
+                island_cfg.iterations = (total_iters / k + usize::from(j < total_iters % k)).max(1);
                 island_cfg.islands.count = 1;
                 // island 0 absorbs the evaluations of members dropped
                 // before the split so the aggregate matches the legacy
@@ -359,7 +358,6 @@ impl ScalarIslands {
         // merge, in island-index order
         let outcomes: Vec<EvolutionOutcome> =
             runners.into_iter().map(EvolutionRunner::finish).collect();
-        let final_mutation_rate = outcomes[0].final_mutation_rate;
         let mut eval_counts = EvalCounts::default();
         let mut iterations_run = 0usize;
         let mut archive = ParetoArchive::new();
@@ -386,7 +384,6 @@ impl ScalarIslands {
             trace,
             iterations_run,
             pareto_front: archive.front(),
-            final_mutation_rate,
             eval_counts,
             population: merged,
         };
@@ -629,7 +626,6 @@ mod tests {
         assert_eq!(legacy.pareto_front, islands.pareto_front);
         assert_eq!(legacy.eval_counts, islands.eval_counts);
         assert_eq!(legacy.iterations_run, islands.iterations_run);
-        assert_eq!(legacy.final_mutation_rate, islands.final_mutation_rate);
     }
 
     #[test]

@@ -9,17 +9,19 @@
 //!
 //! * **Genotype** — a whole protected file; no encoding. We store the
 //!   protected columns only ([`cdp_dataset::SubTable`]), since operators and
-//!   measures never touch the rest (DESIGN.md §4.7).
+//!   measures never touch the rest.
 //! * **Mutation** — pick one cell at random, replace it with a random
 //!   *valid* category of its attribute ([`operators::mutate`]).
 //! * **Crossover** — 2-point crossover on the flattened value sequence
 //!   ([`operators::crossover`]).
 //! * **Selection** — score-proportional for mutation; for crossover one
-//!   parent comes uniformly from the `Nb`-best leader group and the other
-//!   proportionally from the whole population ([`SelectionWeighting`]
-//!   resolves the paper's Eq. 3 ambiguity, see DESIGN.md §4.1).
+//!   parent comes uniformly from the `Nb`-best leader group (the best
+//!   tenth) and the other proportionally from the whole population
+//!   ([`select_proportional`]: weight `1/score`, since the paper's Eq. 3
+//!   read literally would favour the worst files under minimization).
 //! * **Replacement** — parent/offspring elitism for mutation and
-//!   Deterministic Crowding for crossover ([`ReplacementPolicy`]).
+//!   Deterministic Crowding for crossover, each child duelling the parent
+//!   whose frame it carries.
 //!
 //! ```
 //! use cdp_core::{EvoConfig, Evolution};
@@ -39,7 +41,6 @@
 //! assert!(outcome.summary().final_mean <= outcome.summary().initial_mean);
 //! ```
 
-mod adaptive;
 mod algorithm;
 mod archive;
 mod config;
@@ -48,7 +49,6 @@ mod individual;
 mod population;
 mod replacement;
 mod selection;
-mod stop;
 mod telemetry;
 
 pub mod clock;
@@ -57,7 +57,6 @@ pub mod nsga;
 pub mod operators;
 pub mod parallel;
 
-pub use adaptive::{OperatorSchedule, OperatorStats};
 pub use algorithm::{Evolution, EvolutionOutcome, ScoreSummary};
 pub use archive::ParetoArchive;
 pub use cdp_metrics::{ObjectiveSet, ObjectiveVector};
@@ -69,7 +68,5 @@ pub use nsga::{FrontStats, Nsga2, NsgaConfig, NsgaOutcome};
 pub use operators::OperatorKind;
 pub use parallel::{evaluate_all, evaluate_tasks, EvalTask};
 pub use population::Population;
-pub use replacement::ReplacementPolicy;
-pub use selection::SelectionWeighting;
-pub use stop::StopCondition;
+pub use selection::select_proportional;
 pub use telemetry::{EvalCounts, GenerationStats, ScatterPoint, Trace};

@@ -21,8 +21,8 @@
 //! Since the objective-vector refactor, selection is generic over an
 //! [`ObjectiveSet`]: dominance, crowding, and hypervolume all run over
 //! N-dimensional [`ObjectiveVector`]s ([`non_dominated_sort_vec`],
-//! [`crowding_distance_vec`], [`hypervolume_vec`]). The historical
-//! 2-objective tuple entry points remain as thin wrappers, and the
+//! [`crowding_distance_vec`], [`hypervolume_vec`]). The 2-D tuple
+//! [`hypervolume`] sweep remains as the exact N=2 kernel, and the
 //! canonical `il,dr` set reproduces the hard-wired pair bit for bit —
 //! same comparisons, same RNG stream, same front.
 
@@ -129,15 +129,6 @@ pub fn non_dominated_sort_vec(objs: &[ObjectiveVector]) -> Vec<Vec<usize>> {
     fronts
 }
 
-/// The historical 2-objective entry point of [`non_dominated_sort_vec`].
-pub fn non_dominated_sort(objs: &[(f64, f64)]) -> Vec<Vec<usize>> {
-    let objs: Vec<ObjectiveVector> = objs
-        .iter()
-        .map(|&(il, dr)| ObjectiveVector::pair(il, dr))
-        .collect();
-    non_dominated_sort_vec(&objs)
-}
-
 /// Crowding distance of each member of one front (aligned with `front`'s
 /// order), over N-dim objective vectors. Boundary points get
 /// `f64::INFINITY`; interior points the sum of normalized neighbour gaps
@@ -173,15 +164,6 @@ pub fn crowding_distance_vec(objs: &[ObjectiveVector], front: &[usize]) -> Vec<f
         }
     }
     dist
-}
-
-/// The historical 2-objective entry point of [`crowding_distance_vec`].
-pub fn crowding_distance(objs: &[(f64, f64)], front: &[usize]) -> Vec<f64> {
-    let objs: Vec<ObjectiveVector> = objs
-        .iter()
-        .map(|&(il, dr)| ObjectiveVector::pair(il, dr))
-        .collect();
-    crowding_distance_vec(&objs, front)
 }
 
 /// 2-D hypervolume (area dominated between the front and a reference point,
@@ -845,11 +827,17 @@ mod tests {
     use cdp_metrics::MetricConfig;
     use cdp_sdc::{build_population, SuiteConfig};
 
+    fn pairs(objs: &[(f64, f64)]) -> Vec<ObjectiveVector> {
+        objs.iter()
+            .map(|&(il, dr)| ObjectiveVector::pair(il, dr))
+            .collect()
+    }
+
     #[test]
     fn sort_splits_fronts_correctly() {
         // (1,1) dominates everything; (2,3) and (3,2) incomparable; (4,4) last
-        let objs = vec![(2.0, 3.0), (1.0, 1.0), (3.0, 2.0), (4.0, 4.0)];
-        let fronts = non_dominated_sort(&objs);
+        let objs = pairs(&[(2.0, 3.0), (1.0, 1.0), (3.0, 2.0), (4.0, 4.0)]);
+        let fronts = non_dominated_sort_vec(&objs);
         assert_eq!(fronts.len(), 3);
         assert_eq!(fronts[0], vec![1]);
         assert_eq!(
@@ -865,17 +853,17 @@ mod tests {
 
     #[test]
     fn sort_of_identical_points_is_one_front() {
-        let objs = vec![(1.0, 1.0); 5];
-        let fronts = non_dominated_sort(&objs);
+        let objs = pairs(&[(1.0, 1.0); 5]);
+        let fronts = non_dominated_sort_vec(&objs);
         assert_eq!(fronts.len(), 1);
         assert_eq!(fronts[0].len(), 5);
     }
 
     #[test]
     fn crowding_boundaries_are_infinite() {
-        let objs = vec![(1.0, 5.0), (2.0, 4.0), (3.0, 3.0), (4.0, 2.0), (5.0, 1.0)];
+        let objs = pairs(&[(1.0, 5.0), (2.0, 4.0), (3.0, 3.0), (4.0, 2.0), (5.0, 1.0)]);
         let front: Vec<usize> = (0..5).collect();
-        let d = crowding_distance(&objs, &front);
+        let d = crowding_distance_vec(&objs, &front);
         assert!(d[0].is_infinite());
         assert!(d[4].is_infinite());
         for x in &d[1..4] {
@@ -888,8 +876,8 @@ mod tests {
 
     #[test]
     fn crowding_small_fronts_all_infinite() {
-        let objs = vec![(1.0, 2.0), (2.0, 1.0)];
-        let d = crowding_distance(&objs, &[0, 1]);
+        let objs = pairs(&[(1.0, 2.0), (2.0, 1.0)]);
+        let d = crowding_distance_vec(&objs, &[0, 1]);
         assert!(d.iter().all(|x| x.is_infinite()));
     }
 

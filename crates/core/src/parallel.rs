@@ -171,7 +171,8 @@ pub(crate) fn evaluate_offspring(evaluator: &Evaluator, tasks: &[EvalTask<'_>]) 
 }
 
 /// Evaluate every named protection, preserving order. `parallel = false`
-/// degrades to a serial loop (the ablation bench's baseline).
+/// degrades to a serial loop (the reference the tests hold the executor
+/// to).
 pub fn evaluate_all(
     evaluator: &Evaluator,
     items: &[(String, SubTable)],

@@ -2,47 +2,9 @@
 //! crossover.
 //!
 //! For mutation the offspring competes with its parent and the better
-//! (lower-score) one survives. For crossover the two offspring must be
-//! paired with the two parents before the elitist duels; the paper pairs
-//! "each newcomer Xjk … with its parent Xik" — offspring `Z1` carries
-//! parent `X1`'s frame, so index pairing is phenotypic proximity. Classic
-//! Deterministic Crowding (Mahfoud 1992) pairs by minimal total genotype
-//! distance instead; both are provided and ablated.
-
-use cdp_dataset::SubTable;
-
-/// How crossover offspring are paired with parents for the crowding duels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// `Z1 ↔ X1`, `Z2 ↔ X2` (the paper's proximity relation).
-    IndexPairedCrowding,
-    /// Pairing minimizing total Hamming distance (classic DC).
-    DistancePairedCrowding,
-}
-
-impl ReplacementPolicy {
-    /// Decide the pairing for parents `(p1, p2)` and offspring `(z1, z2)`:
-    /// returns `true` when `z1` should duel `p1` (and `z2` duel `p2`),
-    /// `false` for the crossed pairing.
-    pub fn pair_straight(self, p1: &SubTable, p2: &SubTable, z1: &SubTable, z2: &SubTable) -> bool {
-        match self {
-            ReplacementPolicy::IndexPairedCrowding => true,
-            ReplacementPolicy::DistancePairedCrowding => {
-                let straight = p1.hamming(z1) + p2.hamming(z2);
-                let crossed = p1.hamming(z2) + p2.hamming(z1);
-                straight <= crossed
-            }
-        }
-    }
-
-    /// Short identifier for reports and bench labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplacementPolicy::IndexPairedCrowding => "index-paired",
-            ReplacementPolicy::DistancePairedCrowding => "distance-paired",
-        }
-    }
-}
+//! (lower-score) one survives. For crossover the paper pairs "each newcomer
+//! Xjk … with its parent Xik": offspring `Z1` carries parent `X1`'s frame,
+//! so each child duels the parent whose frame it carries.
 
 /// The elitist duel: does the offspring (with `child_score`) replace the
 /// parent (with `parent_score`)? Ties keep the parent, preventing neutral
@@ -54,28 +16,6 @@ pub fn offspring_wins(parent_score: f64, child_score: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
-
-    fn sub(seed: u64) -> SubTable {
-        DatasetKind::Adult
-            .generate(&GeneratorConfig::seeded(seed).with_records(30))
-            .protected_subtable()
-    }
-
-    #[test]
-    fn index_pairing_is_always_straight() {
-        let (a, b) = (sub(1), sub(2));
-        assert!(ReplacementPolicy::IndexPairedCrowding.pair_straight(&a, &b, &b, &a));
-    }
-
-    #[test]
-    fn distance_pairing_matches_closest() {
-        let p1 = sub(1);
-        let p2 = sub(2);
-        // offspring exactly equal to the parents, but swapped
-        assert!(!ReplacementPolicy::DistancePairedCrowding.pair_straight(&p1, &p2, &p2, &p1));
-        assert!(ReplacementPolicy::DistancePairedCrowding.pair_straight(&p1, &p2, &p1, &p2));
-    }
 
     #[test]
     fn duel_is_strict() {

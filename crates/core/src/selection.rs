@@ -2,103 +2,31 @@
 //!
 //! The paper's Eq. 3 prints `p(X_i) = Score(X_i) / Σ_j Score(X_j)` while the
 //! text states that *better* (lower-score) individuals must be more likely —
-//! the literal formula does the opposite under minimization. The
-//! [`SelectionWeighting`] enum makes the resolution explicit and ablatable;
-//! the default `InverseScore` matches the described behaviour ("our
-//! selection policy gives few opportunities to the individuals with bad
-//! score").
+//! the literal formula does the opposite under minimization. We weight each
+//! individual by `1 / (score + ε)` instead, which matches the described
+//! behaviour ("our selection policy gives few opportunities to the
+//! individuals with bad score").
+//!
+//! Crossover draws its first parent uniformly from the leader group `Nb`,
+//! the best tenth of the population (at least two members when there are
+//! two); the paper leaves `Nb` unspecified.
 
 use rand::Rng;
 
-/// How raw (to-be-minimized) scores translate into selection weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectionWeighting {
-    /// Weight `1 / (score + ε)` — the default resolution.
-    InverseScore,
-    /// Weight `(max + min) − score`: a linear flip of the score range.
-    Complement,
-    /// The paper's formula taken literally (favours *bad* individuals);
-    /// kept for the ablation study.
-    RawScore,
-    /// Linear rank weighting: the best of `N` gets weight `N`, the worst 1.
-    Rank,
-    /// Extension: tournament of size `k` — draw `k` uniform candidates,
-    /// keep the best. Stronger pressure than the proportional schemes and
-    /// insensitive to the score scale.
-    Tournament {
-        /// Tournament size (≥ 1; 1 degenerates to uniform selection).
-        k: usize,
-    },
-}
+/// Leader-group size as a fraction of the population.
+const LEADER_FRACTION: f64 = 0.1;
 
-impl SelectionWeighting {
-    /// Draw one index from a population's scores under this scheme.
-    pub fn select<R: Rng + ?Sized>(self, scores: &[f64], rng: &mut R) -> usize {
-        match self {
-            SelectionWeighting::Tournament { k } => {
-                let k = k.max(1);
-                let mut best = rng.gen_range(0..scores.len());
-                for _ in 1..k {
-                    let challenger = rng.gen_range(0..scores.len());
-                    if scores[challenger] < scores[best] {
-                        best = challenger;
-                    }
-                }
-                best
-            }
-            _ => select_weighted(&self.weights(scores), rng),
-        }
-    }
-
-    /// Selection weights for a population's scores (any non-negative
-    /// scale). Not defined for [`SelectionWeighting::Tournament`], which is
-    /// not a weighting scheme — use [`SelectionWeighting::select`].
-    ///
-    /// # Panics
-    /// Panics for the tournament variant.
-    pub fn weights(self, scores: &[f64]) -> Vec<f64> {
-        const EPS: f64 = 1e-9;
-        match self {
-            SelectionWeighting::InverseScore => {
-                scores.iter().map(|&s| 1.0 / (s.max(0.0) + EPS)).collect()
-            }
-            SelectionWeighting::Complement => {
-                let max = scores.iter().cloned().fold(f64::MIN, f64::max);
-                let min = scores.iter().cloned().fold(f64::MAX, f64::min);
-                scores.iter().map(|&s| (max + min - s).max(EPS)).collect()
-            }
-            SelectionWeighting::RawScore => scores.iter().map(|&s| s.max(EPS)).collect(),
-            SelectionWeighting::Tournament { .. } => {
-                panic!("tournament selection has no weight vector; use select()")
-            }
-            SelectionWeighting::Rank => {
-                // scores are not assumed sorted; rank them
-                let n = scores.len();
-                let mut idx: Vec<usize> = (0..n).collect();
-                idx.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite scores"));
-                let mut w = vec![0.0; n];
-                for (rank, &i) in idx.iter().enumerate() {
-                    w[i] = (n - rank) as f64;
-                }
-                w
-            }
-        }
-    }
-
-    /// Short identifier for reports and bench labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            SelectionWeighting::InverseScore => "inverse",
-            SelectionWeighting::Complement => "complement",
-            SelectionWeighting::RawScore => "raw",
-            SelectionWeighting::Rank => "rank",
-            SelectionWeighting::Tournament { .. } => "tournament",
-        }
-    }
+/// Draw one index of a population's scores (any non-negative scale),
+/// score-proportionally: weight `1 / (score + ε)`, so lower scores are
+/// likelier.
+pub fn select_proportional<R: Rng + ?Sized>(scores: &[f64], rng: &mut R) -> usize {
+    const EPS: f64 = 1e-9;
+    let weights: Vec<f64> = scores.iter().map(|&s| 1.0 / (s.max(0.0) + EPS)).collect();
+    select_weighted(&weights, rng)
 }
 
 /// Draw an index proportionally to `weights`.
-pub fn select_weighted<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
+fn select_weighted<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
     debug_assert!(!weights.is_empty());
     let total: f64 = weights.iter().sum();
     if total <= 0.0 {
@@ -114,11 +42,16 @@ pub fn select_weighted<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
     weights.len() - 1
 }
 
-/// Draw uniformly from the leader group: indices `0..nb` of a population
-/// sorted ascending by score.
-pub fn select_leader<R: Rng + ?Sized>(n: usize, nb: usize, rng: &mut R) -> usize {
-    let nb = nb.clamp(1, n);
-    rng.gen_range(0..nb)
+/// Leader-group size `Nb = max(2, ⌈n/10⌉)` for a population of `n`,
+/// capped at `n`.
+pub(crate) fn leader_group(n: usize) -> usize {
+    ((n as f64 * LEADER_FRACTION).ceil() as usize).clamp(2.min(n), n.max(1))
+}
+
+/// Draw uniformly from the leader group: indices `0..Nb` of a population of
+/// `n` sorted ascending by score.
+pub(crate) fn select_leader<R: Rng + ?Sized>(n: usize, rng: &mut R) -> usize {
+    rng.gen_range(0..leader_group(n))
 }
 
 #[cfg(test)]
@@ -127,41 +60,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    const SCORES: [f64; 4] = [10.0, 20.0, 30.0, 40.0];
-
-    fn empirical(weighting: SelectionWeighting, trials: usize) -> [usize; 4] {
-        let mut rng = StdRng::seed_from_u64(1);
-        let w = weighting.weights(&SCORES);
-        let mut counts = [0usize; 4];
-        for _ in 0..trials {
-            counts[select_weighted(&w, &mut rng)] += 1;
-        }
-        counts
-    }
-
     #[test]
     fn inverse_prefers_low_scores() {
-        let c = empirical(SelectionWeighting::InverseScore, 4000);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut c = [0usize; 4];
+        for _ in 0..4000 {
+            c[select_proportional(&[10.0, 20.0, 30.0, 40.0], &mut rng)] += 1;
+        }
         assert!(c[0] > c[1] && c[1] > c[2] && c[2] > c[3], "{c:?}");
-    }
-
-    #[test]
-    fn complement_prefers_low_scores() {
-        let c = empirical(SelectionWeighting::Complement, 4000);
-        assert!(c[0] > c[3], "{c:?}");
-    }
-
-    #[test]
-    fn raw_prefers_high_scores() {
-        // the literal Eq. 3 favours the worst — the ablation case
-        let c = empirical(SelectionWeighting::RawScore, 4000);
-        assert!(c[3] > c[0], "{c:?}");
-    }
-
-    #[test]
-    fn rank_weights_are_linear_in_rank() {
-        let w = SelectionWeighting::Rank.weights(&[30.0, 10.0, 20.0]);
-        assert_eq!(w, vec![1.0, 3.0, 2.0]);
     }
 
     #[test]
@@ -172,57 +78,18 @@ mod tests {
     }
 
     #[test]
+    fn leader_group_bounds() {
+        assert_eq!(leader_group(110), 11);
+        assert_eq!(leader_group(10), 2); // at least 2 when possible
+        assert_eq!(leader_group(1), 1);
+    }
+
+    #[test]
     fn leader_selection_stays_in_group() {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..200 {
-            assert!(select_leader(100, 10, &mut rng) < 10);
+            assert!(select_leader(100, &mut rng) < 10);
         }
-        // nb clamps to the population size
-        assert!(select_leader(3, 10, &mut rng) < 3);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(SelectionWeighting::InverseScore.name(), "inverse");
-        assert_eq!(SelectionWeighting::RawScore.name(), "raw");
-        assert_eq!(SelectionWeighting::Tournament { k: 3 }.name(), "tournament");
-    }
-
-    #[test]
-    fn tournament_prefers_low_scores() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut counts = [0usize; 4];
-        for _ in 0..4000 {
-            counts[SelectionWeighting::Tournament { k: 3 }.select(&SCORES, &mut rng)] += 1;
-        }
-        assert!(counts[0] > counts[1] && counts[1] > counts[2] && counts[2] > counts[3]);
-    }
-
-    #[test]
-    fn tournament_of_one_is_uniform() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut counts = [0usize; 4];
-        for _ in 0..8000 {
-            counts[SelectionWeighting::Tournament { k: 1 }.select(&SCORES, &mut rng)] += 1;
-        }
-        for &c in &counts {
-            assert!((1600..=2400).contains(&c), "{counts:?} not uniform");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "tournament selection has no weight vector")]
-    fn tournament_weights_panic() {
-        let _ = SelectionWeighting::Tournament { k: 2 }.weights(&SCORES);
-    }
-
-    #[test]
-    fn select_dispatches_weight_schemes_too() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut counts = [0usize; 4];
-        for _ in 0..4000 {
-            counts[SelectionWeighting::InverseScore.select(&SCORES, &mut rng)] += 1;
-        }
-        assert!(counts[0] > counts[3]);
+        assert!(select_leader(1, &mut rng) < 1);
     }
 }

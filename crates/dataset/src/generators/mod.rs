@@ -6,8 +6,9 @@
 //! each generator emits a dataset with **exactly** the paper's shape —
 //! record count, attribute count, and the category cardinalities of the
 //! protected attributes — and with skewed, correlated marginals typical of
-//! the real data (see DESIGN.md §5 for the substitution argument). All
-//! generators are deterministic per seed.
+//! the real data. Every measure reads only the protected attributes'
+//! categories, frequencies and associations, so a file that matches those
+//! stands in for the UCI one. All generators are deterministic per seed.
 
 mod adult;
 mod flare;

@@ -29,7 +29,8 @@
 //!   datasets of the paper's evaluation (US Housing '93, German Credit,
 //!   Solar Flare, Adult). The real UCI files are not redistributed; the
 //!   generators match record counts, attribute counts and the paper's
-//!   category cardinalities exactly (see DESIGN.md §5).
+//!   category cardinalities exactly, which is all the measures read of
+//!   the data's shape.
 //! * [`io`] — CSV reading/writing with dictionary building.
 //!
 //! ## Quick example

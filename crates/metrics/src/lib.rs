@@ -31,7 +31,8 @@
 //! arbitrary [`Patch`] of cell changes — a mutation's single cell or a
 //! crossover's flattened segment — updating IL and interval disclosure
 //! exactly and relinking only the touched records, addressing the paper's
-//! future-work item on fitness cost (ablated in `cdp-bench`).
+//! future-work item on fitness cost (`evaluator_bench` in `cdp_bench`
+//! times the patched path against full assessments).
 //!
 //! Preparing the original is a one-off cost per process: a long-lived
 //! session keeps one prepared evaluator per original in memory and hands

@@ -1,7 +1,7 @@
 //! Score aggregation: collapsing (IL, DR) into a single fitness value.
 
 /// How information loss and disclosure risk combine into one score
-/// (smaller is better in all variants).
+/// (smaller is better in both variants).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScoreAggregator {
     /// The paper's Eq. 1: `(IL + DR) / 2`. Allows perfect trade-offs —
@@ -11,17 +11,6 @@ pub enum ScoreAggregator {
     /// The paper's Eq. 2: `max(IL, DR)`. Penalizes unbalanced protections;
     /// the paper's preferred choice.
     Max,
-    /// Extension: convex combination `w·IL + (1−w)·DR`. `Weighted { w: 0.5 }`
-    /// coincides with [`ScoreAggregator::Mean`].
-    Weighted {
-        /// Weight of the information-loss term, in `[0, 1]`.
-        w: f64,
-    },
-    /// Extension: Euclidean distance to the ideal point `(0, 0)`, scaled by
-    /// `1/√2` so the range stays `[0, 100]`. Strictly convex: balanced pairs
-    /// beat unbalanced pairs of equal mean, but gradients never vanish the
-    /// way `Max` plateaus do.
-    DistanceToIdeal,
 }
 
 impl ScoreAggregator {
@@ -30,11 +19,6 @@ impl ScoreAggregator {
         match self {
             ScoreAggregator::Mean => (il + dr) / 2.0,
             ScoreAggregator::Max => il.max(dr),
-            ScoreAggregator::Weighted { w } => {
-                let w = w.clamp(0.0, 1.0);
-                w * il + (1.0 - w) * dr
-            }
-            ScoreAggregator::DistanceToIdeal => ((il * il + dr * dr) / 2.0).sqrt(),
         }
     }
 
@@ -43,8 +27,6 @@ impl ScoreAggregator {
         match self {
             ScoreAggregator::Mean => "mean",
             ScoreAggregator::Max => "max",
-            ScoreAggregator::Weighted { .. } => "weighted",
-            ScoreAggregator::DistanceToIdeal => "dist",
         }
     }
 }
@@ -68,47 +50,15 @@ mod tests {
     }
 
     #[test]
-    fn weighted_half_is_mean() {
-        let w = ScoreAggregator::Weighted { w: 0.5 };
-        assert_eq!(w.score(30.0, 10.0), ScoreAggregator::Mean.score(30.0, 10.0));
-    }
-
-    #[test]
-    fn weighted_extremes() {
-        assert_eq!(ScoreAggregator::Weighted { w: 1.0 }.score(30.0, 10.0), 30.0);
-        assert_eq!(ScoreAggregator::Weighted { w: 0.0 }.score(30.0, 10.0), 10.0);
-        // out-of-range weights clamp
-        assert_eq!(ScoreAggregator::Weighted { w: 2.0 }.score(30.0, 10.0), 30.0);
-    }
-
-    #[test]
-    fn distance_to_ideal_prefers_balance_and_stays_in_range() {
-        let d = ScoreAggregator::DistanceToIdeal;
-        assert!(d.score(20.0, 20.0) < d.score(0.0, 40.0));
-        assert!((d.score(100.0, 100.0) - 100.0).abs() < 1e-9);
-        assert_eq!(d.score(0.0, 0.0), 0.0);
-    }
-
-    #[test]
     fn all_aggregators_are_zero_at_ideal() {
-        for agg in [
-            ScoreAggregator::Mean,
-            ScoreAggregator::Max,
-            ScoreAggregator::Weighted { w: 0.3 },
-            ScoreAggregator::DistanceToIdeal,
-        ] {
+        for agg in [ScoreAggregator::Mean, ScoreAggregator::Max] {
             assert_eq!(agg.score(0.0, 0.0), 0.0);
         }
     }
 
     #[test]
     fn monotone_in_both_arguments() {
-        for agg in [
-            ScoreAggregator::Mean,
-            ScoreAggregator::Max,
-            ScoreAggregator::Weighted { w: 0.4 },
-            ScoreAggregator::DistanceToIdeal,
-        ] {
+        for agg in [ScoreAggregator::Mean, ScoreAggregator::Max] {
             assert!(agg.score(10.0, 20.0) <= agg.score(15.0, 20.0));
             assert!(agg.score(10.0, 20.0) <= agg.score(10.0, 25.0));
         }

@@ -11,8 +11,9 @@
 //! | Adult   |  86   | 48       | 6      | 6   | 6        | 11        | 9    |
 //!
 //! [`SuiteConfig::paper`] reproduces these counts exactly through parameter
-//! sweeps (the paper does not list the individual parameters, so the grids
-//! here are our choice — documented in DESIGN.md §5).
+//! sweeps. The paper does not list the individual parameters, so the grids
+//! here are our choice: evenly spaced values of each method's parameter,
+//! as many per family as the paper counts.
 
 use cdp_dataset::generators::{Dataset, DatasetKind};
 use cdp_dataset::{Hierarchy, SubTable};

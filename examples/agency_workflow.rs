@@ -2,7 +2,7 @@
 //!
 //! 1. ingest a raw survey file from disk (CSV),
 //! 2. seed a population of protections (built-ins + MDAV),
-//! 3. evolve it under Eq. 2 with the adaptive operator schedule,
+//! 3. evolve it under Eq. 2,
 //! 4. audit the winner — IL/DR breakdown, attribute disclosure (the risk
 //!    notion the paper names but does not evaluate), the built-in privacy
 //!    audit (k-anonymity, prosecutor/journalist risk),
@@ -52,8 +52,6 @@ fn main() {
         .table(table, ds.protected.clone())
         .suite_small()
         .aggregator(ScoreAggregator::Max)
-        .operator_schedule(cdp::core::OperatorSchedule::adaptive())
-        .selection(SelectionWeighting::Tournament { k: 3 })
         .iterations(200)
         .seed(77)
         .audit();

@@ -216,8 +216,7 @@ pub mod pipeline;
 pub mod prelude {
     pub use cdp_core::{
         EvalCounts, EvoConfig, Evolution, EvolutionOutcome, Individual, IslandConfig, IslandEvent,
-        IslandModel, IslandTiming, Population, ReplacementPolicy, SelectionWeighting,
-        StopCondition,
+        IslandModel, IslandTiming, Population,
     };
     pub use cdp_dataset::generators::{Dataset, DatasetKind, GeneratorConfig};
     pub use cdp_dataset::{AttrKind, Attribute, Code, Hierarchy, Schema, SubTable, Table};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use cdp_core::{EvoConfig, NsgaConfig, OperatorSchedule, ReplacementPolicy, SelectionWeighting};
+use cdp_core::{EvoConfig, NsgaConfig};
 use cdp_dataset::generators::{Dataset, DatasetKind, GeneratorConfig};
 use cdp_dataset::{stats, AttrKind, Hierarchy, SubTable, Table};
 use cdp_metrics::{MetricConfig, ObjectiveSet, ScoreAggregator};
@@ -432,15 +432,12 @@ impl ProtectionJob {
     pub fn evo_config(&self) -> EvoConfig {
         match self.mode {
             OptimizerMode::Scalar(cfg) => cfg,
-            OptimizerMode::Nsga(cfg) => {
-                let mut evo = EvoConfig {
-                    seed: self.seed,
-                    islands: cfg.islands,
-                    ..EvoConfig::default()
-                };
-                evo.stop.max_iterations = self.iterations.max(1);
-                evo
-            }
+            OptimizerMode::Nsga(cfg) => EvoConfig {
+                seed: self.seed,
+                iterations: self.iterations.max(1),
+                islands: cfg.islands,
+                ..EvoConfig::default()
+            },
         }
     }
 
@@ -531,7 +528,6 @@ pub struct ProtectionJobBuilder {
     offspring: Option<usize>,
     crossover_prob: Option<f64>,
     iterations: usize,
-    stagnation: Option<usize>,
     drop_best_fraction: f64,
     audit: Option<AuditSpec>,
     seed: u64,
@@ -555,7 +551,6 @@ impl Default for ProtectionJobBuilder {
             offspring: None,
             crossover_prob: None,
             iterations: 300,
-            stagnation: None,
             drop_best_fraction: 0.0,
             audit: None,
             seed: 42,
@@ -743,8 +738,7 @@ impl ProtectionJobBuilder {
                 self.offspring = None;
                 self.crossover_prob = None;
                 self.objectives.clear();
-                self.iterations = cfg.stop.max_iterations;
-                self.stagnation = cfg.stop.stagnation;
+                self.iterations = cfg.iterations;
                 self.evo = cfg;
             }
             OptimizerMode::Nsga(cfg) => {
@@ -756,7 +750,6 @@ impl ProtectionJobBuilder {
                     islands: cfg.islands,
                     ..EvoConfig::default()
                 };
-                self.stagnation = None;
                 self.drop_best_fraction = 0.0;
             }
         }
@@ -769,39 +762,9 @@ impl ProtectionJobBuilder {
         self
     }
 
-    /// Early-stop stagnation window.
-    pub fn stagnation(mut self, window: usize) -> Self {
-        self.stagnation = Some(window);
-        self
-    }
-
     /// Probability of a mutation generation (vs crossover).
     pub fn mutation_rate(mut self, rate: f64) -> Self {
         self.evo.mutation_rate = rate;
-        self
-    }
-
-    /// Fixed (paper) or adaptive operator schedule.
-    pub fn operator_schedule(mut self, schedule: OperatorSchedule) -> Self {
-        self.evo.operator_schedule = schedule;
-        self
-    }
-
-    /// Selection weighting (Eq. 3 resolution).
-    pub fn selection(mut self, selection: SelectionWeighting) -> Self {
-        self.evo.selection = selection;
-        self
-    }
-
-    /// Crossover replacement pairing.
-    pub fn replacement(mut self, replacement: ReplacementPolicy) -> Self {
-        self.evo.replacement = replacement;
-        self
-    }
-
-    /// Leader-group fraction for crossover selection.
-    pub fn leader_fraction(mut self, fraction: f64) -> Self {
-        self.evo.leader_fraction = fraction;
         self
     }
 
@@ -929,16 +892,9 @@ impl ProtectionJobBuilder {
             };
             if self.evo != scalar_view {
                 return Err(PipelineError::InvalidJob(
-                    "scalar-only evolution knobs (aggregator(), mutation_rate(), \
-                     operator_schedule(), selection(), replacement(), \
-                     leader_fraction()) do not apply \
-                     to the NSGA-II mode"
+                    "scalar-only evolution knobs (aggregator(), mutation_rate()) \
+                     do not apply to the NSGA-II mode"
                         .into(),
-                ));
-            }
-            if self.stagnation.is_some() {
-                return Err(PipelineError::InvalidJob(
-                    "stagnation() applies to the scalar mode only".into(),
                 ));
             }
             if self.drop_best_fraction != 0.0 {
@@ -969,10 +925,11 @@ impl ProtectionJobBuilder {
                     "crossover_prob() applies to the NSGA-II mode; call nsga() first".into(),
                 ));
             }
-            let mut evo = self.evo;
-            evo.seed = self.seed;
-            evo.stop.max_iterations = self.iterations.max(1);
-            evo.stop.stagnation = self.stagnation;
+            let evo = EvoConfig {
+                seed: self.seed,
+                iterations: self.iterations.max(1),
+                ..self.evo
+            };
             evo.validate()?;
             OptimizerMode::Scalar(evo)
         };
@@ -1134,11 +1091,11 @@ mod tests {
                     .map(|_| ()),
             ),
             (
-                "stagnation",
+                "mutation_rate",
                 ProtectionJob::builder()
                     .dataset(DatasetKind::Adult)
                     .nsga()
-                    .stagnation(10)
+                    .mutation_rate(0.7)
                     .build()
                     .map(|_| ()),
             ),

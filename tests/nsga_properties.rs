@@ -1,7 +1,8 @@
 //! Property-based tests for the NSGA-II primitives: non-dominated sorting,
 //! crowding distance, and the 2-D hypervolume indicator.
 
-use cdp::core::nsga::{crowding_distance, hypervolume, non_dominated_sort};
+use cdp::core::nsga::{crowding_distance_vec, hypervolume, non_dominated_sort_vec};
+use cdp::core::ObjectiveVector;
 use proptest::prelude::*;
 
 fn dominates(a: (f64, f64), b: (f64, f64)) -> bool {
@@ -12,12 +13,19 @@ fn arb_points() -> impl Strategy<Value = Vec<(f64, f64)>> {
     proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..40)
 }
 
+fn pairs(points: &[(f64, f64)]) -> Vec<ObjectiveVector> {
+    points
+        .iter()
+        .map(|&(il, dr)| ObjectiveVector::pair(il, dr))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn fronts_partition_the_points(points in arb_points()) {
-        let fronts = non_dominated_sort(&points);
+        let fronts = non_dominated_sort_vec(&pairs(&points));
         let mut seen: Vec<usize> = fronts.iter().flatten().copied().collect();
         seen.sort_unstable();
         let expected: Vec<usize> = (0..points.len()).collect();
@@ -26,7 +34,7 @@ proptest! {
 
     #[test]
     fn each_front_is_mutually_nondominated(points in arb_points()) {
-        let fronts = non_dominated_sort(&points);
+        let fronts = non_dominated_sort_vec(&pairs(&points));
         for front in &fronts {
             for &i in front {
                 for &j in front {
@@ -41,7 +49,7 @@ proptest! {
 
     #[test]
     fn later_front_members_are_dominated_by_the_previous_front(points in arb_points()) {
-        let fronts = non_dominated_sort(&points);
+        let fronts = non_dominated_sort_vec(&pairs(&points));
         for r in 1..fronts.len() {
             for &j in &fronts[r] {
                 prop_assert!(
@@ -55,7 +63,7 @@ proptest! {
 
     #[test]
     fn front_zero_is_globally_nondominated(points in arb_points()) {
-        let fronts = non_dominated_sort(&points);
+        let fronts = non_dominated_sort_vec(&pairs(&points));
         for &i in &fronts[0] {
             prop_assert!(
                 !points.iter().any(|&p| dominates(p, points[i])),
@@ -107,7 +115,7 @@ proptest! {
     #[test]
     fn crowding_has_at_least_two_infinite_entries(points in arb_points()) {
         let front: Vec<usize> = (0..points.len()).collect();
-        let d = crowding_distance(&points, &front);
+        let d = crowding_distance_vec(&pairs(&points), &front);
         prop_assert_eq!(d.len(), points.len());
         let infinite = d.iter().filter(|x| x.is_infinite()).count();
         prop_assert!(infinite >= usize::min(2, points.len()));

@@ -4,12 +4,12 @@
 //! since the columnar data plane landed) made assessment ~flat in rows,
 //! so the cap is now set by evolution cost, not linkage.
 //!
-//! The full-scale counterparts are regenerated by `cdp-bench` and recorded
-//! in EXPERIMENTS.md. The balance metric used here is the mean
-//! |IL − DR| over the best 20% of the final population: the paper's
-//! dispersion figures describe where the *optimized* individuals end up,
-//! and the top slice is exactly that set (the untouched tail of a short
-//! run would otherwise swamp the signal).
+//! The full-scale counterparts are regenerated by `cdp_bench`'s
+//! `reproduce` binary (1000 records, 1000 iterations). The balance metric
+//! used here is the mean |IL − DR| over the best 20% of the final
+//! population: the paper's dispersion figures describe where the
+//! *optimized* individuals end up, and the top slice is exactly that set
+//! (the untouched tail of a short run would otherwise swamp the signal).
 //!
 //! Evolutions run island-model (`islands=2`): the claims here are
 //! qualitative — balance orderings, improvement signs, gap tolerances —
@@ -198,11 +198,11 @@ fn claim_mean_fitness_blind_to_imbalance() {
 
 /// §4 claims balance quality scales with the number of valid categories.
 /// At reduced scale this correlation does NOT separate cleanly (German's
-/// 5/6/6-category attributes balance fine — see EXPERIMENTS.md for the
-/// full-scale discussion); what does hold universally is the weaker form:
-/// Eq. 2 drives the optimized elite of *every* dataset under a tight
-/// imbalance bound, with the many-category datasets never worse than a
-/// small constant of the few-category ones.
+/// 5/6/6-category attributes balance fine at 600 records, so no ordering
+/// by category count is asserted); what does hold universally is the
+/// weaker form: Eq. 2 drives the optimized elite of *every* dataset under
+/// a tight imbalance bound, with the many-category datasets never worse
+/// than a small constant of the few-category ones.
 ///
 /// Probes the seed-2 Eq. 2 runs, shared with the balance claim above.
 #[test]

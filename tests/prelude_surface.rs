@@ -11,8 +11,8 @@ use cdp::prelude::{
     DrBreakdown, EvalCounts, EvoConfig, Evolution, EvolutionOutcome, Front, GeneratorConfig,
     Hierarchy, IlBreakdown, Individual, JobEvent, JobOutcome, JobReport, MetricConfig,
     OptimizerMode, PipelineError, Population, PopulationSpec, ProtectionJob, ProtectionMethod,
-    Recoder, ReplacementPolicy, Schema, ScoreAggregator, SelectionWeighting, Session, SessionStats,
-    SharedSession, StopCondition, SubTable, SuiteConfig, SuiteKind, Table,
+    Recoder, Schema, ScoreAggregator, Session, SessionStats, SharedSession, SubTable, SuiteConfig,
+    SuiteKind, Table,
 };
 use cdp::prelude::{Assessment, CostKind, Evaluator, LatticeSearch, PrivacyReport};
 

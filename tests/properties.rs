@@ -128,8 +128,6 @@ proptest! {
         for agg in [
             ScoreAggregator::Mean,
             ScoreAggregator::Max,
-            ScoreAggregator::Weighted { w: 0.3 },
-            ScoreAggregator::DistanceToIdeal,
         ] {
             let base = agg.score(il, dr);
             prop_assert!((0.0..=100.0 + 1e-9).contains(&base));
